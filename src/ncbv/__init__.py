@@ -37,7 +37,7 @@ from .harer_zagier import (
     multitrace_sum_check,
 )
 from .morita import MatrixExtension, sigma, sigma_K
-from .multitrace import MultiTraceFunctional, lqt_evaluate
+from .multitrace import MultiTraceFunctional
 from .nupoly import NuPolynomial
 from .operators import OperatorContext
 from .reduction import GueReducer, canonical_index, default_reducer, reduce_to_polynomial
@@ -87,7 +87,6 @@ __all__ = [
     "hz_recurrence_check",
     "inverse_pairing",
     "letter_differential",
-    "lqt_evaluate",
     "matrix_ainfinity",
     "matrix_frobenius",
     "monte_carlo_moment",

@@ -22,12 +22,9 @@ and minus its adjoint action reproduces the dual differential on words
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
+from .morita import MatrixExtension, decorate, index_chains, matrix_index
 from .scalar import Scalar
 from .space import GradedSymplecticSpace, invert_matrix
-
-
-def matrix_name(name: str, row: int, col: int) -> str:
-    return f"{name}[{row},{col}]"
 
 
 class CyclicAInfinity:
@@ -180,65 +177,30 @@ class CyclicAInfinity:
 def matrix_ainfinity(algebra: CyclicAInfinity, size: int) -> CyclicAInfinity:
     """Matrix extension: structure maps tensored with the product of
     elementary matrices, pairing tensored with the trace form."""
-    if size < 1:
-        raise ValueError("matrix size must be at least 1")
-    n = algebra.dim
-    dim = n * size * size
-
-    def enc(base, p, q):
-        return base * size * size + p * size + q
-
-    basis = []
-    degrees = []
-    for i in range(n):
-        for p in range(size):
-            for q in range(size):
-                basis.append(matrix_name(algebra.basis[i], p, q))
-                degrees.append(algebra.degrees[i])
-
-    pairing = [[Scalar(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            base = algebra.pairing[i][j]
-            if not base:
-                continue
-            for p in range(size):
-                for q in range(size):
-                    # Tr(E_pq E_qp) = 1 is the only nonzero trace product
-                    pairing[enc(i, p, q)][enc(j, q, p)] = base
-
+    basis, degrees, pairing = decorate(algebra.basis, algebra.degrees, algebra.pairing, size)
     ops = {}
     for k, table in algebra.ops.items():
         new_table = {}
         for args, images in table.items():
-            index_chains = _index_chains(size, k)
-            for chain in index_chains:
+            for chain in index_chains(size, k + 1):
                 new_args = tuple(
-                    enc(base, chain[t], chain[t + 1]) for t, base in enumerate(args)
+                    matrix_index(base, chain[t], chain[t + 1], size)
+                    for t, base in enumerate(args)
                 )
-                new_images = {
-                    enc(out, chain[0], chain[k]): coeff for out, coeff in images.items()
+                new_table[new_args] = {
+                    matrix_index(out, chain[0], chain[k], size): coeff
+                    for out, coeff in images.items()
                 }
-                new_table[new_args] = new_images
         ops[k] = new_table
 
     unit = None
     if algebra.unit is not None:
-        unit = [Scalar(0)] * dim
+        unit = [Scalar(0)] * len(basis)
         for i, c in enumerate(algebra.unit):
             for p in range(size):
-                unit[enc(i, p, p)] = c
+                unit[matrix_index(i, p, p, size)] = c
 
     return CyclicAInfinity(basis, degrees, pairing, ops, unit=unit)
-
-
-def _index_chains(size: int, k: int):
-    """All (k+1)-tuples (p_1, ..., p_{k+1}) of matrix indices: the chain
-    E_{p_1 p_2} E_{p_2 p_3} ... multiplies to E_{p_1 p_{k+1}}."""
-    chains = [()]
-    for _ in range(k + 1):
-        chains = [chain + (p,) for chain in chains for p in range(size)]
-    return chains
 
 
 def suspend(algebra: CyclicAInfinity, names=None, scales=None) -> GradedSymplecticSpace:
@@ -264,20 +226,8 @@ def suspend(algebra: CyclicAInfinity, names=None, scales=None) -> GradedSymplect
 
 def suspend_matrix(algebra, size, names=None, scales=None):
     """Suspension of the matrix extension with letter names and scales
-    tensored from the base, matching ``morita.matrix_extension``."""
-    n = algebra.dim
-    if names is None:
-        names = algebra.basis
-    if scales is None:
-        scales = (1,) * n
-    full_names = []
-    full_scales = []
-    for i in range(n):
-        for p in range(size):
-            for q in range(size):
-                full_names.append(matrix_name(names[i], p, q))
-                full_scales.append(scales[i])
-    return suspend(matrix_ainfinity(algebra, size), full_names, full_scales)
+    tensored from the base: the space of ``morita.MatrixExtension``."""
+    return MatrixExtension(suspend(algebra, names, scales), size).space
 
 
 def _suspension_sign(algebra, key) -> int:

@@ -12,7 +12,7 @@ import random
 import sys
 
 from . import verify as verify_mod
-from .frobenius import matrix_frobenius, otft_mu
+from .frobenius import matrix_frobenius, matrix_trace_product, otft_mu
 from .harer_zagier import (
     catalan_leading_check,
     harer_zagier_closed,
@@ -21,7 +21,7 @@ from .harer_zagier import (
 )
 from .reduction import canonical_index, default_reducer
 from .sampling import DEFAULT_CHUNK, monte_carlo_moment, thread_count
-from .scalar import Scalar, format_scalar
+from .scalar import format_scalar
 from .wick import DEFAULT_CAP, wick_oracle
 
 USAGE_ERROR = 2
@@ -184,21 +184,8 @@ def cmd_otft(args) -> int:
         ]
         for k in args.boundaries
     ]
-    boundaries = [
-        [tuple(Scalar(mat[p][q]) for p in range(size) for q in range(size)) for mat in bd]
-        for bd in boundaries_mats
-    ]
+    boundaries, expected = matrix_trace_product(size, args.free, boundaries_mats)
     value = otft_mu(frob, args.genus, args.free, boundaries)
-    expected = Scalar(size) ** args.free
-    for bd in boundaries_mats:
-        prod = [[Scalar(int(p == q)) for q in range(size)] for p in range(size)]
-        for mat in bd:
-            prod = [
-                [sum((prod[p][t] * mat[t][q] for t in range(size)), Scalar(0))
-                 for q in range(size)]
-                for p in range(size)
-            ]
-        expected *= sum((prod[p][p] for p in range(size)), Scalar(0))
     payload = {
         "N": size,
         "genus": args.genus,

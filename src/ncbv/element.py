@@ -181,15 +181,6 @@ class Element:
             {m: c for m, c in self.terms.items() if monomial_degree(self.space, m) % 2 == parity},
         )
 
-    def map_terms(self, func) -> "Element":
-        """Sum ``func(monomial, coeff) -> Element`` over all terms."""
-        out = Element.zero(self.space, self.flavor)
-        for monomial, coeff in self.terms.items():
-            part = func(monomial, coeff)
-            if part is not None:
-                out = out + part
-        return out
-
     # -- display and serialization --------------------------------------
 
     def _format_monomial(self, monomial: Monomial) -> str:

@@ -13,9 +13,11 @@ k_1, ..., k_m inputs is assembled from
 where <.,.>^{-1} = x_i (x) y^i, and mu^{g,b} applies beta^b gamma^g to
 any single argument (the value is independent of which; that
 independence is a tested property).  For the matrix algebra the tensors
-collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m).
+collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m), which
+``matrix_trace_product`` evaluates directly.
 """
 
+from .morita import decorate, index_chains, matrix_index
 from .scalar import Scalar
 from .space import invert_matrix
 
@@ -222,30 +224,47 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
 
 
 def matrix_frobenius(size: int) -> FrobeniusAlgebra:
-    """Square matrices with the trace pairing; basis E_pq row-major."""
+    """Square matrices with the trace pairing; basis E_pq row-major.
+
+    The basis and pairing are the Mat_N decoration of the line ((1,),)."""
+    basis, _, pairing = decorate(("E",), (0,), ((Scalar(1),),), size)
     n = size * size
-
-    def enc(p, q):
-        return p * size + q
-
-    basis = [f"E[{p},{q}]" for p in range(size) for q in range(size)]
     mult = [[None] * n for _ in range(n)]
-    for p in range(size):
-        for q in range(size):
-            for r in range(size):
-                for s in range(size):
-                    vec = [Scalar(0)] * n
-                    if q == r:
-                        vec[enc(p, s)] = Scalar(1)
-                    mult[enc(p, q)][enc(r, s)] = tuple(vec)
-    pairing = [[Scalar(0)] * n for _ in range(n)]
-    for p in range(size):
-        for q in range(size):
-            pairing[enc(p, q)][enc(q, p)] = Scalar(1)
+    for p, q, r, s in index_chains(size, 4):
+        vec = [Scalar(0)] * n
+        if q == r:
+            vec[matrix_index(0, p, s, size)] = Scalar(1)
+        mult[matrix_index(0, p, q, size)][matrix_index(0, r, s, size)] = tuple(vec)
     unit = [Scalar(0)] * n
     for p in range(size):
-        unit[enc(p, p)] = Scalar(1)
+        unit[matrix_index(0, p, p, size)] = Scalar(1)
     return FrobeniusAlgebra(basis, mult, pairing, unit)
+
+
+def matrix_trace_product(size: int, free_boundaries: int, matrices):
+    """The closed form of mu^{g,b} over Mat_N for boundary arguments
+    given as square matrices (``matrices[i][t][p][q]``).
+
+    Returns the boundary arguments flattened row-major onto the E_pq
+    basis, ready for ``otft_mu``, and N^b prod_i Tr(A^i1 ... A^ik_i).
+    """
+    boundaries = [
+        [tuple(Scalar(entry) for row in mat for entry in row) for mat in bd]
+        for bd in matrices
+    ]
+    expected = Scalar(size) ** free_boundaries
+    for bd in matrices:
+        prod = [[Scalar(int(p == q)) for q in range(size)] for p in range(size)]
+        for mat in bd:
+            prod = [
+                [
+                    sum((prod[p][t] * mat[t][q] for t in range(size)), Scalar(0))
+                    for q in range(size)
+                ]
+                for p in range(size)
+            ]
+        expected *= sum((prod[p][p] for p in range(size)), Scalar(0))
+    return boundaries, expected
 
 
 def ground_field() -> FrobeniusAlgebra:

@@ -1,5 +1,11 @@
 """Trace maps between ranks and the cyclic-to-symmetric quotients.
 
+This module is the one place that decorates letters with matrix
+indices: ``decorate`` tensors a graded pairing with the trace form of
+Mat_N, so letter (i, p, q) sits at index (i N + p) N + q, is named
+``name[p,q]`` and pairs with (j, q, p) through <i,j>.  The matrix
+extensions of A-infinity and Frobenius algebras are built from it.
+
 ``MatrixExtension`` packages the odd symplectic space of matrix-valued
 letters (letter, row, col), the inflation map M that tensors a cyclic
 word with the trace of a product of elementary matrices (and sends nu
@@ -13,48 +19,74 @@ monomial gamma^i nu^j with n word factors (so the bare nu monomial has
 weight h^0: it is a single empty word).
 """
 
-from .ainfinity import matrix_name
+import itertools
+
 from .element import COMMUTATIVE, CYCLIC, Element
 from .scalar import Scalar
 from .space import GradedSymplecticSpace
 from .words import Monomial
 
 
+def matrix_name(name: str, row: int, col: int) -> str:
+    return f"{name}[{row},{col}]"
+
+
+def matrix_index(letter: int, row: int, col: int, size: int) -> int:
+    """Position of the decorated letter (letter, row, col) in V (x) Mat_N."""
+    return (letter * size + row) * size + col
+
+
+def index_chains(size: int, length: int):
+    """All length-tuples (p_1, ..., p_L) of matrix indices: the chain
+    E_{p_1 p_2} E_{p_2 p_3} ... multiplies to E_{p_1 p_L}."""
+    return itertools.product(range(size), repeat=length)
+
+
+def trace_tensor(matrix, size: int):
+    """``matrix`` tensored with the trace form of Mat_N: entry (i, j)
+    lands at ((i,p,q), (j,q,p)), since Tr(E_pq E_qp) = 1 is the only
+    nonzero trace product."""
+    n = len(matrix)
+    dim = n * size * size
+    rows = [[Scalar(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            entry = matrix[i][j]
+            if entry:
+                for p, q in index_chains(size, 2):
+                    rows[matrix_index(i, p, q, size)][matrix_index(j, q, p, size)] = entry
+    return tuple(map(tuple, rows))
+
+
+def decorate(names, degrees, pairing, size: int):
+    """Names, degrees and trace-form pairing of the letters (i, p, q)
+    of V (x) Mat_N, ordered by ``matrix_index``."""
+    if size < 1:
+        raise ValueError("matrix size must be at least 1")
+    cells = list(index_chains(size, 2))
+    return (
+        tuple(matrix_name(name, p, q) for name in names for p, q in cells),
+        tuple(degree for degree in degrees for _ in cells),
+        trace_tensor(pairing, size),
+    )
+
+
 class MatrixExtension:
     """The decorated space V (x) Mat_N with its inflation/restriction maps."""
 
     def __init__(self, base: GradedSymplecticSpace, size: int):
-        if size < 1:
-            raise ValueError("matrix size must be at least 1")
+        letters, degrees, pairing = decorate(base.letters, base.degrees, base.pairing, size)
         self.base = base
         self.size = size
-        n = base.dim
-        letters = []
-        degrees = []
-        scales = []
-        for i in range(n):
-            for p in range(size):
-                for q in range(size):
-                    letters.append(matrix_name(base.letters[i], p, q))
-                    degrees.append(base.degrees[i])
-                    scales.append(base.dual_scales[i])
-        dim = n * size * size
-        pairing = [[Scalar(0)] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                entry = base.pairing[i][j]
-                if not entry:
-                    continue
-                for p in range(size):
-                    for q in range(size):
-                        pairing[self.encode(i, p, q)][self.encode(j, q, p)] = entry
         self.space = GradedSymplecticSpace(
-            tuple(letters), tuple(degrees), tuple(map(tuple, pairing)),
-            dual_scales=tuple(scales),
+            letters, degrees, pairing,
+            # the inverse of P (x) trace form is P^{-1} (x) trace form
+            inverse=trace_tensor(base.inverse, size),
+            dual_scales=tuple(s for s in base.dual_scales for _ in range(size * size)),
         )
 
     def encode(self, letter: int, row: int, col: int) -> int:
-        return (letter * self.size + row) * self.size + col
+        return matrix_index(letter, row, col, self.size)
 
     def decode(self, index: int) -> tuple[int, int, int]:
         letter, rest = divmod(index, self.size * self.size)
@@ -66,12 +98,8 @@ class MatrixExtension:
     def inflate_word(self, word) -> Element:
         """Sum over matrix decorations weighted by the trace of the
         product: letter t gets indices (p_t, p_{t+1}), cyclically."""
-        size = self.size
         out = Element.zero(self.space, CYCLIC)
-        chains = [(p,) for p in range(size)]
-        for _ in range(len(word) - 1):
-            chains = [chain + (p,) for chain in chains for p in range(size)]
-        for chain in chains:
+        for chain in index_chains(self.size, len(word)):
             decorated = tuple(
                 self.encode(letter, chain[t], chain[(t + 1) % len(word)])
                 for t, letter in enumerate(word)

@@ -109,7 +109,3 @@ class MultiTraceFunctional:
             terms[key] = parse_scalar(item["coeff"])
         return cls(terms)
 
-
-def lqt_evaluate(functional: MultiTraceFunctional, matrix, size=None):
-    """Evaluate the trace-map image of an observable on a concrete matrix."""
-    return functional.evaluate(matrix, size=size)

@@ -31,6 +31,19 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where available)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_size(workers: int, chunks: int) -> int:
+    """Worker threads to start: at most one per chunk and per usable CPU."""
+    return max(1, min(workers, chunks, usable_cpus()))
+
+
 def gue_rng(seed: int, chunk: int | None = None) -> np.random.Generator:
     if chunk is None:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -119,6 +132,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
     idx = tuple(int(i) for i in idx)
     if any(i < 0 for i in idx):
         raise ValueError("multi-index entries are nonnegative")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     plan = []
     remaining, chunk_index = samples, 0
     while remaining > 0:
@@ -127,8 +142,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         remaining -= take
         chunk_index += 1
 
-    workers = threads if threads is not None else thread_count()
-    if workers > 1 and len(plan) > 1:
+    workers = pool_size(threads if threads is not None else thread_count(), len(plan))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(lambda item: _chunk_sums(idx, size, item[1], seed, item[0]), plan)

@@ -110,6 +110,16 @@ def test_otft_command(capsys):
     make_validator("otft").validate(payload)
 
 
+def test_otft_rejects_size_zero(capsys):
+    assert run(capsys, "otft", "--N", "0", "--boundaries", "2")[0] == 2
+
+
+@pytest.mark.parametrize("chunk", ["0", "-1"])
+def test_mc_rejects_nonpositive_chunk(capsys, chunk):
+    args = ("mc", "--idx", "2", "--N", "2", "--samples", "100", "--seed", "0")
+    assert run(capsys, *args, "--chunk", chunk)[0] == 2
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "moments")[0] == 2  # missing --idx
     assert run(capsys, "moments", "--idx", "x")[0] == 2

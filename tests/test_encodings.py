@@ -44,6 +44,13 @@ def test_encode_rejects_broken_cyclicity():
         )
 
 
+def test_matrix_size_zero_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        matrix_ainfinity(A, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        MatrixExtension(SPACE, 0)
+
+
 def test_matrix_size_one_is_the_algebra():
     mat1 = matrix_ainfinity(A, 1)
     assert mat1.degrees == A.degrees
@@ -134,14 +141,27 @@ def test_morita_cobracket_intertwine_at_two():
 
 
 def test_morita_exchanges_encodings():
-    ext = MatrixExtension(SPACE, 2)
-    mat = matrix_ainfinity(A, 2)
-    mat_space = suspend_matrix(A, 2, names=("x", "xi"), scales=(1, -1))
-    assert ext.space == mat_space
-    m_base = encode_ainfinity(A, SPACE)
-    m_mat = encode_ainfinity(mat, mat_space)
-    assert ext.inflate(m_base).terms == m_mat.terms
-    assert ext.restrict(Element(ext.space, CYCLIC, m_mat.terms)) == m_base
+    """The matrix space equals the suspension of the matrix algebra with
+    names and scales decorated by hand, and M/R swap the encodings."""
+    cases = [(A, ("x", "xi"), (1, -1)), (exterior_line(), ("u", "e"), (1, 1))]
+    for algebra, names, scales in cases:
+        base = suspend(algebra, names, scales)
+        m_base = encode_ainfinity(algebra, base)
+        for size in (1, 2, 3):
+            cells = [(p, q) for p in range(size) for q in range(size)]
+            mat = matrix_ainfinity(algebra, size)
+            reference = suspend(
+                mat,
+                [f"{name}[{p},{q}]" for name in names for p, q in cells],
+                [scale for scale in scales for _ in cells],
+            )
+            mat_space = suspend_matrix(algebra, size, names=names, scales=scales)
+            for field in ("letters", "degrees", "pairing", "inverse", "dual_scales"):
+                assert getattr(mat_space, field) == getattr(reference, field), (field, size)
+            ext = MatrixExtension(base, size)
+            m_mat = encode_ainfinity(mat, mat_space)
+            assert ext.inflate(m_base) == m_mat
+            assert ext.restrict(m_mat) == m_base
 
 
 def test_sigma_of_encoding_is_commutator_encoding():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncbv import Element, MultiTraceFunctional, lqt_evaluate
+from ncbv import Element, MultiTraceFunctional
 from ncbv.algebras import sigma_a_space
 
 SPACE = sigma_a_space()
@@ -11,18 +11,18 @@ SPACE = sigma_a_space()
 
 def test_single_trace_square():
     f = MultiTraceFunctional.from_multi_index((2,))
-    assert lqt_evaluate(f, np.diag([1.0, 2.0])) == 5.0
+    assert f.evaluate(np.diag([1.0, 2.0])) == 5.0
 
 
 def test_product_of_traces():
     f = MultiTraceFunctional.from_multi_index((1, 1))
-    assert lqt_evaluate(f, np.diag([1.0, 2.0])) == 9.0
+    assert f.evaluate(np.diag([1.0, 2.0])) == 9.0
 
 
 def test_nu_counts_dimension():
     f = MultiTraceFunctional.from_multi_index((0,))
     for size in (1, 2, 5):
-        assert lqt_evaluate(f, np.eye(size) * 0.0) == size
+        assert f.evaluate(np.eye(size) * 0.0) == size
 
 
 def test_from_element_reads_words():
@@ -30,7 +30,7 @@ def test_from_element_reads_words():
     f = MultiTraceFunctional.from_element(e)
     assert f == MultiTraceFunctional({(0, (1, 2)): 1})
     X = np.diag([1.0, -1.0])
-    assert lqt_evaluate(f, X) == (1 + 1) * (1 - 1)  # Tr(X^2) Tr(X)
+    assert f.evaluate(X) == (1 + 1) * (1 - 1)  # Tr(X^2) Tr(X)
 
 
 def test_from_element_rejects_mixed_words():
@@ -42,9 +42,9 @@ def test_from_element_rejects_mixed_words():
 def test_dimension_mismatch():
     f = MultiTraceFunctional.from_multi_index((2,))
     with pytest.raises(ValueError, match="expected"):
-        lqt_evaluate(f, np.eye(3), size=2)
+        f.evaluate(np.eye(3), size=2)
     with pytest.raises(ValueError, match="square"):
-        lqt_evaluate(f, np.ones((2, 3)))
+        f.evaluate(np.ones((2, 3)))
 
 
 def test_json_roundtrip():

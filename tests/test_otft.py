@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_polynomials
+from ncbv.frobenius import matrix_trace_product
 
 
 def as_vector(mat, size):
@@ -28,9 +29,16 @@ def test_matrix_tensor_is_trace_product():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [-1, 2]]
     c = [[2, 0], [1, 1]]
-    value = otft_mu(frob, 1, 2, [[as_vector(a, size), as_vector(b, size)], [as_vector(c, size)]])
+    boundaries = [[as_vector(a, size), as_vector(b, size)], [as_vector(c, size)]]
+    value = otft_mu(frob, 1, 2, boundaries)
     expected = Scalar(size) ** 2 * trace(mat_mul(a, b, size), size) * trace(c, size)
     assert value == expected
+    assert matrix_trace_product(size, 2, [[a, b], [c]]) == (boundaries, expected)
+
+
+def test_matrix_size_zero_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        matrix_frobenius(0)
 
 
 def test_free_boundary_and_genus_maps():

@@ -56,6 +56,34 @@ def test_monte_carlo_validates_inputs():
         monte_carlo_moment((-2,), 2, 100, seed=0)
 
 
+def test_monte_carlo_rejects_nonpositive_chunk():
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            monte_carlo_moment((2,), 2, 100, seed=0, chunk=chunk)
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+    from ncbv import sampling
+
+    monkeypatch.setattr(sampling, "usable_cpus", lambda: 4)
+    assert sampling.pool_size(10**6, 3) == 3
+    assert sampling.pool_size(10**6, 10**6) == 4
+    assert sampling.pool_size(1, 50) == 1
+    assert sampling.pool_size(0, 50) == 1
+    started = []
+
+    class Recorder(sampling.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+    big = monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=10**6)
+    assert started == [2]
+    assert big == monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=1)
+
+
 def test_thread_count_env(monkeypatch):
     from ncbv.sampling import thread_count
 

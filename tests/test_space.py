@@ -1,10 +1,13 @@
 """Odd symplectic spaces and the inverse pairing."""
 
+import random
+
 import pytest
 
-from ncbv import GradedSymplecticSpace, Scalar
+from ncbv import GradedSymplecticSpace, Scalar, inverse_pairing
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
+from ncbv.verify import random_space
 
 
 def test_sigma_a_inverse_is_symmetric_unit():
@@ -46,6 +49,16 @@ def test_block_pairing_inverse_combines_trace_inverse():
                     entry = space.inverse[ext.encode(x, p, q)][ext.encode(xi, r, s)]
                     expected = base.inverse[x][xi] if (r, s) == (q, p) else Scalar(0)
                     assert entry == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_decorated_inverse_matches_gauss_jordan(size):
+    """The extension's inverse is decorated from the base inverse, not
+    solved; Gauss-Jordan on the full pairing is the reference."""
+    rng = random.Random(59 + size)
+    for base in [sigma_a_space()] + [random_space(rng) for _ in range(4)]:
+        space = MatrixExtension(base, size).space
+        assert space.inverse == inverse_pairing(space.pairing, space.degrees)
 
 
 def test_singular_pairing_rejected():

@@ -35,7 +35,7 @@ class CyclicAInfinity:
     vector marking a strict unit.
     """
 
-    def __init__(self, basis, degrees, pairing, ops, unit=None, check=True):
+    def __init__(self, basis, degrees, pairing, ops, unit=None):
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
         self.pairing = tuple(tuple(Scalar(c) for c in row) for row in pairing)
@@ -57,8 +57,7 @@ class CyclicAInfinity:
                 if self.pairing[i][j] and (self.degrees[i] + self.degrees[j]) % 2 == 0:
                     raise ValueError("the pairing must have odd degree")
         invert_matrix(self.pairing)  # nondegeneracy
-        if check:
-            self.check_cyclic()
+        self.check_cyclic()
         if self.unit is not None:
             self._check_unital()
 

@@ -12,31 +12,82 @@ k_1, ..., k_m inputs is assembled from
 
 where <.,.>^{-1} = x_i (x) y^i, and mu^{g,b} applies beta^b gamma^g to
 any single argument (the value is independent of which; that
-independence is a tested property).  For the matrix algebra the tensors
+independence is a tested property).  By associativity, the unit and
+invariance (checked on construction) t_k(c_1, ..., c_k) = eps(c_1 ... c_k)
+for the counit eps(a) = <a, 1>, and beta, gamma are left multiplication by
+H = x_i y^i and G = x_i x_j y^i y^j.  For the matrix algebra the tensors
 collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m), which
 ``matrix_trace_product`` evaluates directly.
 """
 
+from collections.abc import Mapping
+from functools import reduce
+
 from .morita import decorate, index_chains, matrix_index
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
 from .space import invert_matrix
 
 Vector = tuple[Scalar, ...]
 
 
+def _sized(values, n: int, what: str) -> tuple:
+    values = tuple(values)
+    if len(values) != n:
+        raise ValueError(f"{what} has {len(values)} entries; the algebra has dimension {n}")
+    return values
+
+
+def _sum(vectors) -> Vector:
+    return tuple(sum(column, ZERO) for column in zip(*vectors))
+
+
+def _products(mult, n: int) -> dict:
+    """The nonzero products {(i, j): ((k, c), ...)} of a dense table
+    ``mult[i][j]`` or of a mapping {(i, j): {k: c}}."""
+    if not isinstance(mult, Mapping):
+        mult = {
+            (i, j): dict(enumerate(_sized(cell, n, f"the product e_{i} e_{j}")))
+            for i, row in enumerate(_sized(mult, n, "mult"))
+            for j, cell in enumerate(_sized(row, n, f"row {i} of mult"))
+        }
+    table = {}
+    for (i, j), cell in mult.items():
+        cell = {k: Scalar(c) for k, c in dict(cell).items()}
+        if not all(0 <= t < n for t in (i, j, *cell)):
+            raise ValueError(f"the product e_{i} e_{j} leaves the basis indices 0..{n - 1}")
+        if any(cell.values()):
+            table[i, j] = tuple((k, c) for k, c in sorted(cell.items()) if c)
+    return table
+
+
 class FrobeniusAlgebra:
-    def __init__(self, basis, mult, pairing, unit, check=True):
-        """``mult[i][j]`` is the coefficient vector of e_i e_j."""
+    """``mult[i][j]`` is the coefficient vector of e_i e_j, or a mapping
+    {(i, j): {k: c}} gives the nonzero products alone; those are kept as
+    ``self.mult[i, j] = ((k, c), ...)``.  The handles (x_i, y^i) =
+    (e_i, ``self.inverse[i]``) of the inverse form, the counit, H and G are
+    built here."""
+
+    def __init__(self, basis, mult, pairing, unit):
         self.basis = tuple(basis)
         n = len(self.basis)
-        self.mult = tuple(
-            tuple(tuple(Scalar(c) for c in mult[i][j]) for j in range(n)) for i in range(n)
+        self._index = {}
+        for i, name in enumerate(self.basis):
+            if self._index.setdefault(name, i) != i:
+                raise ValueError(f"duplicate basis name {name!r}")
+        self.mult = _products(mult, n)
+        self.pairing = tuple(
+            tuple(map(Scalar, _sized(row, n, "a pairing row")))
+            for row in _sized(pairing, n, "the pairing")
         )
-        self.pairing = tuple(tuple(Scalar(c) for c in row) for row in pairing)
         self.inverse = invert_matrix(self.pairing)
-        self.unit = tuple(Scalar(c) for c in unit)
-        if check:
-            self._check()
+        self.unit = tuple(map(Scalar, _sized(unit, n, "the unit")))
+        e = tuple(tuple(Scalar(int(t == i)) for t in range(n)) for i in range(n))
+        self._basis_vectors = e
+        self._check()
+        self.handles = handles = tuple(zip(e, self.inverse))
+        self.counit = tuple(self._form(vec, self.unit) for vec in e)
+        self.H = _sum(self._mul(x, y) for x, y in handles)
+        self.G = _sum(reduce(self._mul, (x, u, y, v)) for x, y in handles for u, v in handles)
 
     @property
     def dim(self) -> int:
@@ -44,131 +95,92 @@ class FrobeniusAlgebra:
 
     def _check(self) -> None:
         n = self.dim
+        e = self._basis_vectors
+        if any(self.pairing[i][j] != self.pairing[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Frobenius pairing must be symmetric")
         for i in range(n):
-            for j in range(n):
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise ValueError("Frobenius pairing must be symmetric")
-        for i in range(n):
-            basis_i = self.basis_vector(i)
-            if self.multiply(self.unit, basis_i) != basis_i:
+            if self._mul(self.unit, e[i]) != e[i]:
                 raise ValueError("declared unit fails 1.a = a")
-            if self.multiply(basis_i, self.unit) != basis_i:
+            if self._mul(e[i], self.unit) != e[i]:
                 raise ValueError("declared unit fails a.1 = a")
             for j in range(n):
+                ij = self._mul(e[i], e[j])
                 for k in range(n):
-                    left = self.multiply(self.mult[i][j], self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.mult[j][k])
-                    if left != right:
+                    jk = self._mul(e[j], e[k])
+                    if self._mul(ij, e[k]) != self._mul(e[i], jk):
                         raise ValueError("multiplication is not associative")
-                    if self.form(self.mult[i][j], self.basis_vector(k)) != self.form(
-                        self.basis_vector(i), self.mult[j][k]
-                    ):
+                    if self._form(ij, e[k]) != self._form(e[i], jk):
                         raise ValueError("pairing is not invariant: <ab,c> != <a,bc>")
 
-    def basis_vector(self, index: int) -> Vector:
-        return tuple(Scalar(int(t == index)) for t in range(self.dim))
-
     def coerce(self, value) -> Vector:
+        """A basis index, a basis name or a coefficient vector, as a vector."""
         if isinstance(value, int):
-            return self.basis_vector(value)
+            if not 0 <= value < self.dim:
+                raise ValueError(f"basis index {value} is out of range for dimension {self.dim}")
+            return self._basis_vectors[value]
         if isinstance(value, str):
-            return self.basis_vector(self.basis.index(value))
-        vec = tuple(Scalar(c) for c in value)
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match the algebra dimension")
-        return vec
+            if value not in self._index:
+                raise ValueError(f"unknown basis name {value!r}")
+            return self._basis_vectors[self._index[value]]
+        return tuple(map(Scalar, _sized(value, self.dim, "the vector")))
 
-    def multiply(self, left, right) -> Vector:
-        left, right = self.coerce(left), self.coerce(right)
-        out = [Scalar(0)] * self.dim
+    # Exact arithmetic on coerced vectors; the public methods coerce once.
+
+    def _mul(self, left: Vector, right: Vector) -> Vector:
+        out = [ZERO] * len(left)
+        right = [(j, b) for j, b in enumerate(right) if b]
         for i, a in enumerate(left):
-            if not a:
-                continue
-            for j, b in enumerate(right):
-                if not b:
-                    continue
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
+            if a:
+                for j, b in right:
+                    for k, c in self.mult.get((i, j), ()):
                         out[k] += a * b * c
         return tuple(out)
 
-    def product(self, vectors) -> Vector:
-        acc = self.unit
-        for vec in vectors:
-            acc = self.multiply(acc, vec)
-        return acc
+    def _form(self, left: Vector, right: Vector) -> Scalar:
+        rows = ((a, row) for a, row in zip(left, self.pairing) if a)
+        return sum((a * b * g for a, row in rows for b, g in zip(right, row) if b), ZERO)
+
+    def _eps(self, vec: Vector) -> Scalar:
+        return sum((a * c for a, c in zip(vec, self.counit) if a), ZERO)
+
+    def multiply(self, left, right) -> Vector:
+        return self._mul(self.coerce(left), self.coerce(right))
 
     def form(self, left, right) -> Scalar:
-        left, right = self.coerce(left), self.coerce(right)
-        total = Scalar(0)
-        for i, a in enumerate(left):
-            if not a:
-                continue
-            for j, b in enumerate(right):
-                if b:
-                    total += a * b * self.pairing[i][j]
-        return total
+        return self._form(self.coerce(left), self.coerce(right))
 
     def trace_form(self, vectors) -> Scalar:
-        """t_k: multiply all but the last argument, pair with the last."""
+        """t_k(c_1, ..., c_k) = <c_1 ... c_{k-1}, c_k> = eps(c_1 ... c_k)."""
         vectors = [self.coerce(v) for v in vectors]
         if not vectors:
             raise ValueError("t_k needs at least one argument")
-        return self.form(self.product(vectors[:-1]), vectors[-1])
-
-    def handle_pairs(self):
-        """Nonzero entries (i, j, h_ij) of the inverse form x_i (x) y^i."""
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.inverse[i][j]:
-                    out.append((i, j, self.inverse[i][j]))
-        return out
+        return self._eps(reduce(self._mul, vectors))
 
     def free_boundary(self, vec) -> Vector:
-        """beta(c) = x_i y^i c."""
-        vec = self.coerce(vec)
-        out = [Scalar(0)] * self.dim
-        for i, j, h in self.handle_pairs():
-            piece = self.multiply(self.mult[i][j], vec)
-            for t, c in enumerate(piece):
-                if c:
-                    out[t] += h * c
-        return tuple(out)
+        """beta(c) = x_i y^i c = H c."""
+        return self._mul(self.H, self.coerce(vec))
 
     def genus_map(self, vec) -> Vector:
-        """gamma(c) = x_i x_j y^i y^j c."""
-        vec = self.coerce(vec)
-        out = [Scalar(0)] * self.dim
-        pairs = self.handle_pairs()
-        for i, j, h1 in pairs:
-            for k, l, h2 in pairs:
-                piece = self.product([self.basis_vector(t) for t in (i, k, j, l)] + [vec])
-                for t, c in enumerate(piece):
-                    if c:
-                        out[t] += h1 * h2 * c
-        return tuple(out)
+        """gamma(c) = x_i x_j y^i y^j c = G c."""
+        return self._mul(self.G, self.coerce(vec))
 
     def to_json(self) -> dict:
-        from .scalar import format_scalar
+        def cell(i, j):
+            vec = [ZERO] * self.dim
+            for k, c in self.mult.get((i, j), ()):
+                vec[k] = c
+            return [format_scalar(c) for c in vec]
 
         return {
             "basis": list(self.basis),
-            "mult": [
-                [[format_scalar(c) for c in self.mult[i][j]] for j in range(self.dim)]
-                for i in range(self.dim)
-            ],
+            "mult": [[cell(i, j) for j in range(self.dim)] for i in range(self.dim)],
             "pairing": [[format_scalar(c) for c in row] for row in self.pairing],
             "unit": [format_scalar(c) for c in self.unit],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusAlgebra":
-        from .scalar import parse_scalar
-
-        mult = [
-            [tuple(parse_scalar(c) for c in cell) for cell in row] for row in data["mult"]
-        ]
+        mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
         pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
         unit = [parse_scalar(c) for c in data["unit"]]
         return cls(tuple(data["basis"]), mult, pairing, unit)
@@ -192,52 +204,40 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
         raise ValueError("apply_at is out of range for the boundary arguments")
     vec = args[bi][ki]
     for _ in range(genus):
-        vec = frob.genus_map(vec)
+        vec = frob._mul(frob.G, vec)
     for _ in range(free_boundaries):
-        vec = frob.free_boundary(vec)
+        vec = frob._mul(frob.H, vec)
     args[bi][ki] = vec
 
-    m = len(args)
-    pairs = frob.handle_pairs()
-    total = Scalar(0)
-    chosen = [None] * m
+    # level l picks a handle (x_i, y^i): x_i joins the outer product on the
+    # left, y^i A_l (A_l = the product of boundary l) the inner on the right
+    steps = [[(x, reduce(frob._mul, boundary, y)) for x, y in frob.handles] for boundary in args]
 
-    def walk(level, weight):
-        nonlocal total
-        if level == m:
-            xs = [frob.basis_vector(i) for i, _ in chosen]
-            outer = frob.trace_form(list(reversed(xs)))
-            if not outer:
-                return
-            flat = []
-            for (_, j), boundary in zip(chosen, args):
-                flat.append(frob.basis_vector(j))
-                flat.extend(boundary)
-            total += weight * outer * frob.trace_form(flat)
-            return
-        for i, j, h in pairs:
-            chosen[level] = (i, j)
-            walk(level + 1, weight * h)
+    def walk(level, outer, inner):
+        if level == len(steps):
+            return frob._eps(outer) * frob._eps(inner)
+        total = ZERO
+        for x, tail in steps[level]:
+            head = frob._mul(x, outer)
+            if any(head):
+                total += walk(level + 1, head, frob._mul(inner, tail))
+        return total
 
-    walk(0, Scalar(1))
-    return total
+    return walk(0, frob.unit, frob.unit)
 
 
 def matrix_frobenius(size: int) -> FrobeniusAlgebra:
     """Square matrices with the trace pairing; basis E_pq row-major.
 
-    The basis and pairing are the Mat_N decoration of the line ((1,),)."""
-    basis, _, pairing = decorate(("E",), (0,), ((Scalar(1),),), size)
-    n = size * size
-    mult = [[None] * n for _ in range(n)]
-    for p, q, r, s in index_chains(size, 4):
-        vec = [Scalar(0)] * n
-        if q == r:
-            vec[matrix_index(0, p, s, size)] = Scalar(1)
-        mult[matrix_index(0, p, q, size)][matrix_index(0, r, s, size)] = tuple(vec)
-    unit = [Scalar(0)] * n
-    for p in range(size):
-        unit[matrix_index(0, p, p, size)] = Scalar(1)
+    The basis and pairing are the Mat_N decoration of the line ((1,),);
+    the N^3 nonzero products are E_pq E_qs = E_ps."""
+    basis, _, pairing = decorate(("E",), (0,), ((ONE,),), size)
+    mult = {
+        (matrix_index(0, p, q, size), matrix_index(0, q, s, size)):
+            {matrix_index(0, p, s, size): ONE}
+        for p, q, s in index_chains(size, 3)
+    }
+    unit = [Scalar(int(p == q)) for p, q in index_chains(size, 2)]
     return FrobeniusAlgebra(basis, mult, pairing, unit)
 
 
@@ -269,8 +269,7 @@ def matrix_trace_product(size: int, free_boundaries: int, matrices):
 
 def ground_field() -> FrobeniusAlgebra:
     """The trivial Frobenius line with <1,1> = 1."""
-    one = Scalar(1)
-    return FrobeniusAlgebra(("1",), (((one,),),), ((one,),), (one,))
+    return FrobeniusAlgebra(("1",), (((ONE,),),), ((ONE,),), (ONE,))
 
 
 def truncated_polynomials(depth: int, trace_values) -> FrobeniusAlgebra:
@@ -280,21 +279,17 @@ def truncated_polynomials(depth: int, trace_values) -> FrobeniusAlgebra:
     j < depth (zero beyond); the top value must be nonzero for the
     pairing to be invertible.
     """
+    if depth < 1:
+        raise ValueError("the truncation depth must be at least 1")
     if len(trace_values) != depth:
         raise ValueError("need one trace value per power below the truncation")
     values = [Scalar(v) for v in trace_values]
     if not values[-1]:
         raise ValueError("the top trace value must be nonzero")
     basis = [f"t^{a}" for a in range(depth)]
-    mult = [
-        [
-            tuple(Scalar(int(c == a + b)) for c in range(depth))
-            for b in range(depth)
-        ]
-        for a in range(depth)
-    ]
+    mult = {(a, b): {a + b: ONE} for a in range(depth) for b in range(depth - a)}
     pairing = [
-        [values[a + b] if a + b < depth else Scalar(0) for b in range(depth)]
+        [values[a + b] if a + b < depth else ZERO for b in range(depth)]
         for a in range(depth)
     ]
     unit = [Scalar(int(a == 0)) for a in range(depth)]

@@ -18,6 +18,7 @@ tested property of the engine, not an assumption.
 """
 
 import random
+import threading
 
 from .algebras import sigma_a_context, sigma_a_space
 from .element import CYCLIC, Element
@@ -89,13 +90,16 @@ class GueReducer:
 
 
 _default_reducer: GueReducer | None = None
+_default_reducer_lock = threading.Lock()
 
 
 def default_reducer() -> GueReducer:
+    """The one shared leftmost-pivot reducer, built on first use."""
     global _default_reducer
-    if _default_reducer is None:
-        _default_reducer = GueReducer()
-    return _default_reducer
+    with _default_reducer_lock:
+        if _default_reducer is None:
+            _default_reducer = GueReducer()
+        return _default_reducer
 
 
 def reduce_to_polynomial(idx, pivot: str = "leftmost", seed: int = 0) -> NuPolynomial:

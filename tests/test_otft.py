@@ -1,11 +1,14 @@
 """Surface tensors over Frobenius algebras."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_polynomials
-from ncbv.frobenius import matrix_trace_product
+from ncbv.frobenius import FrobeniusAlgebra, matrix_trace_product
+from ncbv.scalar import ONE, ZERO, parse_scalar
+from ncbv.space import invert_matrix
 
 
 def as_vector(mat, size):
@@ -99,3 +102,208 @@ def test_frobenius_validation():
     )
     with pytest.raises(ValueError, match="symmetric"):
         FrobeniusAlgebra(("1", "t"), mult, ((zero, one), (Scalar(2), zero)), (one, zero))
+
+
+class DefiningFormulas:
+    """The surface-tensor formulas evaluated the long way, over the dense
+    structure constants: every product and t_k is rebuilt from scratch,
+    beta and gamma sum over the handle pairs (i, j, h_ij) of the inverse
+    form, and mu walks every choice of pairs, recomputing both trace
+    products at each leaf."""
+
+    def __init__(self, frob):
+        data = frob.to_json()
+        self.basis = tuple(data["basis"])
+        self.dim = len(self.basis)
+        self.mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
+        self.pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
+        self.unit = tuple(parse_scalar(c) for c in data["unit"])
+        inverse = invert_matrix(self.pairing)
+        self.pairs = [(i, j, h) for i, row in enumerate(inverse) for j, h in enumerate(row) if h]
+
+    def element(self, value):
+        if isinstance(value, str):
+            value = self.basis.index(value)
+        if isinstance(value, int):
+            return tuple(Scalar(int(t == value)) for t in range(self.dim))
+        return tuple(value)
+
+    def multiply(self, left, right):
+        out = [Scalar(0)] * self.dim
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                if a and b:
+                    for k, c in enumerate(self.mult[i][j]):
+                        out[k] += a * b * c
+        return tuple(out)
+
+    def product(self, vectors):
+        acc = self.unit
+        for vec in vectors:
+            acc = self.multiply(acc, vec)
+        return acc
+
+    def form(self, left, right):
+        return sum(
+            (a * b * self.pairing[i][j] for i, a in enumerate(left) for j, b in enumerate(right)),
+            Scalar(0),
+        )
+
+    def trace_form(self, vectors):
+        return self.form(self.product(vectors[:-1]), vectors[-1])
+
+    def combine(self, terms):
+        out = [Scalar(0)] * self.dim
+        for coeff, vec in terms:
+            for t, c in enumerate(vec):
+                out[t] += coeff * c
+        return tuple(out)
+
+    def free_boundary(self, vec):
+        return self.combine(
+            (h, self.multiply(self.multiply(self.element(i), self.element(j)), vec))
+            for i, j, h in self.pairs
+        )
+
+    def genus_map(self, vec):
+        return self.combine(
+            (h1 * h2, self.product([self.element(t) for t in (i, k, j, l)] + [vec]))
+            for i, j, h1 in self.pairs
+            for k, l, h2 in self.pairs
+        )
+
+    def otft_mu(self, genus, free, boundaries, apply_at):
+        args = [[self.element(c) for c in boundary] for boundary in boundaries]
+        bi, ki = apply_at
+        for _ in range(genus):
+            args[bi][ki] = self.genus_map(args[bi][ki])
+        for _ in range(free):
+            args[bi][ki] = self.free_boundary(args[bi][ki])
+        total = Scalar(0)
+        chosen = [None] * len(args)
+
+        def walk(level, weight):
+            nonlocal total
+            if level == len(args):
+                xs = [self.element(i) for i, _ in chosen]
+                outer = self.trace_form(list(reversed(xs)))
+                flat = []
+                for (_, j), boundary in zip(chosen, args):
+                    flat.append(self.element(j))
+                    flat.extend(boundary)
+                total += weight * outer * self.trace_form(flat)
+                return
+            for i, j, h in self.pairs:
+                chosen[level] = (i, j)
+                walk(level + 1, weight * h)
+
+        walk(0, Scalar(1))
+        return total
+
+
+def reference_algebras():
+    rng = random.Random(2024)
+    algebras = [matrix_frobenius(size) for size in (1, 2, 3)] + [ground_field()]
+    for depth in (1, 2, 3, 4):
+        values = [Scalar(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(depth - 1)]
+        algebras.append(truncated_polynomials(depth, values + [Scalar(rng.choice([1, -1, 2]))]))
+    return algebras
+
+
+def random_vector(rng, dim):
+    return tuple(
+        Scalar(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else Scalar(0)
+        for _ in range(dim)
+    )
+
+
+def random_element(rng, frob):
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.randrange(frob.dim)
+    if roll < 0.3:
+        return rng.choice(frob.basis)
+    return random_vector(rng, frob.dim)
+
+
+@pytest.mark.parametrize("frob", reference_algebras(), ids=lambda f: f"dim{f.dim}-{f.basis[0]}")
+def test_fixed_elements_match_defining_formulas(frob):
+    rng = random.Random(frob.dim * 7919 + len(frob.mult))
+    ref = DefiningFormulas(frob)
+    for _ in range(6):
+        vec = random_vector(rng, frob.dim)
+        other = random_vector(rng, frob.dim)
+        assert frob.multiply(vec, other) == ref.multiply(vec, other)
+        assert frob.form(vec, other) == ref.form(vec, other)
+        assert frob.free_boundary(vec) == ref.free_boundary(vec)
+        assert frob.genus_map(vec) == ref.genus_map(vec)
+        args = [random_element(rng, frob) for _ in range(rng.randint(1, 4))]
+        assert frob.trace_form(args) == ref.trace_form([ref.element(a) for a in args])
+
+
+@pytest.mark.parametrize("frob", reference_algebras(), ids=lambda f: f"dim{f.dim}-{f.basis[0]}")
+def test_otft_mu_matches_leaf_walk(frob):
+    rng = random.Random(frob.dim * 104729 + len(frob.mult))
+    ref = DefiningFormulas(frob)
+    for _ in range(5):
+        genus, free = rng.randint(0, 2), rng.randint(0, 2)
+        m = rng.randint(1, 2 if frob.dim > 4 else 3)
+        boundaries = [
+            [random_element(rng, frob) for _ in range(rng.randint(1, 2))] for _ in range(m)
+        ]
+        bi = rng.randrange(m)
+        spot = (bi, rng.randrange(len(boundaries[bi])))
+        expected = ref.otft_mu(genus, free, boundaries, spot)
+        assert otft_mu(frob, genus, free, boundaries, apply_at=spot) == expected
+
+
+def test_matrix_structure_constants_are_sparse():
+    for size in (1, 2, 3):
+        frob = matrix_frobenius(size)
+        assert len(frob.mult) == size**3
+        assert all(len(terms) == 1 for terms in frob.mult.values())
+
+
+def test_coerce_names_the_bad_value():
+    frob = matrix_frobenius(2)
+    for index in (4, 7, -1):
+        with pytest.raises(ValueError, match=f"basis index {index} is out of range"):
+            frob.coerce(index)
+    with pytest.raises(ValueError, match="basis index 7"):
+        otft_mu(frob, 0, 0, [[7]])
+    with pytest.raises(ValueError, match="unknown basis name 'F\\[0,0\\]'"):
+        frob.coerce("F[0,0]")
+
+
+@pytest.mark.parametrize(
+    "basis,mult,pairing,unit,match",
+    [
+        (("1",), (((ONE, ZERO),),), ((ONE,),), (ONE,), "product e_0 e_0 has 2 entries"),
+        (("1",), (((ONE,), (ONE,)),), ((ONE,),), (ONE,), "row 0 of mult has 2 entries"),
+        (("1",), ((), ()), ((ONE,),), (ONE,), "mult has 2 entries"),
+        (("1",), (((ONE,),),), ((ONE, ONE),), (ONE,), "pairing row has 2 entries"),
+        (("1",), (((ONE,),),), ((ONE,), (ONE,)), (ONE,), "the pairing has 2 entries"),
+        (("1",), (((ONE,),),), ((ONE,),), (ONE, ZERO), "the unit has 2 entries"),
+        (("1",), {(0, 1): {0: ONE}}, ((ONE,),), (ONE,), "leaves the basis indices"),
+    ],
+)
+def test_constructor_rejects_ragged_tables(basis, mult, pairing, unit, match):
+    with pytest.raises(ValueError, match=match):
+        FrobeniusAlgebra(basis, mult, pairing, unit)
+
+
+def test_from_json_rejects_bad_shapes_and_duplicate_names():
+    data = ground_field().to_json()
+    data["pairing"] = [["1", "2"]]
+    with pytest.raises(ValueError, match="pairing row has 2 entries"):
+        FrobeniusAlgebra.from_json(data)
+    data = truncated_polynomials(2, [0, 1]).to_json()
+    data["basis"] = ["a", "a"]
+    with pytest.raises(ValueError, match="duplicate basis name 'a'"):
+        FrobeniusAlgebra.from_json(data)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_truncated_polynomials_rejects_nonpositive_depth(depth):
+    with pytest.raises(ValueError, match="at least 1"):
+        truncated_polynomials(depth, [])

@@ -1,9 +1,14 @@
 """The moment reduction engine."""
 
+import sys
+import threading
+
 import pytest
 
 from ncbv import GueReducer, NuPolynomial, Scalar, double_factorial, reduce_to_polynomial
+from ncbv import reduction
 from ncbv.reduction import canonical_index
+from ncbv.sampling import usable_cpus
 from ncbv.verify import GOLDEN_TABLE
 
 
@@ -63,3 +68,29 @@ def test_cache_is_shared_per_reducer():
     cached_states = len(reducer._cache)
     reducer.reduce((8,))
     assert len(reducer._cache) == cached_states
+
+
+def test_default_reducer_is_one_instance_across_threads(monkeypatch):
+    """Threads racing on the first call all get the one shared reducer."""
+    monkeypatch.setattr(reduction, "_default_reducer", None)
+    count = usable_cpus() + 8
+    barrier = threading.Barrier(count, timeout=30)
+    got = [None] * count
+
+    def grab(slot):
+        barrier.wait()
+        got[slot] = reduction.default_reducer()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grab, args=(slot,)) for slot in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(reducer is reduction._default_reducer for reducer in got)
+    assert got[0] is not None

@@ -240,7 +240,6 @@ def _suspension_sign(algebra, key) -> int:
 def encode_ainfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
     """The cyclic-word element representing the structure, with the
     1/(tensor length) invariant-to-coinvariant weight."""
-    algebra.check_cyclic()
     scales = space.dual_scales
     raw = []
     for k in algebra.ops:

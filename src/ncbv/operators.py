@@ -14,26 +14,25 @@ words; the residual signs are
     bracket:    rot(u,i) . rot(v,j) . (-1)^{|b_j| |u - a_i|}
     cobracket:  rot(w,i) . (-1)^{|a_j| |arc between i and j|}
 
-and the Leibniz/derivation extensions to products of words move whole
-factors with (-1)^{parity.parity} transport signs.
+with the rotation signs rot from ``words.rotation_signs``.
+
+Each extension to products of factors is written once, as a kernel of
+``OperatorContext`` holding its transport sign:
+
+    _biderivation   Leibniz rule in both arguments   (bracket, Poisson)
+    _second_order   contraction of a pair of factors (delta, Laplacian)
+    _derivation     odd derivation on each factor    (cobracket, d)
+
+The cyclic and commutative operators differ only in the contraction
+handed to the first two: on cyclic words it is ``bracket_words`` (the
+pair becomes one spliced word), on the one-letter words of polynomials
+it is the inverse form (the pair disappears).  On one-letter words the
+two agree up to the quotient sigma, which the tests check.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .scalar import Scalar
-from .words import Monomial, word_parity
-
-
-def _rotation_signs(space, word):
-    """sign[i] = Koszul sign rotating word so position i comes first."""
-    total = word_parity(space, word)
-    signs = [1] * len(word)
-    sign = 1
-    for i in range(1, len(word)):
-        p = space.parity(word[i - 1])
-        if p and (total - p) % 2:
-            sign = -sign
-        signs[i] = sign
-    return signs
+from .words import Monomial, rotation_signs, word_parity
 
 
 def _prefix_parities(space, word):
@@ -51,8 +50,8 @@ def bracket_words(space, u, v):
     and splices the remaining arcs into one cyclic word.
     """
     inv = space.inverse
-    rot_u = _rotation_signs(space, u)
-    rot_v = _rotation_signs(space, v)
+    rot_u = rotation_signs(space, u)
+    rot_v = rotation_signs(space, v)
     parity_u = word_parity(space, u)
     out = []
     for i, a in enumerate(u):
@@ -72,7 +71,7 @@ def bracket_words(space, u, v):
 def cobracket_word(space, word):
     """Raw cobracket of one cyclic word: list of (coeff, arc1, arc2)."""
     inv = space.inverse
-    rot = _rotation_signs(space, word)
+    rot = rotation_signs(space, word)
     prefix = _prefix_parities(space, word)
     out = []
     for i in range(len(word)):
@@ -90,13 +89,19 @@ def cobracket_word(space, word):
     return out
 
 
-def _word_parities(space, monomial):
-    return [word_parity(space, w) for w in monomial.words]
+def _word_parities(space, words):
+    return [word_parity(space, w) for w in words]
 
 
-def _monomial_without(monomial, drop):
-    words = tuple(w for t, w in enumerate(monomial.words) if t not in drop)
-    return words
+def _odd_derivation(factors, parities, images):
+    """Terms of an odd derivation on the product of ``factors``: factor i
+    is replaced by each ``(coeff, replacement factors)`` of
+    ``images(factor)``, with sign (-1)^{parity of the factors before i}."""
+    prefix = 0
+    for i, factor in enumerate(factors):
+        for c, replacement in images(factor):
+            yield (-c if prefix else c), factors[:i] + replacement + factors[i + 1 :]
+        prefix ^= parities[i]
 
 
 class OperatorContext:
@@ -118,107 +123,121 @@ class OperatorContext:
         if element.flavor != flavor:
             raise ValueError(f"operation requires {flavor}-flavor elements")
 
-    # -- cyclic side ----------------------------------------------------
+    # -- contractions: two factors -> [(coeff, words replacing the pair)] --
 
-    def nc_bracket(self, left: Element, right: Element) -> Element:
-        """Odd Lie bracket on S(NCHam(V)), Leibniz-extended over factors."""
-        self._require(left, CYCLIC)
-        self._require(right, CYCLIC)
+    def _splice_words(self, u, v):
+        return [(c, (splice,)) for c, splice in bracket_words(self.space, u, v)]
+
+    def _pair_letters(self, u, v):
+        c = self.space.inverse[u[0]][v[0]]
+        return [(c, ())] if c else []
+
+    # -- kernels: one transport sign each ----------------------------------
+
+    def _biderivation(self, left, right, contract):
+        """Contract every factor of ``left`` with every factor of ``right``,
+        moving both to the front (Leibniz in each argument)."""
         space = self.space
-        out = Element.zero(space, CYCLIC)
+        out = Element.zero(space, left.flavor)
         for m1, c1 in left.terms.items():
-            pars1 = _word_parities(space, m1)
+            pars1 = _word_parities(space, m1.words)
             total1 = sum(pars1) % 2
             for m2, c2 in right.terms.items():
-                pars2 = _word_parities(space, m2)
+                pars2 = _word_parities(space, m2.words)
                 base = c1 * c2
                 pre1 = 0
                 for i, w1 in enumerate(m1.words):
+                    rest1 = m1.words[:i] + m1.words[i + 1 :]
                     pre2 = 0
                     for j, w2 in enumerate(m2.words):
-                        sign = 1
-                        if pars1[i] and pre1 % 2:
-                            sign = -sign
-                        if pars2[j] and (total1 + pars1[i] + pre2) % 2:
-                            sign = -sign
-                        pairs = bracket_words(space, w1, w2)
+                        pairs = contract(w1, w2)
                         if pairs:
-                            rest = (
-                                _monomial_without(m1, {i})
-                                + _monomial_without(m2, {j})
-                            )
-                            for coeff, splice in pairs:
+                            sign = 1
+                            if pars1[i] and pre1 % 2:
+                                sign = -sign
+                            if pars2[j] and (total1 + pars1[i] + pre2) % 2:
+                                sign = -sign
+                            rest = rest1 + m2.words[:j] + m2.words[j + 1 :]
+                            for coeff, merged in pairs:
                                 out._accumulate(
                                     m1.gamma + m2.gamma,
                                     m1.nu + m2.nu,
-                                    (splice,) + rest,
+                                    merged + rest,
                                     sign * coeff * base,
                                 )
                         pre2 += pars2[j]
                     pre1 += pars1[i]
         return out
 
-    def nc_cobracket(self, element: Element) -> Element:
-        """Cobracket, extended to products of words as an odd derivation."""
-        self._require(element, CYCLIC)
+    def _second_order(self, element, contract):
+        """Contract each pair i < j of factors, moving both to the front."""
         space = self.space
-        out = Element.zero(space, CYCLIC)
+        out = Element.zero(space, element.flavor)
         for monomial, coeff in element.terms.items():
-            pars = _word_parities(space, monomial)
-            prefix = 0
-            for i, word in enumerate(monomial.words):
-                # odd derivation past the prefix; the two arcs stay in place
-                sign = -1 if prefix % 2 else 1
-                before = monomial.words[:i]
-                after = monomial.words[i + 1 :]
-                for c, arc1, arc2 in cobracket_word(space, word):
-                    out._accumulate(
-                        monomial.gamma,
-                        monomial.nu,
-                        before + (arc1, arc2) + after,
-                        sign * c * coeff,
-                    )
-                prefix += pars[i]
-        return out
-
-    def ce_delta(self, element: Element) -> Element:
-        """Chevalley-Eilenberg differential: bracket each pair of factors."""
-        self._require(element, CYCLIC)
-        space = self.space
-        out = Element.zero(space, CYCLIC)
-        for monomial, coeff in element.terms.items():
-            pars = _word_parities(space, monomial)
+            words = monomial.words
+            pars = _word_parities(space, words)
             prefix = [0]
             for p in pars:
                 prefix.append(prefix[-1] + p)
-            for i in range(len(monomial.words)):
-                for j in range(i + 1, len(monomial.words)):
+            for i in range(len(words)):
+                for j in range(i + 1, len(words)):
+                    pairs = contract(words[i], words[j])
+                    if not pairs:
+                        continue
                     sign = 1
                     if pars[i] and prefix[i] % 2:
                         sign = -sign
                     if pars[j] and (prefix[j] + pars[i]) % 2:
                         sign = -sign
-                    rest = _monomial_without(monomial, {i, j})
-                    for c, splice in bracket_words(space, monomial.words[i], monomial.words[j]):
+                    rest = words[:i] + words[i + 1 : j] + words[j + 1 :]
+                    for c, merged in pairs:
                         out._accumulate(
-                            monomial.gamma,
-                            monomial.nu,
-                            (splice,) + rest,
-                            sign * c * coeff,
+                            monomial.gamma, monomial.nu, merged + rest, sign * c * coeff
                         )
         return out
+
+    def _derivation(self, element, images):
+        """The odd derivation sending each word to ``images(word)``."""
+        space = self.space
+        out = Element.zero(space, element.flavor)
+        for monomial, coeff in element.terms.items():
+            words = monomial.words
+            for c, new_words in _odd_derivation(words, _word_parities(space, words), images):
+                out._accumulate(monomial.gamma, monomial.nu, new_words, c * coeff)
+        return out
+
+    # -- cyclic side ----------------------------------------------------
+
+    def nc_bracket(self, left: Element, right: Element) -> Element:
+        """Odd Lie bracket on S(NCHam(V)), Leibniz-extended over factors."""
+        self._require(left, CYCLIC)
+        self._require(right, CYCLIC)
+        return self._biderivation(left, right, self._splice_words)
+
+    def nc_cobracket(self, element: Element) -> Element:
+        """Cobracket, extended to products of words as an odd derivation;
+        the two arcs replace the word in place."""
+        self._require(element, CYCLIC)
+        space = self.space
+
+        def arcs(word):
+            return [(c, (arc1, arc2)) for c, arc1, arc2 in cobracket_word(space, word)]
+
+        return self._derivation(element, arcs)
+
+    def ce_delta(self, element: Element) -> Element:
+        """Chevalley-Eilenberg differential: bracket each pair of factors."""
+        self._require(element, CYCLIC)
+        return self._second_order(element, self._splice_words)
 
     def delta_K(self, element: Element) -> Element:
         """The combined differential: cobracket plus genus-weighted delta."""
         grad = self.nc_cobracket(element)
-        for monomial, coeff in self.ce_delta(element).terms.items():
-            bumped = Monomial(monomial.gamma + 1, monomial.nu, monomial.words)
-            new = grad.terms.get(bumped, Scalar(0)) + coeff
-            if new:
-                grad.terms[bumped] = new
-            else:
-                grad.terms.pop(bumped, None)
-        return grad
+        bumped = {
+            Monomial(m.gamma + 1, m.nu, m.words): c
+            for m, c in self.ce_delta(element).terms.items()
+        }
+        return grad + Element(self.space, CYCLIC, bumped)
 
     # -- commutative side ------------------------------------------------
 
@@ -226,63 +245,13 @@ class OperatorContext:
         """Odd Poisson bracket on polynomials, a biderivation on letters."""
         self._require(left, COMMUTATIVE)
         self._require(right, COMMUTATIVE)
-        space = self.space
-        inv = space.inverse
-        out = Element.zero(space, COMMUTATIVE)
-        for m1, c1 in left.terms.items():
-            letters1 = [w[0] for w in m1.words]
-            pars1 = [space.parity(l) for l in letters1]
-            total1 = sum(pars1) % 2
-            for m2, c2 in right.terms.items():
-                letters2 = [w[0] for w in m2.words]
-                pars2 = [space.parity(l) for l in letters2]
-                base = c1 * c2
-                pre1 = 0
-                for i, a in enumerate(letters1):
-                    pre2 = 0
-                    for j, b in enumerate(letters2):
-                        coeff = inv[a][b]
-                        if coeff:
-                            sign = 1
-                            if pars1[i] and pre1 % 2:
-                                sign = -sign
-                            if pars2[j] and (total1 + pars1[i] + pre2) % 2:
-                                sign = -sign
-                            rest = (
-                                _monomial_without(m1, {i})
-                                + _monomial_without(m2, {j})
-                            )
-                            out._accumulate(0, 0, rest, sign * coeff * base)
-                        pre2 += pars2[j]
-                    pre1 += pars1[i]
-        return out
+        return self._biderivation(left, right, self._pair_letters)
 
     def bv_laplacian(self, element: Element) -> Element:
         """Second-order BV operator: contract all letter pairs with the
         inverse form; vanishes on constants and linear terms."""
         self._require(element, COMMUTATIVE)
-        space = self.space
-        inv = space.inverse
-        out = Element.zero(space, COMMUTATIVE)
-        for monomial, coeff in element.terms.items():
-            letters = [w[0] for w in monomial.words]
-            pars = [space.parity(l) for l in letters]
-            prefix = [0]
-            for p in pars:
-                prefix.append(prefix[-1] + p)
-            for i in range(len(letters)):
-                for j in range(i + 1, len(letters)):
-                    c = inv[letters[i]][letters[j]]
-                    if not c:
-                        continue
-                    sign = 1
-                    if pars[i] and prefix[i] % 2:
-                        sign = -sign
-                    if pars[j] and (prefix[j] + pars[i]) % 2:
-                        sign = -sign
-                    rest = _monomial_without(monomial, {i, j})
-                    out._accumulate(0, 0, rest, sign * c * coeff)
-        return out
+        return self._second_order(element, self._pair_letters)
 
     # -- internal differential and Maurer-Cartan defect -------------------
 
@@ -290,34 +259,26 @@ class OperatorContext:
         """Degree +1 derivation induced by the declared letter differential.
 
         Works on both flavors: words of letters and polynomials extend
-        the same way."""
+        the same way, the letter differential acting as an odd derivation
+        on the letters of each word."""
         if self.letter_diff is None:
             raise ValueError("this context has no declared internal differential")
         if element.space != self.space:
             raise ValueError("element lives over a different space than this context")
         space = self.space
-        out = Element.zero(element.space, element.flavor)
-        for monomial, coeff in element.terms.items():
-            pars = _word_parities(space, monomial)
-            word_prefix = 0
-            for i, word in enumerate(monomial.words):
-                outer = -1 if word_prefix % 2 else 1
-                letter_prefix = _prefix_parities(space, word)
-                for pos, letter in enumerate(word):
-                    images = self.letter_diff.get(letter)
-                    if not images:
-                        continue
-                    sign = -outer if letter_prefix[pos] % 2 else outer
-                    for c, target in images:
-                        new_word = word[:pos] + (target,) + word[pos + 1 :]
-                        new_words = (
-                            monomial.words[:i] + (new_word,) + monomial.words[i + 1 :]
-                        )
-                        out._accumulate(
-                            monomial.gamma, monomial.nu, new_words, sign * c * coeff
-                        )
-                word_prefix += pars[i]
-        return out
+        letter_diff = self.letter_diff
+
+        def letter_images(letter):
+            return [(c, (target,)) for c, target in letter_diff.get(letter, ())]
+
+        def word_images(word):
+            parities = [space.parity(letter) for letter in word]
+            return [
+                (c, (new_word,))
+                for c, new_word in _odd_derivation(word, parities, letter_images)
+            ]
+
+        return self._derivation(element, word_images)
 
     def bracket(self, left: Element, right: Element) -> Element:
         """Flavor-appropriate odd bracket."""

@@ -159,12 +159,14 @@ def oracle_equivalence_check(degree_cap: int = 12,
     count = 0
     for idx in _partitions_up_to(degree_cap):
         count += 1
-        if reducer.reduce(idx) != wick_oracle(idx, cap=max(degree_cap, 16)):
+        reduced = reducer.reduce(idx)
+        oracle = wick_oracle(idx, cap=max(degree_cap, 16))
+        if reduced != oracle:
             return CheckReport(
                 "oracle-equivalence",
                 False,
                 f"sum <= {degree_cap} exhaustive",
-                f"idx={idx}: reduction {reducer.reduce(idx)} != oracle {wick_oracle(idx)}",
+                f"idx={idx}: reduction {reduced} != oracle {oracle}",
             )
     return CheckReport("oracle-equivalence", True, f"{count} indices, sum <= {degree_cap}")
 
@@ -372,6 +374,7 @@ def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport
     """M is a bracket homomorphism, intertwines the cobracket, and
     R o M = id, over random small spaces at N in sizes."""
     rng = random.Random(seed)
+    scale = f"{cases} cases, N in {sizes}"
     for case in range(cases):
         space = random_space(rng)
         ctx = OperatorContext(space)
@@ -381,24 +384,18 @@ def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport
         u = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
         v = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
         if ext.inflate(ctx.nc_bracket(u, v)) != ctx_mat.nc_bracket(ext.inflate(u), ext.inflate(v)):
-            return CheckReport(
-                "morita-bracket-homomorphism", False, f"{cases} cases, N in {sizes}",
-                f"case {case} (N={size}): u={u} v={v}",
-            )
+            return CheckReport("morita-maps", False, scale,
+                               f"bracket homomorphism, case {case} (N={size}): u={u} v={v}")
         if ext.inflate(ctx.nc_cobracket(u)) != ctx_mat.nc_cobracket(ext.inflate(u)):
-            return CheckReport(
-                "morita-cobracket-intertwine", False, f"{cases} cases, N in {sizes}",
-                f"case {case} (N={size}): u={u}",
-            )
+            return CheckReport("morita-maps", False, scale,
+                               f"cobracket intertwining, case {case} (N={size}): u={u}")
         # R o M = id on word monomials (M rescales nu by N, R is nu-linear)
         word = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=2,
                                      allow_nu=False)
         if ext.restrict(ext.inflate(word)) != word:
-            return CheckReport(
-                "morita-restriction-identity", False, f"{cases} cases, N in {sizes}",
-                f"case {case} (N={size}): u={word}",
-            )
-    return CheckReport("morita-maps", True, f"{cases} cases, N in {sizes}")
+            return CheckReport("morita-maps", False, scale,
+                               f"restriction identity, case {case} (N={size}): u={word}")
+    return CheckReport("morita-maps", True, scale)
 
 
 def encode_check() -> CheckReport:

@@ -3,8 +3,11 @@
 A cyclic word is stored as the lexicographically minimal rotation of its
 letter-index sequence (ties broken by the earliest rotation).  Rotating
 one letter past the rest costs the Koszul sign (-1)^{|first|.|rest|};
-a rotation class fixed by some rotation with sign -1 is zero and is
-reported as such here rather than ever being stored.
+``rotation_signs`` accumulates these signs and is the one place the
+rotation sign is computed (the operators reuse it).  Every rotation that
+fixes a word is a power of the rotation by its smallest period p, so the
+class is zero exactly when rotating by p carries sign -1; such classes
+are reported as zero here rather than ever being stored.
 
 A monomial is a product gamma^i nu^j w_1 ... w_n of canonical cyclic
 words; the word list is kept sorted (plain tuple order), accumulating
@@ -39,36 +42,41 @@ def monomial_degree(space, monomial: Monomial) -> int:
     return sum(word_degree(space, word) for word in monomial.words)
 
 
+def rotation_signs(space, word) -> list[int]:
+    """sign[i] = Koszul sign rotating word so position i comes first."""
+    total = word_parity(space, word)
+    signs = [1] * len(word)
+    sign = 1
+    for i in range(1, len(word)):
+        p = space.parity(word[i - 1])
+        if p and (total - p) % 2:
+            sign = -sign
+        signs[i] = sign
+    return signs
+
+
 def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
     """Canonical rotation representative of a raw letter sequence.
 
     Returns ``(word, sign)`` or ``None`` when the rotation class is zero
-    (some rotation fixes the sequence with Koszul sign -1).
+    (the rotation by the smallest period fixes the sequence with Koszul
+    sign -1).
     """
     word = tuple(letters)
     if not word:
         raise ValueError("cyclic words are nonempty; the empty word is the nu variable")
     space.check_letters(word)
-    parities = [space.parity(letter) for letter in word]
-    total = sum(parities) % 2
-    k = len(word)
-
+    signs = rotation_signs(space, word)
     best_word, best_sign = word, 1
-    rotated, sign = word, 1
-    seen_sign = {word: 1}
-    for _ in range(k - 1):
-        # rotate: move the first letter to the end
-        first_parity = space.parity(rotated[0])
-        if first_parity and (total - first_parity) % 2:
-            sign = -sign
-        rotated = rotated[1:] + rotated[:1]
-        if rotated in seen_sign:
-            if seen_sign[rotated] != sign:
+    for i in range(1, len(word)):
+        rotated = word[i:] + word[:i]
+        if rotated == word:
+            # i is the smallest period; later rotations repeat the first i
+            if signs[i] < 0:
                 return None
-        else:
-            seen_sign[rotated] = sign
+            break
         if rotated < best_word:
-            best_word, best_sign = rotated, sign
+            best_word, best_sign = rotated, signs[i]
     return best_word, best_sign
 
 

@@ -6,10 +6,7 @@ import pytest
 
 from ncbv.cli import main
 from ncbv.nupoly import NuPolynomial
-
-jsonschema = pytest.importorskip("jsonschema")
-
-from test_serialization import make_validator  # noqa: E402
+from test_serialization import make_validator
 
 
 def run(capsys, *argv):

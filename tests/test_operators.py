@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ncbv import CYCLIC, Element, OperatorContext, Scalar
+from ncbv import CYCLIC, Element, OperatorContext, Scalar, sigma
 from ncbv.algebras import algebra_a, sigma_a_context, sigma_a_space
 from ncbv.ainfinity import encode_ainfinity
 from ncbv.words import Monomial
@@ -111,6 +111,23 @@ def test_laplacian_pinned_values():
     assert CTX.bv_laplacian(Element.unit(SPACE, "commutative")).is_zero()
     assert CTX.bv_laplacian(poly(["x", "xi"])) == Element.unit(SPACE, "commutative")
     assert CTX.bv_laplacian(poly(["x", "x", "xi"])) == poly("x", 2)
+
+
+def test_commutative_operators_are_cyclic_ones_on_letters():
+    """On one-letter words the Poisson bracket and the BV Laplacian are
+    sigma of the cyclic bracket and delta: only the contraction differs."""
+    from ncbv.verify import random_commutative_element, random_space
+
+    rng = random.Random(23)
+    for _ in range(300):
+        space = random_space(rng)
+        ctx = OperatorContext(space)
+        f = random_commutative_element(rng, space, max_terms=3, max_len=4)
+        g = random_commutative_element(rng, space, max_terms=3, max_len=4)
+        f_cyc = Element(space, CYCLIC, f.terms)
+        g_cyc = Element(space, CYCLIC, g.terms)
+        assert ctx.bv_laplacian(f) == sigma(ctx.ce_delta(f_cyc))
+        assert ctx.com_poisson(f, g) == sigma(ctx.nc_bracket(f_cyc, g_cyc))
 
 
 def test_internal_differential_words():

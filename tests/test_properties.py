@@ -6,8 +6,9 @@ with enough cases to catch sign regressions quickly.
 
 import pytest
 
+from ncbv import MatrixExtension, NuPolynomial, verify
 from ncbv.element import COMMUTATIVE, CYCLIC
-from ncbv import verify
+from ncbv.reduction import GueReducer
 
 
 def test_antisymmetry():
@@ -48,6 +49,30 @@ def test_sigma_homomorphism():
 def test_morita_maps():
     report = verify.morita_check(cases=40)
     assert report.passed, report.counterexample
+
+
+def test_morita_failure_keeps_the_check_name(monkeypatch):
+    monkeypatch.setattr(MatrixExtension, "restrict", lambda self, element: element.scale(2))
+    report = verify.morita_check(cases=6)
+    assert not report.passed
+    assert report.name == "morita-maps"
+    assert report.counterexample.startswith("restriction identity")
+
+
+def test_oracle_mismatch_past_the_default_cap_is_reported(monkeypatch):
+    reducer = GueReducer()
+
+    def fake_oracle(idx, cap=16):
+        if sum(idx) > cap:
+            raise ValueError(f"total degree {sum(idx)} exceeds the oracle cap {cap}")
+        poly = reducer.reduce(idx)
+        return poly + NuPolynomial.constant(1) if tuple(idx) == (18,) else poly
+
+    monkeypatch.setattr(verify, "wick_oracle", fake_oracle)
+    report = verify.oracle_equivalence_check(degree_cap=18, reducer=reducer)
+    assert not report.passed
+    assert report.name == "oracle-equivalence"
+    assert report.counterexample.startswith("idx=(18,)")
 
 
 def test_encoded_structures():

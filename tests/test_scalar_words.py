@@ -1,5 +1,7 @@
 """Exact scalars and canonical signed word forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from ncbv import Scalar, canonicalize_cyclic, canonicalize_monomial, format_scalar, parse_scalar
 from ncbv.algebras import sigma_a_space
 from ncbv.space import hyperbolic_space
+from ncbv.verify import random_space
 
 SPACE = sigma_a_space()  # letters: x (even), xi (odd)
 X, XI = 0, 1
@@ -61,6 +64,51 @@ def brute_canonical(letters, space):
     best = min(rot for rot, _ in rotations)
     best_sign = next(s for rot, s in rotations if rot == best)
     return best, best_sign
+
+
+def rotate_and_remember(letters, space):
+    """Exact reference: the rotate-and-remember loop that remembers the
+    sign of every rotation seen and calls the class zero when a rotation
+    comes back with the other sign."""
+    word = tuple(letters)
+    parities = [space.parity(letter) for letter in word]
+    total = sum(parities) % 2
+    best_word, best_sign = word, 1
+    rotated, sign = word, 1
+    seen_sign = {word: 1}
+    for _ in range(len(word) - 1):
+        first_parity = space.parity(rotated[0])
+        if first_parity and (total - first_parity) % 2:
+            sign = -sign
+        rotated = rotated[1:] + rotated[:1]
+        if rotated in seen_sign:
+            if seen_sign[rotated] != sign:
+                return None
+        else:
+            seen_sign[rotated] = sign
+        if rotated < best_word:
+            best_word, best_sign = rotated, sign
+    return best_word, best_sign
+
+
+def test_smallest_period_matches_rotate_and_remember():
+    """Random words and periodic words u^m over random spaces, odd
+    periods (zero classes) included."""
+    rng = random.Random(41)
+    zeros = periodic_zeros = 0
+    for _ in range(300):
+        space = random_space(rng)
+        for _ in range(5):
+            word = [rng.randrange(space.dim) for _ in range(rng.randint(1, 8))]
+            expected = rotate_and_remember(word, space)
+            assert canonicalize_cyclic(word, space) == expected
+            zeros += expected is None
+            unit = word[: rng.randint(1, 3)]
+            for m in range(1, 5):
+                expected = rotate_and_remember(unit * m, space)
+                assert canonicalize_cyclic(unit * m, space) == expected
+                periodic_zeros += expected is None
+    assert zeros and periodic_zeros
 
 
 def test_single_letter_is_its_own_representative():

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from ncbv import NuPolynomial, Scalar
 
-jsonschema = pytest.importorskip("jsonschema")
-
 
 def load_schema(name):
     path = resources.files("ncbv") / "schemas" / f"{name}.schema.json"
@@ -18,6 +16,8 @@ def load_schema(name):
 
 
 def make_validator(name):
+    """Validator for a shipped schema; skips the calling test without jsonschema."""
+    jsonschema = pytest.importorskip("jsonschema")
     schema = load_schema(name)
     registry = None
     try:

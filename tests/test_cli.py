@@ -1,6 +1,7 @@
 """The command-line surface: outputs, determinism, exit codes, schemas."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,25 @@ def test_otft_command(capsys):
     payload = json.loads(out)
     assert payload["match"]
     make_validator("otft").validate(payload)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("moments", ("moments", "--idx", "30", "--N", "5")),
+    ("oracle", ("oracle", "--idx", "6,6")),
+    ("otft", ("otft", "--N", "3", "--genus", "2", "--free", "2", "--boundaries", "3,3,3")),
+    ("hz", ("hz", "--kmax", "10")),
+    ("verify", ("verify", "--degree-cap", "6", "--cases", "25", "--hz-k", "6",
+                "--skip-confluence")),
+])
+def test_output_matches_golden(capsys, name, argv):
+    """Exact CLI JSON is pinned byte for byte (mc is left out: its floats
+    depend on the LAPACK build)."""
+    code, out = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_otft_rejects_size_zero(capsys):

@@ -23,7 +23,7 @@ and minus its adjoint action reproduces the dual differential on words
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar, add_to
 from .space import GradedSymplecticSpace, invert_matrix
 
 
@@ -73,12 +73,7 @@ class CyclicAInfinity:
                 for last in range(self.dim):
                     pair = self.pairing[out][last]
                     if pair:
-                        key = args + (last,)
-                        value = tensor.get(key, Scalar(0)) + coeff * pair
-                        if value:
-                            tensor[key] = value
-                        else:
-                            tensor.pop(key, None)
+                        add_to(tensor, args + (last,), coeff * pair)
         return tensor
 
     def check_cyclic(self) -> None:
@@ -89,7 +84,7 @@ class CyclicAInfinity:
                 sign = (-1) ** k
                 if self.degrees[key[-1]] % 2 and sum(self.degrees[i] for i in key[:-1]) % 2:
                     sign = -sign
-                if tensor.get(rotated, Scalar(0)) != sign * value:
+                if tensor.get(rotated, ZERO) != sign * value:
                     names = ",".join(self.basis[i] for i in key)
                     raise ValueError(f"structure tensor m_{k} is not cyclic at ({names})")
 
@@ -108,10 +103,9 @@ class CyclicAInfinity:
                     slot = (args[:pos] + args[pos + 1 :], pos)
                     acc = partial.setdefault(slot, {})
                     for out, c in images.items():
-                        acc[out] = acc.get(out, Scalar(0)) + weight * c
-            for slot, acc in partial.items():
-                if any(acc.values()):
-                    raise ValueError(f"declared unit fails: m_{k} does not vanish on it")
+                        add_to(acc, out, weight * c)
+            if any(partial.values()):
+                raise ValueError(f"declared unit fails: m_{k} does not vanish on it")
         # m2(1,a) = a = m2(a,1)
         for a in range(self.dim):
             for side in (0, 1):
@@ -121,14 +115,9 @@ class CyclicAInfinity:
                         continue
                     args = (u, a) if side == 0 else (a, u)
                     for out, c in self.ops.get(2, {}).get(args, {}).items():
-                        result[out] = result.get(out, Scalar(0)) + coeff_u * c
-                expected = {a: Scalar(1)}
-                if {o: c for o, c in result.items() if c} != expected:
+                        add_to(result, out, coeff_u * c)
+                if result != {a: ONE}:
                     raise ValueError("declared unit fails m2(1,a) = a = m2(a,1)")
-
-    def apply(self, k: int, args) -> dict:
-        """m_k on a tuple of basis indices, as {output index: coefficient}."""
-        return self.ops.get(k, {}).get(tuple(args), {})
 
     def to_json(self) -> dict:
         from .scalar import format_scalar
@@ -273,13 +262,11 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
             # l_2(u, v) = m_2(u, v) - (-1)^{|u||v|} m_2(v, u)
             base = algebra.structure_tensor(2)
             for (i, j, l), value in base.items():
-                tensor[(i, j, l)] = tensor.get((i, j, l), Scalar(0)) + value
+                add_to(tensor, (i, j, l), value)
                 sign = -1 if (algebra.degrees[i] * algebra.degrees[j]) % 2 else 1
-                tensor[(j, i, l)] = tensor.get((j, i, l), Scalar(0)) - sign * value
+                add_to(tensor, (j, i, l), -sign * value)
         weight = Scalar(1, factorial[k + 1])
         for key, value in tensor.items():
-            if not value:
-                continue
             coeff = value * _suspension_sign(algebra, key) * weight
             for idx in key:
                 coeff /= scales[idx]

@@ -20,7 +20,7 @@ from .harer_zagier import (
     hz_recurrence_check,
 )
 from .reduction import canonical_index, default_reducer
-from .sampling import DEFAULT_CHUNK, monte_carlo_moment, thread_count
+from .sampling import DEFAULT_CHUNK, monte_carlo_moment
 from .scalar import format_scalar
 from .wick import DEFAULT_CAP, wick_oracle
 
@@ -111,10 +111,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    result = monte_carlo_moment(
-        args.idx, args.N, args.samples, args.seed,
-        chunk=args.chunk, threads=thread_count(),
-    )
+    result = monte_carlo_moment(args.idx, args.N, args.samples, args.seed, chunk=args.chunk)
     target = default_reducer().reduce(args.idx)(args.N)
     z = result.z_score(float(target))
     payload = {

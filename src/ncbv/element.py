@@ -14,8 +14,8 @@ product; the operators module enforces which operations make sense on
 which flavor.
 """
 
-from .scalar import Scalar, format_scalar, parse_scalar
-from .words import Monomial, canonicalize_monomial, monomial_degree
+from .scalar import Scalar, add_to, format_scalar, parse_scalar
+from .words import Monomial, canonicalize_monomial, word_parity
 
 CYCLIC = "cyclic"
 COMMUTATIVE = "commutative"
@@ -93,11 +93,7 @@ class Element:
             return
         monomial, sign = canon
         self._check_monomial(monomial)
-        new = self.terms.get(monomial, Scalar(0)) + sign * coeff
-        if new:
-            self.terms[monomial] = new
-        else:
-            self.terms.pop(monomial, None)
+        add_to(self.terms, monomial, coeff if sign > 0 else -coeff)
 
     # -- linear structure ---------------------------------------------
 
@@ -107,28 +103,31 @@ class Element:
         if self.flavor != other.flavor:
             raise ValueError("elements have different flavors")
 
+    # Results of arithmetic on exact terms fill an empty Element in place;
+    # only the constructor and from_terms coerce outside input.
+
     def __add__(self, other: "Element") -> "Element":
         self._require_same(other)
-        terms = dict(self.terms)
+        out = Element(self.space, self.flavor)
+        out.terms = dict(self.terms)
         for monomial, coeff in other.terms.items():
-            new = terms.get(monomial, Scalar(0)) + coeff
-            if new:
-                terms[monomial] = new
-            else:
-                terms.pop(monomial, None)
-        return Element(self.space, self.flavor, terms)
+            add_to(out.terms, monomial, coeff)
+        return out
 
     def __neg__(self) -> "Element":
-        return Element(self.space, self.flavor, {m: -c for m, c in self.terms.items()})
+        out = Element(self.space, self.flavor)
+        out.terms = {m: -c for m, c in self.terms.items()}
+        return out
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scale(self, coeff) -> "Element":
         coeff = Scalar(coeff)
-        if not coeff:
-            return Element.zero(self.space, self.flavor)
-        return Element(self.space, self.flavor, {m: coeff * c for m, c in self.terms.items()})
+        out = Element(self.space, self.flavor)
+        if coeff:
+            out.terms = {m: coeff * c for m, c in self.terms.items()}
+        return out
 
     def __rmul__(self, coeff) -> "Element":
         return self.scale(coeff)
@@ -165,9 +164,12 @@ class Element:
     def __hash__(self):
         raise TypeError("Elements are not hashable")
 
+    def _parity(self, monomial: Monomial) -> int:
+        return sum(word_parity(self.space, word) for word in monomial.words) % 2
+
     def parity(self):
         """Parity if homogeneous, else None."""
-        parities = {monomial_degree(self.space, m) % 2 for m in self.terms}
+        parities = {self._parity(m) for m in self.terms}
         if not parities:
             return 0
         if len(parities) == 1:
@@ -175,11 +177,9 @@ class Element:
         return None
 
     def parity_part(self, parity: int) -> "Element":
-        return Element(
-            self.space,
-            self.flavor,
-            {m: c for m, c in self.terms.items() if monomial_degree(self.space, m) % 2 == parity},
-        )
+        out = Element(self.space, self.flavor)
+        out.terms = {m: c for m, c in self.terms.items() if self._parity(m) == parity}
+        return out
 
     # -- display and serialization --------------------------------------
 

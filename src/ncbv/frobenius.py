@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from functools import reduce
 
 from .morita import decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
 from .space import invert_matrix
 
 Vector = tuple[Scalar, ...]
@@ -98,19 +98,37 @@ class FrobeniusAlgebra:
         e = self._basis_vectors
         if any(self.pairing[i][j] != self.pairing[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Frobenius pairing must be symmetric")
-        for i in range(n):
-            if self._mul(self.unit, e[i]) != e[i]:
+        for vec in e:
+            if self._mul(self.unit, vec) != vec:
                 raise ValueError("declared unit fails 1.a = a")
-            if self._mul(e[i], self.unit) != e[i]:
+            if self._mul(vec, self.unit) != vec:
                 raise ValueError("declared unit fails a.1 = a")
-            for j in range(n):
-                ij = self._mul(e[i], e[j])
-                for k in range(n):
-                    jk = self._mul(e[j], e[k])
-                    if self._mul(ij, e[k]) != self._mul(e[i], jk):
-                        raise ValueError("multiplication is not associative")
-                    if self._form(ij, e[k]) != self._form(e[i], jk):
-                        raise ValueError("pairing is not invariant: <ab,c> != <a,bc>")
+        # The associator (e_i e_j) e_k - e_i (e_j e_k) and the invariance
+        # defect <e_i e_j, e_k> - <e_i, e_j e_k> as sparse tensors over the
+        # nonzero products e_a e_b = sum c e_l, taken once as the left
+        # factor (a, b) = (i, j) and once as the right one (a, b) = (j, k);
+        # <e_i, e_l> = <e_l, e_i> by the symmetry checked above.
+        by_left, by_right = {}, {}
+        for (i, j), cell in self.mult.items():
+            by_left.setdefault(i, []).append((j, cell))
+            by_right.setdefault(j, []).append((i, cell))
+        paired = [[(k, g) for k, g in enumerate(row) if g] for row in self.pairing]
+        associator, defect = {}, {}
+        for (a, b), cell in self.mult.items():
+            for l, c in cell:
+                for k, product in by_left.get(l, ()):
+                    for out, d in product:
+                        add_to(associator, (a, b, k, out), c * d)
+                for i, product in by_right.get(l, ()):
+                    for out, d in product:
+                        add_to(associator, (i, a, b, out), -c * d)
+                for t, g in paired[l]:
+                    add_to(defect, (a, b, t), c * g)
+                    add_to(defect, (t, a, b), -c * g)
+        if associator:
+            raise ValueError("multiplication is not associative")
+        if defect:
+            raise ValueError("pairing is not invariant: <ab,c> != <a,bc>")
 
     def coerce(self, value) -> Vector:
         """A basis index, a basis name or a coefficient vector, as a vector."""

@@ -9,7 +9,7 @@ numerically and nu = N (the trace of the empty word).
 import numpy as np
 
 from .element import CYCLIC, Element
-from .scalar import Scalar, format_scalar, parse_scalar
+from .scalar import Scalar, add_to, format_scalar, parse_scalar
 
 
 class MultiTraceFunctional:
@@ -20,11 +20,10 @@ class MultiTraceFunctional:
         self.terms: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         if terms:
             for (nu_power, traces), coeff in terms.items():
-                if coeff:
-                    key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
-                    if any(t < 1 for t in key[1]):
-                        raise ValueError("trace powers must be positive; zeros are nu factors")
-                    self.terms[key] = self.terms.get(key, Scalar(0)) + Scalar(coeff)
+                key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
+                if any(t < 1 for t in key[1]):
+                    raise ValueError("trace powers must be positive; zeros are nu factors")
+                add_to(self.terms, key, Scalar(coeff))
 
     @classmethod
     def from_multi_index(cls, idx) -> "MultiTraceFunctional":
@@ -42,7 +41,7 @@ class MultiTraceFunctional:
         even letter as a multi-trace functional (the trace-map image)."""
         if element.flavor != CYCLIC:
             raise ValueError("multi-trace functionals come from cyclic-side elements")
-        terms = {}
+        out = cls()
         for monomial, coeff in element.terms.items():
             if monomial.gamma:
                 raise ValueError("genus-weighted monomials have no trace realization here")
@@ -55,9 +54,8 @@ class MultiTraceFunctional:
                 if element.space.degrees[letter] % 2:
                     raise ValueError("trace slots require an even letter")
                 powers.append(len(word))
-            key = (monomial.nu, tuple(sorted(powers)))
-            terms[key] = terms.get(key, Scalar(0)) + coeff
-        return cls(terms)
+            add_to(out.terms, (monomial.nu, tuple(sorted(powers))), coeff)
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -106,6 +104,6 @@ class MultiTraceFunctional:
         terms = {}
         for item in data["terms"]:
             key = (int(item["nu_power"]), tuple(item["traces"]))
-            terms[key] = parse_scalar(item["coeff"])
+            add_to(terms, key, parse_scalar(item["coeff"]))
         return cls(terms)
 

@@ -1,6 +1,6 @@
 """Polynomials in the formal variable nu with exact coefficients."""
 
-from .scalar import Scalar, format_scalar, parse_scalar
+from .scalar import Scalar, add_to, format_scalar, parse_scalar
 
 
 class NuPolynomial:
@@ -27,34 +27,31 @@ class NuPolynomial:
     def nu(cls, power=1, coeff=1) -> "NuPolynomial":
         return cls({power: Scalar(coeff)})
 
+    # Results of arithmetic on exact coefficients fill an empty polynomial
+    # in place; only the constructor coerces outside input.
+
     def __add__(self, other: "NuPolynomial") -> "NuPolynomial":
-        out = dict(self.coeffs)
+        out = NuPolynomial()
+        out.coeffs = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            new = out.get(exp, Scalar(0)) + c
-            if new:
-                out[exp] = new
-            else:
-                out.pop(exp, None)
-        return NuPolynomial(out)
+            add_to(out.coeffs, exp, c)
+        return out
 
     def __neg__(self) -> "NuPolynomial":
-        return NuPolynomial({e: -c for e, c in self.coeffs.items()})
+        out = NuPolynomial()
+        out.coeffs = {e: -c for e, c in self.coeffs.items()}
+        return out
 
     def __sub__(self, other: "NuPolynomial") -> "NuPolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, NuPolynomial):
-            out = {}
+            out = NuPolynomial()
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    exp = e1 + e2
-                    new = out.get(exp, Scalar(0)) + c1 * c2
-                    if new:
-                        out[exp] = new
-                    else:
-                        out.pop(exp, None)
-            return NuPolynomial(out)
+                    add_to(out.coeffs, e1 + e2, c1 * c2)
+            return out
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -62,13 +59,18 @@ class NuPolynomial:
 
     def scale(self, value) -> "NuPolynomial":
         value = Scalar(value)
-        if not value:
-            return NuPolynomial()
-        return NuPolynomial({e: value * c for e, c in self.coeffs.items()})
+        out = NuPolynomial()
+        if value:
+            out.coeffs = {e: value * c for e, c in self.coeffs.items()}
+        return out
 
     def shift(self, power: int) -> "NuPolynomial":
         """Multiply by nu^power."""
-        return NuPolynomial({e + power: c for e, c in self.coeffs.items()})
+        if power < 0:
+            raise ValueError("nu exponents are nonnegative")
+        out = NuPolynomial()
+        out.coeffs = {e + power: c for e, c in self.coeffs.items()}
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NuPolynomial) and self.coeffs == other.coeffs

@@ -37,9 +37,10 @@ from .words import Monomial, rotation_signs, word_parity
 
 def _prefix_parities(space, word):
     """prefix[i] = parity of letters strictly before position i."""
+    parities = space.parities
     out = [0] * (len(word) + 1)
     for i, letter in enumerate(word):
-        out[i + 1] = (out[i] + space.parity(letter)) % 2
+        out[i + 1] = out[i] ^ parities[letter]
     return out
 
 
@@ -50,18 +51,19 @@ def bracket_words(space, u, v):
     and splices the remaining arcs into one cyclic word.
     """
     inv = space.inverse
+    parities = space.parities
     rot_u = rotation_signs(space, u)
     rot_v = rotation_signs(space, v)
     parity_u = word_parity(space, u)
     out = []
     for i, a in enumerate(u):
-        rest_parity = (parity_u - space.parity(a)) % 2
+        rest_parity = parity_u ^ parities[a]
         for j, b in enumerate(v):
             coeff = inv[a][b]
             if not coeff:
                 continue
             sign = rot_u[i] * rot_v[j]
-            if rest_parity and space.parity(b):
+            if rest_parity and parities[b]:
                 sign = -sign
             splice = u[i + 1 :] + u[:i] + v[j + 1 :] + v[:j]
             out.append((sign * coeff, splice))
@@ -71,6 +73,7 @@ def bracket_words(space, u, v):
 def cobracket_word(space, word):
     """Raw cobracket of one cyclic word: list of (coeff, arc1, arc2)."""
     inv = space.inverse
+    parities = space.parities
     rot = rotation_signs(space, word)
     prefix = _prefix_parities(space, word)
     out = []
@@ -80,8 +83,8 @@ def cobracket_word(space, word):
             if not coeff:
                 continue
             sign = rot[i]
-            arc1_parity = (prefix[j] - prefix[i + 1]) % 2
-            if arc1_parity and space.parity(word[j]):
+            arc1_parity = prefix[j] ^ prefix[i + 1]
+            if arc1_parity and parities[word[j]]:
                 sign = -sign
             arc1 = word[i + 1 : j]
             arc2 = word[j + 1 :] + word[:i]
@@ -272,7 +275,7 @@ class OperatorContext:
             return [(c, (target,)) for c, target in letter_diff.get(letter, ())]
 
         def word_images(word):
-            parities = [space.parity(letter) for letter in word]
+            parities = [space.parities[letter] for letter in word]
             return [
                 (c, (new_word,))
                 for c, new_word in _odd_derivation(word, parities, letter_images)

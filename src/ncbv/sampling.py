@@ -26,9 +26,11 @@ DEFAULT_CHUNK = 65536
 def thread_count() -> int:
     """Worker cap from NCBV_THREADS, defaulting to available parallelism."""
     env = os.environ.get("NCBV_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"NCBV_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def usable_cpus() -> int:

@@ -4,6 +4,9 @@ The ground field is the rationals throughout; ``fractions.Fraction``
 already keeps values in lowest terms with a positive denominator, so it
 is used directly as the scalar type.  No floating point enters any
 algebraic module (floats appear only in the Monte Carlo sampler).
+
+Every sparse map from keys to exact coefficients stores nonzero values
+only and is updated through ``add_to``.
 """
 
 from fractions import Fraction
@@ -14,15 +17,14 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
-def scalar(value) -> Scalar:
-    """Coerce an int, Fraction or ``"p/q"`` string to a Scalar."""
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, int):
-        return Scalar(value)
-    if isinstance(value, str):
-        return parse_scalar(value)
-    raise TypeError(f"cannot build an exact scalar from {value!r}")
+def add_to(terms: dict, key, value: Scalar) -> None:
+    """Add the exact ``value`` to ``terms[key]``; a zero sum deletes the key."""
+    old = terms.get(key)
+    total = value if old is None else old + value
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -47,14 +47,6 @@ def invert_matrix(rows: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Scalar(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class GradedSymplecticSpace:
     """Finite graded basis with an odd nondegenerate pairing.
@@ -64,6 +56,8 @@ class GradedSymplecticSpace:
     the letters relative to the plain dual basis of a suspended algebra
     (for example xi = -b* over the two-dimensional algebra); it affects
     only how structure tensors are expressed in these letters.
+    ``parities[i]`` is ``degrees[i] % 2``, the only way letter degrees
+    enter a sign.
     """
 
     letters: tuple[str, ...]
@@ -71,6 +65,7 @@ class GradedSymplecticSpace:
     pairing: Matrix
     inverse: Matrix = field(compare=False, default=None)
     dual_scales: tuple[Scalar, ...] = field(compare=False, default=None)
+    parities: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.letters)
@@ -79,6 +74,7 @@ class GradedSymplecticSpace:
         if len(self.degrees) != n or len(self.pairing) != n:
             raise ValueError("letters, degrees and pairing sizes disagree")
         object.__setattr__(self, "pairing", _to_matrix(self.pairing))
+        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
         for i in range(n):
             for j in range(n):
                 entry = self.pairing[i][j]
@@ -111,9 +107,6 @@ class GradedSymplecticSpace:
             return self.letters.index(name)
         except ValueError:
             raise ValueError(f"unknown letter {name!r}") from None
-
-    def parity(self, letter: int) -> int:
-        return self.degrees[letter] % 2
 
     def check_letters(self, letters) -> None:
         for letter in letters:

@@ -30,25 +30,18 @@ class Monomial(NamedTuple):
 UNIT = Monomial(0, 0, ())
 
 
-def word_degree(space, word: Word) -> int:
-    return sum(space.degrees[letter] for letter in word)
-
-
 def word_parity(space, word: Word) -> int:
-    return word_degree(space, word) % 2
-
-
-def monomial_degree(space, monomial: Monomial) -> int:
-    return sum(word_degree(space, word) for word in monomial.words)
+    return sum(map(space.parities.__getitem__, word)) % 2
 
 
 def rotation_signs(space, word) -> list[int]:
     """sign[i] = Koszul sign rotating word so position i comes first."""
+    parities = space.parities
     total = word_parity(space, word)
     signs = [1] * len(word)
     sign = 1
     for i in range(1, len(word)):
-        p = space.parity(word[i - 1])
+        p = parities[word[i - 1]]
         if p and (total - p) % 2:
             sign = -sign
         signs[i] = sign

@@ -137,6 +137,14 @@ def test_mc_rejects_nonpositive_chunk(capsys, chunk):
     assert run(capsys, *args, "--chunk", chunk)[0] == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_mc_rejects_bad_thread_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("NCBV_THREADS", value)
+    code = main(["mc", "--idx", "2", "--N", "2", "--samples", "100", "--seed", "0"])
+    assert code == 2
+    assert "NCBV_THREADS" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "moments")[0] == 2  # missing --idx
     assert run(capsys, "moments", "--idx", "x")[0] == 2

@@ -50,3 +50,20 @@ def test_dimension_mismatch():
 def test_json_roundtrip():
     f = MultiTraceFunctional({(2, (1, 3)): 5, (0, (2,)): -1})
     assert MultiTraceFunctional.from_json(f.to_json()) == f
+
+
+def test_cancelled_terms_are_dropped():
+    f = MultiTraceFunctional({(0, (1, 2)): 1, (0, (2, 1)): -1})
+    assert f.is_zero()
+    assert f == MultiTraceFunctional()
+    assert f.to_json() == {"terms": []}
+
+
+def test_from_json_sums_duplicate_entries():
+    data = {"terms": [
+        {"nu_power": 1, "traces": [2], "coeff": "1/2"},
+        {"nu_power": 1, "traces": [2], "coeff": "3/2"},
+        {"nu_power": 0, "traces": [1, 3], "coeff": "1"},
+        {"nu_power": 0, "traces": [3, 1], "coeff": "-1"},
+    ]}
+    assert MultiTraceFunctional.from_json(data) == MultiTraceFunctional({(1, (2,)): 2})

@@ -1,5 +1,6 @@
 """Surface tensors over Frobenius algebras."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_polynomials
 from ncbv.frobenius import FrobeniusAlgebra, matrix_trace_product
-from ncbv.scalar import ONE, ZERO, parse_scalar
+from ncbv.scalar import ONE, ZERO, format_scalar, parse_scalar
 from ncbv.space import invert_matrix
 
 
@@ -102,6 +103,91 @@ def test_frobenius_validation():
     )
     with pytest.raises(ValueError, match="symmetric"):
         FrobeniusAlgebra(("1", "t"), mult, ((zero, one), (Scalar(2), zero)), (one, zero))
+    # K[t]/t^2 with the unit declared as t
+    with pytest.raises(ValueError, match="declared unit fails 1.a = a"):
+        FrobeniusAlgebra(("1", "t"), mult, ((zero, one), (one, zero)), (zero, one))
+    # K[t]/t^2 with the identity pairing: <t t, 1> = 0 but <t, t 1> = 1
+    with pytest.raises(ValueError, match="pairing is not invariant"):
+        FrobeniusAlgebra(("1", "t"), mult, ((one, zero), (zero, one)), (one, zero))
+    # a a = b and a b = b a = b: (a a) b = 0 but a (a b) = b
+    products = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (0, 2): {2: one},
+                (2, 0): {2: one}, (1, 1): {2: one}, (1, 2): {2: one}, (2, 1): {2: one}}
+    identity = [[Scalar(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="multiplication is not associative"):
+        FrobeniusAlgebra(("1", "a", "b"), products, identity, (one, zero, zero))
+
+
+def dense_check(data):
+    """The constructor's checks the long way, over every basis triple and
+    in the constructor's order: the first failure's message, or None."""
+    n = len(data["basis"])
+    mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
+    pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
+    unit = [parse_scalar(c) for c in data["unit"]]
+    e = [[Scalar(int(t == i)) for t in range(n)] for i in range(n)]
+
+    def mul(x, y):
+        return [
+            sum(x[i] * y[j] * mult[i][j][k] for i in range(n) for j in range(n))
+            for k in range(n)
+        ]
+
+    def form(x, y):
+        return sum(x[i] * y[j] * pairing[i][j] for i in range(n) for j in range(n))
+
+    try:
+        invert_matrix(pairing)
+    except ValueError as exc:
+        return str(exc)
+    triples = list(itertools.product(e, repeat=3))
+    if any(pairing[i][j] != pairing[j][i] for i in range(n) for j in range(n)):
+        return "Frobenius pairing must be symmetric"
+    for a in e:
+        if mul(unit, a) != a:
+            return "declared unit fails 1.a = a"
+        if mul(a, unit) != a:
+            return "declared unit fails a.1 = a"
+    if any(mul(mul(a, b), c) != mul(a, mul(b, c)) for a, b, c in triples):
+        return "multiplication is not associative"
+    if any(form(mul(a, b), c) != form(a, mul(b, c)) for a, b, c in triples):
+        return "pairing is not invariant: <ab,c> != <a,bc>"
+    return None
+
+
+def test_check_matches_dense_triple_check():
+    """The sparse construction check rejects exactly the tables the check
+    over all basis triples rejects, with the same message."""
+    rng = random.Random(11)
+    verdicts = set()
+    for frob in reference_algebras():
+        if frob.dim > 4:
+            continue
+        for trial in range(12):
+            data = frob.to_json()
+            n = frob.dim
+            delta = format_scalar(Scalar(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])))
+            kind = trial % 3
+            if kind == 0:
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                cell = data["mult"][i][j]
+                cell[k] = format_scalar(parse_scalar(cell[k]) + parse_scalar(delta))
+            elif kind == 1:
+                i, j = rng.randrange(n), rng.randrange(n)
+                value = format_scalar(parse_scalar(data["pairing"][i][j]) + parse_scalar(delta))
+                data["pairing"][i][j] = data["pairing"][j][i] = value
+            else:
+                i = rng.randrange(n)
+                data["unit"][i] = format_scalar(parse_scalar(data["unit"][i]) + parse_scalar(delta))
+            want = dense_check(data)
+            verdicts.add(want)
+            try:
+                FrobeniusAlgebra.from_json(data)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (frob.basis, data)
+    assert {"multiplication is not associative",
+            "pairing is not invariant: <ab,c> != <a,bc>"} <= verdicts
 
 
 class DefiningFormulas:

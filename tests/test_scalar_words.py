@@ -71,13 +71,13 @@ def rotate_and_remember(letters, space):
     sign of every rotation seen and calls the class zero when a rotation
     comes back with the other sign."""
     word = tuple(letters)
-    parities = [space.parity(letter) for letter in word]
+    parities = [space.degrees[letter] % 2 for letter in word]
     total = sum(parities) % 2
     best_word, best_sign = word, 1
     rotated, sign = word, 1
     seen_sign = {word: 1}
     for _ in range(len(word) - 1):
-        first_parity = space.parity(rotated[0])
+        first_parity = space.degrees[rotated[0]] % 2
         if first_parity and (total - first_parity) % 2:
             sign = -sign
         rotated = rotated[1:] + rotated[:1]

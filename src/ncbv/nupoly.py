@@ -117,9 +117,15 @@ class NuPolynomial:
     def to_json(self) -> dict:
         return {"coeffs": {str(e): format_scalar(c) for e, c in sorted(self.coeffs.items())}}
 
+    # Outside input may name one exponent twice (a repeated CSV line, or
+    # JSON keys such as "1" and "01"); the entries are summed.
+
     @classmethod
     def from_json(cls, data: dict) -> "NuPolynomial":
-        return cls({int(e): parse_scalar(c) for e, c in data["coeffs"].items()})
+        coeffs = {}
+        for exp, c in data["coeffs"].items():
+            add_to(coeffs, int(exp), parse_scalar(c))
+        return cls(coeffs)
 
     def to_csv(self) -> str:
         lines = ["exponent,numerator,denominator"]
@@ -136,5 +142,5 @@ class NuPolynomial:
         coeffs = {}
         for line in lines[1:]:
             exp, num, den = line.split(",")
-            coeffs[int(exp)] = Scalar(int(num), int(den))
+            add_to(coeffs, int(exp), Scalar(int(num), int(den)))
         return cls(coeffs)

@@ -4,14 +4,28 @@ The observable prod_j Tr(X^{i_j}) is the cocycle (x^{i_1})...(x^{i_k})
 in the symmetric algebra of cyclic words over the suspended
 two-dimensional algebra.  Its class in the complex with differential
 (d* + delta + cobracket) is a unique polynomial in nu, found by
-repeatedly trading a factor (x^i) for the exact term:
+repeatedly trading a factor (x^l) for the exact term:
 
-    (x^i).rest = -d*((x^{i-1} xi).rest)
-               ~ (delta + cobracket)((x^{i-1} xi).rest),
+    (x^l).rest = -d*((x^{l-1} xi).rest)
+               ~ (delta + cobracket)((x^{l-1} xi).rest),
 
 which removes two letters per step.  Each surviving term pairs the xi
 against an x, so the state stays a product of pure x-powers times a nu
 power; states are memoized by their sorted tuple of word lengths.
+
+The image is never built on the whole product.  The inverse form pairs
+x only with xi, so delta + cobracket kills a pure x-word and every
+bracket between two of them; since the operator is second order and the
+words x^m are even, the image of a state with pivot P_l = x^{l-1} xi is
+
+    image(P_l . x^{m_1} ... x^{m_k})
+        = image(P_l) . rest + sum_i pair(l, m_i) . rest without x^{m_i},
+    pair(l, m) = image(P_l . x^m) - image(P_l) . x^m.
+
+Both pieces depend on lengths only.  Each reducer computes them once per
+l and per (l, m) through its ``OperatorContext`` and keeps them as
+sparse maps {(nu power, sorted word lengths): coefficient}, so a state's
+successors are sorted length tuples, built without any Element.
 
 Three pivot choices are available; their agreement (confluence) is a
 tested property of the engine, not an assumption.
@@ -23,7 +37,7 @@ import threading
 from .algebras import sigma_a_context, sigma_a_space
 from .element import CYCLIC, Element
 from .nupoly import NuPolynomial
-from .scalar import Scalar
+from .scalar import Scalar, add_to
 
 PIVOT_STRATEGIES = ("leftmost", "largest", "random")
 
@@ -49,6 +63,8 @@ class GueReducer:
         self.space = sigma_a_space()
         self.ctx = sigma_a_context()
         self._cache: dict[tuple[int, ...], NuPolynomial] = {(): NuPolynomial.constant(1)}
+        self._pivot_images: dict[int, dict] = {}
+        self._pair_images: dict[tuple[int, int], dict] = {}
 
     def reduce(self, idx) -> NuPolynomial:
         """The moment polynomial p_idx; zero exponents contribute nu."""
@@ -62,12 +78,18 @@ class GueReducer:
         if cached is not None:
             return cached
         pivot = self._choose_pivot(state)
-        element = self._pivot_element(state, pivot)
-        image = self.ctx.ce_delta(element) + self.ctx.nc_cobracket(element)
+        length = state[pivot]
+        rest = state[:pivot] + state[pivot + 1 :]
+        successors: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+        for (nu, lengths), coeff in self._pivot_image(length).items():
+            add_to(successors, (nu, tuple(sorted(lengths + rest))), coeff)
+        for i, other in enumerate(rest):
+            others = rest[:i] + rest[i + 1 :]
+            for (nu, lengths), coeff in self._pair_image(length, other).items():
+                add_to(successors, (nu, tuple(sorted(lengths + others))), coeff)
         total = NuPolynomial.zero()
-        for monomial, coeff in image.terms.items():
-            lengths = tuple(sorted(len(word) for word in monomial.words))
-            part = self._reduce_state(lengths).shift(monomial.nu)
+        for (nu, lengths), coeff in successors.items():
+            part = self._reduce_state(lengths).shift(nu)
             total = total + part.scale(coeff)
         self._cache[state] = total
         return total
@@ -79,14 +101,37 @@ class GueReducer:
             return max(range(len(state)), key=lambda t: state[t])
         return random.Random(f"{self.seed}:{state}").randrange(len(state))
 
-    def _pivot_element(self, state: tuple[int, ...], pivot: int) -> Element:
-        words = []
-        for t, length in enumerate(state):
-            if t == pivot:
-                words.append((X,) * (length - 1) + (XI,))
-            else:
-                words.append((X,) * length)
-        return Element.from_terms(self.space, CYCLIC, [(0, 0, words, Scalar(1))])
+    def _pivot_image(self, length: int) -> dict:
+        """image(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
+        image = self._pivot_images.get(length)
+        if image is None:
+            image = self._pivot_images[length] = self._image([_pivot_word(length)])
+        return image
+
+    def _pair_image(self, length: int, other: int) -> dict:
+        """pair(l, m) = image(P_l . x^m) - image(P_l) . x^m, as {(nu, lengths): coeff}."""
+        key = (length, other)
+        image = self._pair_images.get(key)
+        if image is None:
+            image = self._image([_pivot_word(length), (X,) * other])
+            for (nu, lengths), coeff in self._pivot_image(length).items():
+                add_to(image, (nu, tuple(sorted(lengths + (other,)))), -coeff)
+            self._pair_images[key] = image
+        return image
+
+    def _image(self, words) -> dict:
+        """(delta + cobracket) of the product of ``words``, by word lengths."""
+        element = Element.from_terms(self.space, CYCLIC, [(0, 0, words, Scalar(1))])
+        image = self.ctx.ce_delta(element) + self.ctx.nc_cobracket(element)
+        out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+        for monomial, coeff in image.terms.items():
+            add_to(out, (monomial.nu, tuple(sorted(len(word) for word in monomial.words))), coeff)
+        return out
+
+
+def _pivot_word(length: int) -> tuple[int, ...]:
+    """P_l = x^{l-1} xi, the odd word that replaces the factor x^l."""
+    return (X,) * (length - 1) + (XI,)
 
 
 _default_reducer: GueReducer | None = None

@@ -14,6 +14,9 @@ from .reduction import canonical_index
 from .scalar import Scalar
 
 DEFAULT_CAP = 16
+# The largest cap accepted: 17!! is about 3.4e7 matchings, a few minutes
+# of enumeration; a larger cap would admit an unbounded one.
+MAX_CAP = 18
 
 
 def block_permutation(parts) -> list[int]:
@@ -68,6 +71,8 @@ def cycle_counts_by_matching(parts) -> dict[int, int]:
 
 def wick_oracle(idx, cap: int = DEFAULT_CAP) -> NuPolynomial:
     """Exact Gaussian moment as a polynomial in nu = N."""
+    if cap > MAX_CAP:
+        raise ValueError(f"--cap {cap} exceeds the largest oracle cap {MAX_CAP}")
     parts = canonical_index(idx)
     zeros = sum(1 for i in parts if i == 0)
     blocks = tuple(i for i in parts if i > 0)

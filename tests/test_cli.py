@@ -152,6 +152,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "hz", "--k", "3")[0] == 2  # --k without --N
 
 
+def test_oracle_cap_bound(capsys):
+    """A cap past the bound exits 2 at once, before any enumeration."""
+    code = main(["oracle", "--idx", "30", "--cap", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--cap 30" in captured.err and "18" in captured.err
+    assert run(capsys, "oracle", "--idx", "4", "--cap", "18")[0] == 0
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "poly.json"
     code, _ = run(capsys, "moments", "--idx", "4", "--output", "json", "--out", str(target))

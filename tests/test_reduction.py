@@ -5,11 +5,49 @@ import threading
 
 import pytest
 
-from ncbv import GueReducer, NuPolynomial, Scalar, double_factorial, reduce_to_polynomial
+from ncbv import (
+    GueReducer,
+    NuPolynomial,
+    Scalar,
+    double_factorial,
+    harer_zagier_closed,
+    reduce_to_polynomial,
+)
 from ncbv import reduction
-from ncbv.reduction import canonical_index
+from ncbv.element import CYCLIC, Element
+from ncbv.reduction import XI, X, canonical_index
 from ncbv.sampling import usable_cpus
-from ncbv.verify import GOLDEN_TABLE
+from ncbv.verify import GOLDEN_TABLE, _partitions_up_to
+
+
+class MonomialReducer(GueReducer):
+    """The reduction step taken the long way: every state builds its whole
+    product of words as one Element, applies delta + cobracket to it and
+    reads the successor states off the canonical monomials of the image."""
+
+    def _reduce_state(self, state):
+        cached = self._cache.get(state)
+        if cached is not None:
+            return cached
+        pivot = self._choose_pivot(state)
+        element = self._pivot_element(state, pivot)
+        image = self.ctx.ce_delta(element) + self.ctx.nc_cobracket(element)
+        total = NuPolynomial.zero()
+        for monomial, coeff in image.terms.items():
+            lengths = tuple(sorted(len(word) for word in monomial.words))
+            part = self._reduce_state(lengths).shift(monomial.nu)
+            total = total + part.scale(coeff)
+        self._cache[state] = total
+        return total
+
+    def _pivot_element(self, state, pivot):
+        words = []
+        for t, length in enumerate(state):
+            if t == pivot:
+                words.append((X,) * (length - 1) + (XI,))
+            else:
+                words.append((X,) * length)
+        return Element.from_terms(self.space, CYCLIC, [(0, 0, words, Scalar(1))])
 
 
 @pytest.mark.parametrize("idx,coeffs", sorted(GOLDEN_TABLE.items()))
@@ -53,6 +91,29 @@ def test_pivot_strategies_agree():
             GueReducer("random", seed=99).reduce(idx),
         }
         assert len(results) == 1
+
+
+@pytest.mark.parametrize(
+    "pivot,seed,top",
+    [("leftmost", 0, 20), ("largest", 0, 14), ("random", 3, 14)],
+)
+def test_length_reduction_matches_monomial_reduction(pivot, seed, top):
+    """The second-order identity on word lengths gives exactly the
+    polynomials of reducing each whole product of words."""
+    reducer, reference = GueReducer(pivot, seed), MonomialReducer(pivot, seed)
+    indices = _partitions_up_to(top) + ([(40,)] if pivot == "leftmost" else [])
+    for idx in indices:
+        assert reducer.reduce(idx) == reference.reduce(idx), idx
+    assert reducer._cache.keys() == reference._cache.keys()
+
+
+def test_fifty_matches_harer_zagier_closed_form():
+    """(50,) against the closed formula: degree at most 26, so its values
+    at N = 1..27 fix it."""
+    poly = reduce_to_polynomial((50,))
+    assert poly.degree <= 26
+    for size in range(1, 28):
+        assert poly(size) == harer_zagier_closed(25, size)
 
 
 def test_degree_bound():

@@ -67,3 +67,13 @@ def test_csv_header_required():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         NuPolynomial({-1: Scalar(1)})
+
+
+def test_csv_sums_duplicate_exponents():
+    text = "exponent,numerator,denominator\n1,1,1\n1,2,1\n0,1,2\n0,-1,2\n"
+    assert NuPolynomial.from_csv(text) == NuPolynomial({1: Scalar(3)})
+
+
+def test_json_sums_keys_naming_one_exponent():
+    data = {"coeffs": {"1": "1", "01": "2", "2": "1/2", "02": "-1/2"}}
+    assert NuPolynomial.from_json(data) == NuPolynomial({1: Scalar(3)})

@@ -3,7 +3,7 @@
 import pytest
 
 from ncbv import NuPolynomial, Scalar, wick_oracle
-from ncbv.wick import block_permutation, cycle_counts_by_matching
+from ncbv.wick import MAX_CAP, block_permutation, cycle_counts_by_matching
 
 
 def test_block_permutation_cycles():
@@ -44,6 +44,14 @@ def test_cap_enforced():
         wick_oracle((18,))
     with pytest.raises(ValueError, match="cap"):
         wick_oracle((10, 4), cap=12)
+
+
+def test_cap_above_bound_rejected():
+    assert wick_oracle((4,), cap=MAX_CAP) == wick_oracle((4,))
+    with pytest.raises(ValueError, match=f"--cap 19 .* {MAX_CAP}"):
+        wick_oracle((4,), cap=MAX_CAP + 1)
+    with pytest.raises(ValueError, match="--cap 30"):
+        wick_oracle((30,), cap=30)
 
 
 def test_matches_reduction_on_samples():

@@ -14,8 +14,9 @@ from .reduction import canonical_index
 from .scalar import Scalar
 
 DEFAULT_CAP = 16
-# The largest cap accepted: 17!! is about 3.4e7 matchings, a few minutes
-# of enumeration; a larger cap would admit an unbounded one.
+# The largest cap accepted: 17!! is about 3.4e7 matchings, some two
+# minutes of enumeration, and each further step of 2 multiplies the count
+# by the next odd number.
 MAX_CAP = 18
 
 

@@ -31,7 +31,7 @@ from .reduction import GueReducer, default_reducer
 from .report import CheckReport
 from .scalar import Scalar
 from .space import GradedSymplecticSpace, hyperbolic_space
-from .wick import wick_oracle
+from .wick import MAX_CAP, wick_oracle
 
 GOLDEN_TABLE = {
     (2,): {2: 1},
@@ -155,12 +155,16 @@ def oracle_equivalence_check(degree_cap: int = 12,
                              reducer: GueReducer | None = None) -> CheckReport:
     """Cohomological reduction against the Wick matching oracle,
     exhaustively over all multi-indices with entry sum <= cap."""
+    if degree_cap > MAX_CAP:
+        raise ValueError(
+            f"--degree-cap {degree_cap} exceeds the largest oracle cap {MAX_CAP}"
+        )
     reducer = reducer or default_reducer()
     count = 0
     for idx in _partitions_up_to(degree_cap):
         count += 1
         reduced = reducer.reduce(idx)
-        oracle = wick_oracle(idx, cap=max(degree_cap, 16))
+        oracle = wick_oracle(idx, cap=degree_cap)
         if reduced != oracle:
             return CheckReport(
                 "oracle-equivalence",

@@ -4,20 +4,37 @@ E[prod_j Tr(X^{i_j})] with covariance E[X_ab X_cd] = delta_ad delta_bc
 expands over perfect matchings pi of the T = sum i_j letter positions:
 each matching contributes N^{#cycles(gamma.pi)}, where gamma is the
 permutation whose cycles are the consecutive index blocks.  The oracle
-enumerates every fixed-point-free involution (smallest unmatched point
-first) and tallies cycle counts; it shares no code with the cohomological
-reduction it cross-checks.
+visits every fixed-point-free involution exactly once and tallies cycle
+counts; it shares no code with the cohomological reduction it
+cross-checks.
+
+The enumeration has two stages.  A prefix walk in Python pairs the
+smallest unmatched point with each later free point until at most
+``BLOCK`` points are free.  Each prefix is then contracted: the cycles
+of sigma = gamma.pi that lie entirely among matched points are counted,
+and every other cycle is seen through the first-return map of sigma on
+the free points (from a free point follow gamma, then sigma through
+matched points, until a free point is reached).  The (f-1)!! matchings
+of the f free points are evaluated together in numpy: the first-return
+map is applied to a table of all partner arrays, built once at import,
+and the cycles of every row are counted at once by pointer doubling on
+the smallest label.
 """
+
+import numpy as np
 
 from .nupoly import NuPolynomial
 from .reduction import canonical_index
 from .scalar import Scalar
 
 DEFAULT_CAP = 16
-# The largest cap accepted: 17!! is about 3.4e7 matchings, some two
-# minutes of enumeration, and each further step of 2 multiplies the count
+# The largest cap accepted: 17!! is about 3.4e7 matchings, some ten
+# seconds of enumeration, and each further step of 2 multiplies the count
 # by the next odd number.
 MAX_CAP = 18
+# Free points left to a numpy block; one block holds at most 9!! = 945
+# matchings, whatever the input.
+BLOCK = 10
 
 
 def block_permutation(parts) -> list[int]:
@@ -31,43 +48,111 @@ def block_permutation(parts) -> list[int]:
     return gamma
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _block_tables() -> dict[int, tuple]:
+    """Per even f <= BLOCK: the partner arrays of all (f-1)!! matchings of
+    range(f), one row each, as indices into the flattened table; the
+    flattened local labels; and the pointer-doubling rounds ceil(log2 f)."""
+    partners = np.zeros((1, 0), dtype=np.intp)
+    tables = {}
+    for points in range(0, BLOCK + 1, 2):
+        if points:
+            blocks = []
+            for other in range(1, points):  # pair 0 with other, then the rest
+                rest = np.array([p for p in range(1, points) if p != other], dtype=np.intp)
+                block = np.empty((len(partners), points), dtype=np.intp)
+                block[:, 0] = other
+                block[:, other] = 0
+                block[:, rest] = rest[partners]
+                blocks.append(block)
+            partners = np.concatenate(blocks)
+        rows = len(partners)
+        tables[points] = (
+            _frozen(partners + (np.arange(rows, dtype=np.intp) * points)[:, None]),
+            _frozen(np.tile(np.arange(points, dtype=np.uint8), rows)),
+            max(points - 1, 0).bit_length(),
+        )
+    return tables
+
+
+# Immutable and built once, so concurrent oracles share them safely.
+_TABLES = _block_tables()
+
+
+def _contract(gamma: list[int], partner: list[int]) -> tuple[list[int], int]:
+    """First-return map of gamma.pi on the free points (local labels) and
+    the number of gamma.pi cycles among the matched points."""
+    free = [point for point, other in enumerate(partner) if other == -1]
+    local = {point: label for label, point in enumerate(free)}
+    seen = [False] * len(partner)
+    first_return = []
+    for start in free:
+        point = gamma[start]
+        while partner[point] != -1:
+            seen[point] = True
+            point = gamma[partner[point]]
+        first_return.append(local[point])
+    closed = 0
+    for start, other in enumerate(partner):
+        if other == -1 or seen[start]:
+            continue
+        closed += 1
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            point = gamma[partner[point]]
+    return first_return, closed
+
+
+def _add_block(first_return: list[int], closed: int, histogram: np.ndarray) -> None:
+    """Tally closed + #cycles(first_return . rho) over every matching rho
+    of the free points.
+
+    Each row counts the cycles of rho . first_return, which is conjugate
+    to first_return . rho: after the rounds every label is the smallest
+    label of its cycle, so the cycles are the points that keep their own.
+    """
+    partners, labels, rounds = _TABLES[len(first_return)]
+    step = partners[:, first_return].ravel()
+    label = labels
+    for done in range(1, rounds + 1):
+        label = np.minimum(label, label[step])
+        if done < rounds:
+            step = step[step]
+    cycles = (label == labels).reshape(partners.shape).sum(axis=1, dtype=np.intp)
+    counts = np.bincount(cycles)
+    histogram[closed:closed + len(counts)] += counts
+
+
 def cycle_counts_by_matching(parts) -> dict[int, int]:
     """Histogram {cycle count of gamma.pi: number of matchings pi}."""
     total = sum(parts)
+    if total % 2:
+        return {}
     gamma = block_permutation(parts)
-    counts: dict[int, int] = {}
     partner = [-1] * total
+    histogram = np.zeros(total + 1, dtype=np.int64)
 
-    def count_cycles() -> int:
-        seen = [False] * total
-        cycles = 0
-        for start in range(total):
-            if seen[start]:
-                continue
-            cycles += 1
-            point = start
-            while not seen[point]:
-                seen[point] = True
-                point = gamma[partner[point]]
-        return cycles
-
-    def walk(first: int) -> None:
-        while first < total and partner[first] != -1:
-            first += 1
-        if first == total:
-            cycles = count_cycles()
-            counts[cycles] = counts.get(cycles, 0) + 1
+    def walk(first: int, free: int) -> None:
+        if free <= BLOCK:
+            _add_block(*_contract(gamma, partner), histogram)
             return
+        while partner[first] != -1:
+            first += 1
         for other in range(first + 1, total):
             if partner[other] == -1:
                 partner[first] = other
                 partner[other] = first
-                walk(first + 1)
+                walk(first + 1, free - 2)
                 partner[first] = -1
                 partner[other] = -1
 
-    walk(0)
-    return counts
+    walk(0, total)
+    return {cycles: int(count) for cycles, count in enumerate(histogram) if count}
 
 
 def wick_oracle(idx, cap: int = DEFAULT_CAP) -> NuPolynomial:

@@ -161,6 +161,15 @@ def test_oracle_cap_bound(capsys):
     assert run(capsys, "oracle", "--idx", "4", "--cap", "18")[0] == 0
 
 
+def test_verify_degree_cap_bound(capsys):
+    """verify bounds --degree-cap itself and names it, not the oracle's --cap."""
+    code = main(["verify", "--degree-cap", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--degree-cap 20" in captured.err and "18" in captured.err
+    assert "--cap" not in captured.err.replace("--degree-cap", "")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "poly.json"
     code, _ = run(capsys, "moments", "--idx", "4", "--output", "json", "--out", str(target))

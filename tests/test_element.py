@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ncbv import COMMUTATIVE, CYCLIC, Element, Scalar
+from ncbv import COMMUTATIVE, CYCLIC, Element, Scalar, canonicalize_cyclic
 from ncbv.algebras import sigma_a_space
 from ncbv.verify import random_cyclic_element, random_space
 
@@ -74,3 +74,17 @@ def test_json_roundtrip():
         e = random_cyclic_element(rng, space, max_terms=3, max_words=2)
         again = Element.from_json(space, CYCLIC, e.to_json())
         assert again == e
+
+
+@pytest.mark.parametrize("letter", [-1, SPACE.dim, SPACE.dim + 5])
+def test_out_of_range_letter_is_rejected(letter):
+    # -1 must not wrap round to the last letter
+    with pytest.raises(ValueError, match="out of range"):
+        canonicalize_cyclic([0, letter], SPACE)
+    with pytest.raises(ValueError, match="out of range"):
+        Element.cyclic_word(SPACE, [0, letter])
+    with pytest.raises(ValueError, match="out of range"):
+        Element.poly_letters(SPACE, [0, letter])
+    for flavor, words in ((CYCLIC, [[letter, 0]]), (COMMUTATIVE, [[0], [letter]])):
+        with pytest.raises(ValueError, match="out of range"):
+            Element.from_terms(SPACE, flavor, [(0, 0, words, 1)])

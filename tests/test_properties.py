@@ -75,6 +75,13 @@ def test_oracle_mismatch_past_the_default_cap_is_reported(monkeypatch):
     assert report.counterexample.startswith("idx=(18,)")
 
 
+def test_oracle_check_rejects_degree_cap_past_the_oracle_bound():
+    from ncbv.wick import MAX_CAP
+
+    with pytest.raises(ValueError, match=f"--degree-cap {MAX_CAP + 2} .* {MAX_CAP}"):
+        verify.oracle_equivalence_check(degree_cap=MAX_CAP + 2)
+
+
 def test_encoded_structures():
     report = verify.encode_check()
     assert report.passed, report.counterexample

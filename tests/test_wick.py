@@ -2,8 +2,57 @@
 
 import pytest
 
-from ncbv import NuPolynomial, Scalar, wick_oracle
-from ncbv.wick import MAX_CAP, block_permutation, cycle_counts_by_matching
+from ncbv import NuPolynomial, Scalar, double_factorial, reduce_to_polynomial, wick_oracle
+from ncbv.verify import _partitions_up_to
+from ncbv.wick import BLOCK, MAX_CAP, block_permutation, cycle_counts_by_matching
+
+
+def scalar_cycle_counts(parts) -> dict[int, int]:
+    """One matching at a time in pure Python: the reference for the
+    blocked enumeration in ``cycle_counts_by_matching``."""
+    total = sum(parts)
+    gamma = block_permutation(parts)
+    counts: dict[int, int] = {}
+    partner = [-1] * total
+
+    def count_cycles() -> int:
+        seen = [False] * total
+        cycles = 0
+        for start in range(total):
+            if seen[start]:
+                continue
+            cycles += 1
+            point = start
+            while not seen[point]:
+                seen[point] = True
+                point = gamma[partner[point]]
+        return cycles
+
+    def walk(first: int) -> None:
+        while first < total and partner[first] != -1:
+            first += 1
+        if first == total:
+            cycles = count_cycles()
+            counts[cycles] = counts.get(cycles, 0) + 1
+            return
+        for other in range(first + 1, total):
+            if partner[other] == -1:
+                partner[first] = other
+                partner[other] = first
+                walk(first + 1)
+                partner[first] = -1
+                partner[other] = -1
+
+    walk(0)
+    return counts
+
+
+def assert_matches_reference(parts):
+    hist = cycle_counts_by_matching(parts)
+    assert hist == scalar_cycle_counts(parts), parts
+    assert all(type(key) is int and type(value) is int for key, value in hist.items())
+    total = sum(parts)
+    assert sum(hist.values()) == (0 if total % 2 else double_factorial(total - 1))
 
 
 def test_block_permutation_cycles():
@@ -66,3 +115,28 @@ def test_matches_reduction_at_fourteen_and_sixteen():
 
     for idx in [(14,), (2, 4, 8), (16,), (2, 6, 8)]:
         assert wick_oracle(idx) == reduce_to_polynomial(idx)
+
+
+def test_blocked_enumeration_matches_reference_up_to_twelve():
+    # every partition with sum <= 12, odd sums and 1-parts included; sums
+    # 10 and 12 are the block boundary (one block, then one pair of prefix)
+    assert cycle_counts_by_matching(()) == scalar_cycle_counts(()) == {0: 1}
+    for parts in _partitions_up_to(12):
+        assert_matches_reference(parts)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(BLOCK,), (1,) * BLOCK, (3, 7), (12,), (5, 1, 6), (14,), (1,) * 14, (7, 7), (2, 4, 8),
+     (3, 1, 4, 1, 5)],
+)
+def test_blocked_enumeration_matches_reference_at_block_boundaries(parts):
+    # unsorted orders too: the prefix walk must not depend on sorted blocks
+    assert_matches_reference(parts)
+
+
+def test_matches_reduction_on_every_partition_of_fourteen():
+    partitions = [idx for idx in _partitions_up_to(14) if sum(idx) == 14]
+    assert len(partitions) == 135
+    for idx in partitions:
+        assert wick_oracle(idx) == reduce_to_polynomial(idx), idx

@@ -74,14 +74,18 @@ def sample_gue_batch(size: int, count: int, rng: np.random.Generator) -> np.ndar
     normals = standard_normals(rng, count * size * size)
     normals = normals.reshape(count, size * size)
     out = np.zeros((count, size, size), dtype=complex)
-    diag = np.arange(size)
-    out[:, diag, diag] = normals[:, :size]
-    rows, cols = np.triu_indices(size, k=1)  # row by row, as drawn
+    diag = normals[:, :size]
+    for a in range(size):
+        out[:, a, a] = diag[:, a]
+    pos = size
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    re = normals[:, size::2] * inv_sqrt2
-    im = normals[:, size + 1::2] * inv_sqrt2
-    out[:, rows, cols] = re + 1j * im
-    out[:, cols, rows] = re - 1j * im
+    for a in range(size):
+        for b in range(a + 1, size):
+            re = normals[:, pos] * inv_sqrt2
+            im = normals[:, pos + 1] * inv_sqrt2
+            pos += 2
+            out[:, a, b] = re + 1j * im
+            out[:, b, a] = re - 1j * im
     return out
 
 

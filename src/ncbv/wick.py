@@ -28,9 +28,9 @@ from .reduction import canonical_index
 from .scalar import Scalar
 
 DEFAULT_CAP = 16
-# The largest cap accepted: 17!! is about 3.4e7 matchings, some ten
-# seconds of enumeration, and each further step of 2 multiplies the count
-# by the next odd number.
+# The largest cap accepted: 17!! is about 3.4e7 matchings, some seven
+# seconds of enumeration for (18,) on a 2-vCPU Xeon, and each further
+# step of 2 multiplies the count by the next odd number.
 MAX_CAP = 18
 # Free points left to a numpy block; one block holds at most 9!! = 945
 # matchings, whatever the input.

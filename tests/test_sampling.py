@@ -1,32 +1,9 @@
 """Seeded GUE sampling and Monte Carlo estimates."""
 
-import math
-
 import numpy as np
 import pytest
 
 from ncbv import gue_rng, monte_carlo_moment, reduce_to_polynomial, sample_gue, sample_gue_batch
-from ncbv.sampling import standard_normals
-
-
-def loop_gue_batch(size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Entry by entry, in draw order: the reference for ``sample_gue_batch``."""
-    normals = standard_normals(rng, count * size * size)
-    normals = normals.reshape(count, size * size)
-    out = np.zeros((count, size, size), dtype=complex)
-    diag = normals[:, :size]
-    for a in range(size):
-        out[:, a, a] = diag[:, a]
-    pos = size
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a in range(size):
-        for b in range(a + 1, size):
-            re = normals[:, pos] * inv_sqrt2
-            im = normals[:, pos + 1] * inv_sqrt2
-            pos += 2
-            out[:, a, b] = re + 1j * im
-            out[:, b, a] = re - 1j * im
-    return out
 
 
 def test_samples_are_hermitian():
@@ -127,33 +104,3 @@ def test_covariance_structure():
                     mean = float(np.mean(draws[:, a, b] * draws[:, c, d]).real)
                     expected = 1.0 if (a == d and b == c) else 0.0
                     assert abs(mean - expected) < 0.05
-
-
-@pytest.mark.parametrize("size", range(1, 9))
-def test_batch_is_bit_identical_to_loop_reference(size):
-    fast = sample_gue_batch(size, 9, gue_rng(41, chunk=size))
-    slow = loop_gue_batch(size, 9, gue_rng(41, chunk=size))
-    assert fast.dtype == slow.dtype and fast.shape == slow.shape
-    assert fast.tobytes() == slow.tobytes()
-
-
-# The Monte Carlo panel of the crosscheck benchmark workload: each case at
-# N = 2 and 3, and (4,) at N = 8.
-CROSSCHECK_PANEL = [
-    (idx, size) for size in (2, 3) for idx in ((2,), (4,), (1, 3), (2, 2), (1, 1, 1, 1))
-] + [((4,), 8)]
-
-
-def test_seeded_estimates_are_bit_identical_to_loop_reference(monkeypatch):
-    from ncbv import sampling
-
-    def estimates():
-        out = []
-        for case, (idx, size) in enumerate(CROSSCHECK_PANEL):
-            result = monte_carlo_moment(idx, size, 20_000, seed=case, chunk=6_000, threads=1)
-            out.append((result.estimate.hex(), result.std_error.hex()))
-        return out
-
-    fast = estimates()
-    monkeypatch.setattr(sampling, "sample_gue_batch", loop_gue_batch)
-    assert fast == estimates()

@@ -34,6 +34,8 @@ class Element:
             for monomial, coeff in terms.items():
                 if coeff:
                     self._check_monomial(monomial)
+                    for word in monomial.words:
+                        space.check_letters(word)
                     self.terms[monomial] = Scalar(coeff)
 
     def _check_monomial(self, monomial: Monomial) -> None:

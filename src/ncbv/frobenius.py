@@ -37,10 +37,6 @@ def _sized(values, n: int, what: str) -> tuple:
     return values
 
 
-def _sum(vectors) -> Vector:
-    return tuple(sum(column, ZERO) for column in zip(*vectors))
-
-
 def _products(mult, n: int) -> dict:
     """The nonzero products {(i, j): ((k, c), ...)} of a dense table
     ``mult[i][j]`` or of a mapping {(i, j): {k: c}}."""
@@ -84,10 +80,21 @@ class FrobeniusAlgebra:
         e = tuple(tuple(Scalar(int(t == i)) for t in range(n)) for i in range(n))
         self._basis_vectors = e
         self._check()
-        self.handles = handles = tuple(zip(e, self.inverse))
+        self.handles = tuple(zip(e, self.inverse))
         self.counit = tuple(self._form(vec, self.unit) for vec in e)
-        self.H = _sum(self._mul(x, y) for x, y in handles)
-        self.G = _sum(reduce(self._mul, (x, u, y, v)) for x, y in handles for u, v in handles)
+        # H = x_i y^i and G = x_i C(y^i) with C(a) = x_j a y^j, over the
+        # nonzero entries of the handles
+        xs = [{i: ONE} for i in range(n)]
+        ys = [{k: c for k, c in enumerate(y) if c} for y in self.inverse]
+        H, G = {}, {}
+        for x, y in zip(xs, ys):
+            self._add_product(H, x, y)
+            conjugated = {}
+            for u, v in zip(xs, ys):
+                self._add_product(conjugated, self._add_product({}, u, y), v)
+            self._add_product(G, x, conjugated)
+        self.H = tuple(H.get(k, ZERO) for k in range(n))
+        self.G = tuple(G.get(k, ZERO) for k in range(n))
 
     @property
     def dim(self) -> int:
@@ -153,6 +160,14 @@ class FrobeniusAlgebra:
                     for k, c in self.mult.get((i, j), ()):
                         out[k] += a * b * c
         return tuple(out)
+
+    def _add_product(self, out: dict, left: dict, right: dict) -> dict:
+        """Add the product of sparse vectors {index: coeff} into ``out``."""
+        for i, a in left.items():
+            for j, b in right.items():
+                for k, c in self.mult.get((i, j), ()):
+                    add_to(out, k, a * b * c)
+        return out
 
     def _form(self, left: Vector, right: Vector) -> Scalar:
         rows = ((a, row) for a, row in zip(left, self.pairing) if a)

@@ -15,18 +15,39 @@ The inverse form on letters is obtained as
 which is the matrix solving the commuting-triangle definition of the
 inverse once the Koszul sign of applying (left-slot, right-slot) dual
 maps to a tensor is taken into account.  On an odd pairing's support
-this B is plainly symmetric; both facts are asserted at construction.
+this B is plainly symmetric.  Construction asserts the odd degree and
+antisymmetry of P, the symmetry of B and P . B = diag((-1)^{deg e_i}),
+each over nonzero entries only, whether B was supplied or solved for.
 """
 
 from dataclasses import dataclass, field
 
-from .scalar import Scalar, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 
 def _to_matrix(rows) -> Matrix:
     return tuple(tuple(Scalar(entry) for entry in row) for row in rows)
+
+
+def _scalar(value) -> Scalar:
+    return value if isinstance(value, Scalar) else Scalar(value)
+
+
+def _sparse_rows(rows, n: int, what: str):
+    """``rows`` as an n x n Matrix, coercing only entries that are not
+    Scalars, and each row's nonzero entries as (column, value) pairs."""
+    matrix, support = [], []
+    for row in rows:
+        row = tuple(map(_scalar, row))
+        if len(row) != n:
+            raise ValueError(f"the {what} has a row of {len(row)} entries; the space has {n} letters")
+        matrix.append(row)
+        support.append([(j, entry) for j, entry in enumerate(row) if entry])
+    if len(matrix) != n:
+        raise ValueError(f"the {what} has {len(matrix)} rows; the space has {n} letters")
+    return tuple(matrix), support
 
 
 def invert_matrix(rows: Matrix) -> Matrix:
@@ -57,7 +78,8 @@ class GradedSymplecticSpace:
     (for example xi = -b* over the two-dimensional algebra); it affects
     only how structure tensors are expressed in these letters.
     ``parities[i]`` is ``degrees[i] % 2``, the only way letter degrees
-    enter a sign.
+    enter a sign.  ``inverse`` is solved by Gauss-Jordan unless given;
+    a given inverse is checked, not trusted.
     """
 
     letters: tuple[str, ...]
@@ -73,30 +95,44 @@ class GradedSymplecticSpace:
             raise ValueError("letter names must be distinct")
         if len(self.degrees) != n or len(self.pairing) != n:
             raise ValueError("letters, degrees and pairing sizes disagree")
-        object.__setattr__(self, "pairing", _to_matrix(self.pairing))
-        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
-        for i in range(n):
-            for j in range(n):
-                entry = self.pairing[i][j]
-                if entry != 0 and (self.degrees[i] + self.degrees[j]) % 2 == 0:
+        parities = tuple(d % 2 for d in self.degrees)
+        object.__setattr__(self, "parities", parities)
+        # Every check runs over nonzero entries: a zero entry can fail only
+        # through its nonzero transpose, which the same scan visits.
+        pairing, support = _sparse_rows(self.pairing, n, "pairing")
+        object.__setattr__(self, "pairing", pairing)
+        for i, row in enumerate(support):
+            for j, entry in row:
+                if parities[i] == parities[j]:
                     raise ValueError(
                         f"pairing <{self.letters[i]},{self.letters[j]}> is nonzero "
                         "on an even-degree pair; the form must have odd degree"
                     )
-                if entry != -self.pairing[j][i]:
+                if pairing[j][i] != -entry:
                     raise ValueError("pairing must be antisymmetric")
         if self.dual_scales is None:
-            object.__setattr__(self, "dual_scales", tuple(Scalar(1) for _ in range(n)))
+            object.__setattr__(self, "dual_scales", (ONE,) * n)
         else:
-            object.__setattr__(self, "dual_scales", tuple(Scalar(s) for s in self.dual_scales))
+            object.__setattr__(self, "dual_scales", tuple(map(_scalar, self.dual_scales)))
         if self.inverse is None:
-            object.__setattr__(self, "inverse", inverse_pairing(self.pairing, self.degrees))
+            object.__setattr__(self, "inverse", inverse_pairing(pairing, self.degrees))
+        inverse, inverse_support = _sparse_rows(self.inverse, n, "inverse pairing")
+        object.__setattr__(self, "inverse", inverse)
         # The inverse form of an odd pairing is symmetric; fail loudly otherwise.
-        inv = self.inverse
-        for i in range(n):
-            for j in range(n):
-                if inv[i][j] != inv[j][i]:
+        for i, row in enumerate(inverse_support):
+            for j, entry in row:
+                if inverse[j][i] != entry:
                     raise ValueError("inverse pairing failed its symmetry check")
+        # P . B = diag((-1)^deg), the definition of B, row by row.
+        for i, row in enumerate(support):
+            product = {}
+            for k, p in row:
+                for j, b in inverse_support[k]:
+                    add_to(product, j, p * b)
+            if product != {i: -1 if parities[i] else 1}:
+                raise ValueError(
+                    f"inverse pairing is not the inverse of the pairing at {self.letters[i]!r}"
+                )
 
     @property
     def dim(self) -> int:
@@ -143,18 +179,25 @@ def hyperbolic_space(names_degrees) -> GradedSymplecticSpace:
     """Space built from hyperbolic pairs ((u, deg_u), (v, deg_v), c) with <u,v> = c.
 
     Each argument is a triple of two (name, degree) pairs and a nonzero
-    scalar; degrees in a pair must have odd sum.
+    scalar; degrees in a pair must have odd sum.  The inverse is written
+    pair by pair: [[0, c], [-c, 0]]^{-1} times the degree signs puts
+    (-1)^{deg u} / c at both (u, v) and (v, u).
     """
     letters, degrees = [], []
     pairs = []
     for (name_u, deg_u), (name_v, deg_v), coeff in names_degrees:
+        coeff = _scalar(coeff)
+        if not coeff:
+            raise ValueError(f"hyperbolic pair ({name_u}, {name_v}) has coefficient zero")
         i = len(letters)
         letters.extend([name_u, name_v])
         degrees.extend([deg_u, deg_v])
-        pairs.append((i, i + 1, Scalar(coeff)))
+        pairs.append((i, i + 1, coeff, (-1 if deg_u % 2 else 1) / coeff))
     n = len(letters)
-    rows = [[Scalar(0)] * n for _ in range(n)]
-    for i, j, coeff in pairs:
+    rows = [[ZERO] * n for _ in range(n)]
+    inverse = [[ZERO] * n for _ in range(n)]
+    for i, j, coeff, dual in pairs:
         rows[i][j] = coeff
         rows[j][i] = -coeff
-    return GradedSymplecticSpace(tuple(letters), tuple(degrees), tuple(map(tuple, rows)))
+        inverse[i][j] = inverse[j][i] = dual
+    return GradedSymplecticSpace(tuple(letters), tuple(degrees), rows, inverse=inverse)

@@ -7,6 +7,7 @@ import pytest
 from ncbv import COMMUTATIVE, CYCLIC, Element, Scalar, canonicalize_cyclic
 from ncbv.algebras import sigma_a_space
 from ncbv.verify import random_cyclic_element, random_space
+from ncbv.words import Monomial
 
 SPACE = sigma_a_space()
 
@@ -88,3 +89,13 @@ def test_out_of_range_letter_is_rejected(letter):
     for flavor, words in ((CYCLIC, [[letter, 0]]), (COMMUTATIVE, [[0], [letter]])):
         with pytest.raises(ValueError, match="out of range"):
             Element.from_terms(SPACE, flavor, [(0, 0, words, 1)])
+
+
+@pytest.mark.parametrize("letter", [-1, SPACE.dim, SPACE.dim + 5])
+def test_raw_constructor_rejects_out_of_range_letter(letter):
+    # the raw constructor takes monomials as given, with no canonicalization
+    for flavor, words in ((CYCLIC, ((0, letter),)), (COMMUTATIVE, ((0,), (letter,)))):
+        with pytest.raises(ValueError, match="out of range"):
+            Element(SPACE, flavor, {Monomial(0, 0, words): 1})
+    # a zero coefficient drops the monomial before any check
+    assert Element(SPACE, CYCLIC, {Monomial(0, 0, ((letter,),)): 0}).is_zero()

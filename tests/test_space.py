@@ -4,10 +4,84 @@ import random
 
 import pytest
 
-from ncbv import GradedSymplecticSpace, Scalar, inverse_pairing
+from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, inverse_pairing
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
+from ncbv.space import _to_matrix
 from ncbv.verify import random_space
+
+
+def dense_reference(letters, degrees, pairing, inverse=None):
+    """The dense checks the constructor made before it went sparse,
+    loop for loop: every entry of the pairing and of the inverse is
+    visited, and a supplied inverse is trusted apart from symmetry.
+    Returns the inverse or raises as that constructor did."""
+    n = len(letters)
+    if len(set(letters)) != n:
+        raise ValueError("letter names must be distinct")
+    if len(degrees) != n or len(pairing) != n:
+        raise ValueError("letters, degrees and pairing sizes disagree")
+    pairing = _to_matrix(pairing)
+    for i in range(n):
+        for j in range(n):
+            entry = pairing[i][j]
+            if entry != 0 and (degrees[i] + degrees[j]) % 2 == 0:
+                raise ValueError(
+                    f"pairing <{letters[i]},{letters[j]}> is nonzero "
+                    "on an even-degree pair; the form must have odd degree"
+                )
+            if entry != -pairing[j][i]:
+                raise ValueError("pairing must be antisymmetric")
+    if inverse is None:
+        inverse = inverse_pairing(pairing, degrees)
+    inv = inverse
+    for i in range(n):
+        for j in range(n):
+            if inv[i][j] != inv[j][i]:
+                raise ValueError("inverse pairing failed its symmetry check")
+    return inverse
+
+
+def verdict(build):
+    try:
+        return "accepted", build()
+    except Exception as exc:  # the exception type is part of the verdict
+        return type(exc), None
+
+
+def perturbations(space, rng):
+    """Seeded defective (and a few valid) variants of ``space.pairing``:
+    flipped signs, even-degree support, asymmetric entries, zeroed pairs."""
+    n = space.dim
+    nonzero = [(i, j) for i in range(n) for j in range(n) if space.pairing[i][j]]
+    same_parity = [
+        (i, j) for i in range(n) for j in range(n) if space.parities[i] == space.parities[j]
+    ]
+    value = Scalar(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+
+    def edited(*cells):
+        rows = [list(row) for row in space.pairing]
+        for (i, j), entry in cells:
+            rows[i][j] = entry
+        return rows
+
+    i, j = rng.choice(nonzero)
+    yield edited(((i, j), -space.pairing[i][j]))  # one sign flipped
+    yield edited(((i, j), -space.pairing[i][j]), ((j, i), space.pairing[i][j]))  # both
+    k, l = rng.choice(same_parity)
+    yield edited(((k, l), value), ((l, k), -value))  # even-degree support
+    yield edited(((k, l), value))  # even-degree support, one-sided
+    k, l = rng.randrange(n), rng.randrange(n)
+    yield edited(((k, l), space.pairing[k][l] + value))  # asymmetric entry
+    yield edited(((i, j), 0), ((j, i), 0))  # zeroed pair
+    yield edited(((i, j), 0))  # zeroed on one side
+
+
+def assert_same_verdicts(space, rng):
+    for rows in [space.pairing, *perturbations(space, rng)]:
+        old = verdict(lambda: dense_reference(space.letters, space.degrees, rows))
+        new = verdict(lambda: GradedSymplecticSpace(space.letters, space.degrees, rows).inverse)
+        assert old == new
 
 
 def test_sigma_a_inverse_is_symmetric_unit():
@@ -81,3 +155,54 @@ def test_space_json_roundtrip():
     clone = GradedSymplecticSpace.from_json(space.to_json())
     assert clone == space
     assert clone.inverse == space.inverse
+
+
+def test_sparse_checks_match_dense_reference_on_random_spaces():
+    rng = random.Random(71)
+    for _ in range(60):
+        assert_same_verdicts(random_space(rng), rng)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sparse_checks_match_dense_reference_on_matrix_spaces(size):
+    rng = random.Random(73 + size)
+    for base in [sigma_a_space()] + [random_space(rng) for _ in range(6 // size)]:
+        assert_same_verdicts(MatrixExtension(base, size).space, rng)
+
+
+def test_hyperbolic_inverse_matches_gauss_jordan():
+    rng = random.Random(79)
+    for _ in range(240):
+        space = random_space(rng)
+        assert space.inverse == inverse_pairing(space.pairing, space.degrees)
+
+
+def test_zero_hyperbolic_coefficient_rejected():
+    with pytest.raises(ValueError, match=r"\(c, d\) has coefficient zero"):
+        hyperbolic_space([(("a", 0), ("b", 1), 1), (("c", 1), ("d", 2), 0)])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_perturbed_decorated_inverse_rejected(size):
+    rng = random.Random(83 + size)
+    space = MatrixExtension(random_space(rng), size).space
+    n = space.dim
+    for _ in range(10):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in space.inverse]
+        rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([1, -1, Scalar(1, 2)])
+        # symmetric, so only the P . B check can catch it; the dense
+        # constructor trusted it
+        dense_reference(space.letters, space.degrees, space.pairing, rows)
+        with pytest.raises(ValueError, match="not the inverse"):
+            GradedSymplecticSpace(space.letters, space.degrees, space.pairing, inverse=rows)
+        rows[i][j] += 1
+        if i != j:
+            with pytest.raises(ValueError, match="symmetry"):
+                GradedSymplecticSpace(space.letters, space.degrees, space.pairing, inverse=rows)
+
+
+def test_malformed_inverse_shape_rejected():
+    space = sigma_a_space()
+    with pytest.raises(ValueError, match="row of 1 entries"):
+        GradedSymplecticSpace(space.letters, space.degrees, space.pairing, inverse=((1,), (1,)))

@@ -7,7 +7,6 @@ import pytest
 from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, inverse_pairing
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
-from ncbv.space import _to_matrix
 from ncbv.verify import random_space
 
 
@@ -21,7 +20,7 @@ def dense_reference(letters, degrees, pairing, inverse=None):
         raise ValueError("letter names must be distinct")
     if len(degrees) != n or len(pairing) != n:
         raise ValueError("letters, degrees and pairing sizes disagree")
-    pairing = _to_matrix(pairing)
+    pairing = tuple(tuple(Scalar(entry) for entry in row) for row in pairing)
     for i in range(n):
         for j in range(n):
             entry = pairing[i][j]

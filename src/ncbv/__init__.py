@@ -44,7 +44,7 @@ from .reduction import GueReducer, canonical_index, default_reducer, reduce_to_p
 from .report import CheckReport
 from .sampling import McResult, gue_rng, monte_carlo_moment, sample_gue, sample_gue_batch
 from .scalar import Scalar, format_scalar, parse_scalar
-from .space import GradedSymplecticSpace, hyperbolic_space, inverse_pairing
+from .space import GradedSymplecticSpace, hyperbolic_space
 from .wick import wick_oracle
 from .words import Monomial, canonicalize_cyclic, canonicalize_monomial
 
@@ -85,7 +85,6 @@ __all__ = [
     "hyperbolic_space",
     "hz_closed_form_check",
     "hz_recurrence_check",
-    "inverse_pairing",
     "letter_differential",
     "matrix_ainfinity",
     "matrix_frobenius",

@@ -23,8 +23,8 @@ and minus its adjoint action reproduces the dual differential on words
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, add_to
-from .space import GradedSymplecticSpace, invert_matrix
+from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
+from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales
 
 
 class CyclicAInfinity:
@@ -38,7 +38,8 @@ class CyclicAInfinity:
     def __init__(self, basis, degrees, pairing, ops, unit=None):
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self.pairing = tuple(tuple(Scalar(c) for c in row) for row in pairing)
+        # symmetric, of odd degree and nondegenerate; the inverse is not kept
+        self.pairing, _ = _checked_pairing(pairing, self.basis, 1, self.degrees)
         self.ops = {
             int(k): {
                 tuple(args): {out: Scalar(c) for out, c in images.items() if c}
@@ -47,16 +48,6 @@ class CyclicAInfinity:
             for k, table in ops.items()
         }
         self.unit = None if unit is None else tuple(Scalar(c) for c in unit)
-        n = len(self.basis)
-        if len(self.degrees) != n or len(self.pairing) != n:
-            raise ValueError("basis, degrees and pairing sizes disagree")
-        for i in range(n):
-            for j in range(n):
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise ValueError("the pairing on a cyclic algebra is symmetric")
-                if self.pairing[i][j] and (self.degrees[i] + self.degrees[j]) % 2 == 0:
-                    raise ValueError("the pairing must have odd degree")
-        invert_matrix(self.pairing)  # nondegeneracy
         self.check_cyclic()
         if self.unit is not None:
             self._check_unital()
@@ -120,8 +111,6 @@ class CyclicAInfinity:
                     raise ValueError("declared unit fails m2(1,a) = a = m2(a,1)")
 
     def to_json(self) -> dict:
-        from .scalar import format_scalar
-
         return {
             "basis": [
                 {"name": name, "degree": deg} for name, deg in zip(self.basis, self.degrees)
@@ -142,8 +131,6 @@ class CyclicAInfinity:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclicAInfinity":
-        from .scalar import parse_scalar
-
         basis = tuple(item["name"] for item in data["basis"])
         degrees = tuple(int(item["degree"]) for item in data["basis"])
         pairing = tuple(tuple(parse_scalar(c) for c in row) for row in data["pairing"])
@@ -197,9 +184,7 @@ def suspend(algebra: CyclicAInfinity, names=None, scales=None) -> GradedSymplect
     n = algebra.dim
     if names is None:
         names = algebra.basis
-    if scales is None:
-        scales = (1,) * n
-    scales = tuple(Scalar(s) for s in scales)
+    scales = _dual_scales(scales, n)
     # letters are (scaled) duals of the suspended basis: degree 1 - deg_A
     degrees = tuple(1 - d for d in algebra.degrees)
     pairing = tuple(

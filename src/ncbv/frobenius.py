@@ -25,7 +25,7 @@ from functools import reduce
 
 from .morita import decorate, index_chains, matrix_index
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
-from .space import invert_matrix
+from .space import _checked_pairing
 
 Vector = tuple[Scalar, ...]
 
@@ -71,11 +71,7 @@ class FrobeniusAlgebra:
             if self._index.setdefault(name, i) != i:
                 raise ValueError(f"duplicate basis name {name!r}")
         self.mult = _products(mult, n)
-        self.pairing = tuple(
-            tuple(map(Scalar, _sized(row, n, "a pairing row")))
-            for row in _sized(pairing, n, "the pairing")
-        )
-        self.inverse = invert_matrix(self.pairing)
+        self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
         self.unit = tuple(map(Scalar, _sized(unit, n, "the unit")))
         e = tuple(tuple(Scalar(int(t == i)) for t in range(n)) for i in range(n))
         self._basis_vectors = e
@@ -101,11 +97,7 @@ class FrobeniusAlgebra:
         return len(self.basis)
 
     def _check(self) -> None:
-        n = self.dim
-        e = self._basis_vectors
-        if any(self.pairing[i][j] != self.pairing[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("Frobenius pairing must be symmetric")
-        for vec in e:
+        for vec in self._basis_vectors:
             if self._mul(self.unit, vec) != vec:
                 raise ValueError("declared unit fails 1.a = a")
             if self._mul(vec, self.unit) != vec:
@@ -114,7 +106,7 @@ class FrobeniusAlgebra:
         # defect <e_i e_j, e_k> - <e_i, e_j e_k> as sparse tensors over the
         # nonzero products e_a e_b = sum c e_l, taken once as the left
         # factor (a, b) = (i, j) and once as the right one (a, b) = (j, k);
-        # <e_i, e_l> = <e_l, e_i> by the symmetry checked above.
+        # <e_i, e_l> = <e_l, e_i> by the symmetry checked on construction.
         by_left, by_right = {}, {}
         for (i, j), cell in self.mult.items():
             by_left.setdefault(i, []).append((j, cell))

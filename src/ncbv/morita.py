@@ -80,9 +80,6 @@ class MatrixExtension:
         self.size = size
         self.space = GradedSymplecticSpace(
             letters, degrees, pairing,
-            # the inverse of P (x) trace form is P^{-1} (x) trace form;
-            # the constructor checks it over nonzero entries
-            inverse=trace_tensor(base.inverse, size),
             dual_scales=tuple(s for s in base.dual_scales for _ in range(size * size)),
         )
 

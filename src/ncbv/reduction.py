@@ -87,10 +87,10 @@ class GueReducer:
             others = rest[:i] + rest[i + 1 :]
             for (nu, lengths), coeff in self._pair_image(length, other).items():
                 add_to(successors, (nu, tuple(sorted(lengths + others))), coeff)
-        total = NuPolynomial.zero()
+        total = NuPolynomial()
         for (nu, lengths), coeff in successors.items():
-            part = self._reduce_state(lengths).shift(nu)
-            total = total + part.scale(coeff)
+            for exp, c in self._reduce_state(lengths).coeffs.items():
+                add_to(total.coeffs, exp + nu, coeff * c)
         self._cache[state] = total
         return total
 

@@ -15,9 +15,11 @@ The inverse form on letters is obtained as
 which is the matrix solving the commuting-triangle definition of the
 inverse once the Koszul sign of applying (left-slot, right-slot) dual
 maps to a tensor is taken into account.  On an odd pairing's support
-this B is plainly symmetric.  Construction asserts the odd degree and
-antisymmetry of P, the symmetry of B and P . B = diag((-1)^{deg e_i}),
-each over nonzero entries only, whether B was supplied or solved for.
+this B is plainly symmetric.  ``_checked_pairing``, the one routine that
+checks and inverts a pairing (here and in the cyclic A-infinity and
+Frobenius algebras), asserts the odd degree and antisymmetry of P, the
+symmetry of B and P . B = diag((-1)^{deg e_i}) over nonzero entries
+only, whether B was supplied or solved for.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +27,6 @@ from dataclasses import dataclass, field
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
-
-
-def _to_matrix(rows) -> Matrix:
-    return tuple(tuple(Scalar(entry) for entry in row) for row in rows)
 
 
 def _scalar(value) -> Scalar:
@@ -42,30 +40,99 @@ def _sparse_rows(rows, n: int, what: str):
     for row in rows:
         row = tuple(map(_scalar, row))
         if len(row) != n:
-            raise ValueError(f"the {what} has a row of {len(row)} entries; the space has {n} letters")
+            raise ValueError(f"{what} row has {len(row)} entries: a row of {len(row)} entries for "
+                             f"a basis of {n}")
         matrix.append(row)
         support.append([(j, entry) for j, entry in enumerate(row) if entry])
     if len(matrix) != n:
-        raise ValueError(f"the {what} has {len(matrix)} rows; the space has {n} letters")
+        raise ValueError(f"the {what} has {len(matrix)} entries; the basis has {n} vectors")
     return tuple(matrix), support
 
 
-def invert_matrix(rows: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    n = len(rows)
-    aug = [list(row) + [Scalar(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+def _solve(support, parities):
+    """The nonzero entries of B = P^{-1} . diag((-1)^parity), row by row,
+    by Gauss-Jordan over the nonzero entries of P.  Each row is a dict
+    {column: value} of P augmented by the identity in columns n..2n-1;
+    ``holders[c]`` is the set of rows with a nonzero entry in column c."""
+    n = len(support)
+    rows = [{**dict(row), n + i: ONE} for i, row in enumerate(support)]
+    holders = [set() for _ in range(2 * n)]
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    free, pivots = set(range(n)), []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+        p = min(holders[col] & free, default=None)
+        if p is None:
             raise ValueError("singular pairing: matrix is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Scalar(1) / aug[col][col]
-        aug[col] = [entry * inv for entry in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        free.discard(p)
+        pivots.append(p)
+        prow, pivot = rows[p], rows[p][col]
+        for c, v in prow.items():
+            prow[c] = v / pivot
+        for r in holders[col] - {p}:
+            target, factor = rows[r], rows[r][col]
+            for c, v in prow.items():
+                total = target.get(c, ZERO) - factor * v
+                if total:
+                    target[c] = total
+                    holders[c].add(r)
+                else:
+                    del target[c]
+                    holders[c].discard(r)
+    return [[(c - n, -v if parities[c - n] else v) for c, v in rows[p].items() if c >= n]
+            for p in pivots]
+
+
+def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
+    """The pairing P on the basis ``names`` and B = P^{-1} . D with
+    D = diag((-1)^deg) (D = 1 without ``degrees``), as Matrices checked
+    over nonzero entries only: P[j][i] = sign * P[i][j], P vanishes on
+    even-degree pairs when ``degrees`` are given, and B, solved unless
+    ``inverse`` supplies it, has the symmetry of P^{-1} . D (that of P when
+    D = 1, the opposite on an odd pairing) and satisfies P . B = D."""
+    n = len(names)
+    if degrees is not None and len(degrees) != n:
+        raise ValueError("basis and degrees sizes disagree")
+    parities = [0] * n if degrees is None else [d % 2 for d in degrees]
+    pairing, support = _sparse_rows(rows, n, "pairing")
+    # A zero entry can fail only through its nonzero transpose, which the
+    # same scan visits.
+    for i, row in enumerate(support):
+        for j, entry in row:
+            if degrees is not None and parities[i] == parities[j]:
+                raise ValueError(
+                    f"pairing <{names[i]},{names[j]}> is nonzero "
+                    "on an even-degree pair; the form must have odd degree"
+                )
+            if pairing[j][i] != (entry if sign == 1 else -entry):
+                raise ValueError(f"pairing must be {'' if sign == 1 else 'anti'}symmetric")
+    if inverse is None:
+        inverse_support = _solve(support, parities)
+        inverse = tuple(tuple(dict(row).get(j, ZERO) for j in range(n)) for row in inverse_support)
+    else:
+        inverse, inverse_support = _sparse_rows(inverse, n, "inverse pairing")
+    flip = sign if degrees is None else -sign
+    for i, row in enumerate(inverse_support):
+        for j, entry in row:
+            if inverse[j][i] != (entry if flip == 1 else -entry):
+                raise ValueError("inverse pairing failed its symmetry check")
+    for i, row in enumerate(support):
+        product = {}
+        for k, p in row:
+            for j, b in inverse_support[k]:
+                add_to(product, j, p * b)
+        if product != {i: -1 if parities[i] else 1}:
+            raise ValueError(f"inverse pairing is not the inverse of the pairing at {names[i]!r}")
+    return pairing, inverse
+
+
+def _dual_scales(scales, n: int) -> tuple[Scalar, ...]:
+    """``scales`` as n nonzero Scalars, one per letter; all 1 when None."""
+    scales = (ONE,) * n if scales is None else tuple(map(_scalar, scales))
+    if len(scales) != n or not all(scales):
+        raise ValueError(f"dual_scales must be {n} nonzero scalars, one per letter")
+    return scales
 
 
 @dataclass(frozen=True)
@@ -75,8 +142,9 @@ class GradedSymplecticSpace:
     ``letters`` names the dual basis; ``pairing[i][j]`` is the form on
     the basis itself.  ``dual_scales`` records an optional rescaling of
     the letters relative to the plain dual basis of a suspended algebra
-    (for example xi = -b* over the two-dimensional algebra); it affects
-    only how structure tensors are expressed in these letters.
+    (for example xi = -b* over the two-dimensional algebra), one nonzero
+    scale per letter; it affects only how structure tensors are expressed
+    in these letters.
     ``parities[i]`` is ``degrees[i] % 2``, the only way letter degrees
     enter a sign.  ``inverse`` is solved by Gauss-Jordan unless given;
     a given inverse is checked, not trusted.
@@ -93,46 +161,12 @@ class GradedSymplecticSpace:
         n = len(self.letters)
         if len(set(self.letters)) != n:
             raise ValueError("letter names must be distinct")
-        if len(self.degrees) != n or len(self.pairing) != n:
-            raise ValueError("letters, degrees and pairing sizes disagree")
-        parities = tuple(d % 2 for d in self.degrees)
-        object.__setattr__(self, "parities", parities)
-        # Every check runs over nonzero entries: a zero entry can fail only
-        # through its nonzero transpose, which the same scan visits.
-        pairing, support = _sparse_rows(self.pairing, n, "pairing")
+        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
+        pairing, inverse = _checked_pairing(self.pairing, self.letters, -1, self.degrees,
+                                            self.inverse)
         object.__setattr__(self, "pairing", pairing)
-        for i, row in enumerate(support):
-            for j, entry in row:
-                if parities[i] == parities[j]:
-                    raise ValueError(
-                        f"pairing <{self.letters[i]},{self.letters[j]}> is nonzero "
-                        "on an even-degree pair; the form must have odd degree"
-                    )
-                if pairing[j][i] != -entry:
-                    raise ValueError("pairing must be antisymmetric")
-        if self.dual_scales is None:
-            object.__setattr__(self, "dual_scales", (ONE,) * n)
-        else:
-            object.__setattr__(self, "dual_scales", tuple(map(_scalar, self.dual_scales)))
-        if self.inverse is None:
-            object.__setattr__(self, "inverse", inverse_pairing(pairing, self.degrees))
-        inverse, inverse_support = _sparse_rows(self.inverse, n, "inverse pairing")
         object.__setattr__(self, "inverse", inverse)
-        # The inverse form of an odd pairing is symmetric; fail loudly otherwise.
-        for i, row in enumerate(inverse_support):
-            for j, entry in row:
-                if inverse[j][i] != entry:
-                    raise ValueError("inverse pairing failed its symmetry check")
-        # P . B = diag((-1)^deg), the definition of B, row by row.
-        for i, row in enumerate(support):
-            product = {}
-            for k, p in row:
-                for j, b in inverse_support[k]:
-                    add_to(product, j, p * b)
-            if product != {i: -1 if parities[i] else 1}:
-                raise ValueError(
-                    f"inverse pairing is not the inverse of the pairing at {self.letters[i]!r}"
-                )
+        object.__setattr__(self, "dual_scales", _dual_scales(self.dual_scales, n))
 
     @property
     def dim(self) -> int:
@@ -163,16 +197,6 @@ class GradedSymplecticSpace:
         degrees = tuple(int(item["degree"]) for item in data["letters"])
         pairing = tuple(tuple(parse_scalar(entry) for entry in row) for row in data["pairing"])
         return cls(letters, degrees, pairing)
-
-
-def inverse_pairing(pairing: Matrix, degrees) -> Matrix:
-    """Inverse form on letters: P^{-1} times the degree-sign diagonal."""
-    pinv = invert_matrix(_to_matrix(pairing))
-    n = len(pinv)
-    return tuple(
-        tuple(pinv[i][j] * (1 if degrees[j] % 2 == 0 else -1) for j in range(n))
-        for i in range(n)
-    )
 
 
 def hyperbolic_space(names_degrees) -> GradedSymplecticSpace:

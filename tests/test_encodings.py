@@ -44,6 +44,32 @@ def test_encode_rejects_broken_cyclicity():
         )
 
 
+@pytest.mark.parametrize(
+    "pairing,match",
+    [
+        (((0, 1, 5), (1, 0)), "pairing row has 3 entries"),
+        (((0,), (1, 0)), "pairing row has 1 entries"),
+        (((0, 1),), "the pairing has 1 entries"),
+        (((0, 1), (2, 0)), "pairing must be symmetric"),
+        (((1, 1), (1, 0)), "even-degree pair"),
+        (((0, 0), (0, 0)), "singular pairing"),
+    ],
+)
+def test_cyclic_algebra_rejects_bad_pairings(pairing, match):
+    with pytest.raises(ValueError, match=match):
+        CyclicAInfinity(("a", "b"), (1, 2), pairing, {})
+    data = {"basis": [{"name": "a", "degree": 1}, {"name": "b", "degree": 2}],
+            "pairing": [[str(c) for c in row] for row in pairing], "ops": {}}
+    with pytest.raises(ValueError, match=match):
+        CyclicAInfinity.from_json(data)
+
+
+@pytest.mark.parametrize("scales", [(0, 1), (1,)])
+def test_suspend_rejects_bad_scales(scales):
+    with pytest.raises(ValueError, match="dual_scales"):
+        suspend(A, scales=scales)
+
+
 def test_matrix_size_zero_rejected():
     with pytest.raises(ValueError, match="at least 1"):
         matrix_ainfinity(A, 0)

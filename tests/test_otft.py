@@ -9,7 +9,7 @@ import pytest
 from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_polynomials
 from ncbv.frobenius import FrobeniusAlgebra, matrix_trace_product
 from ncbv.scalar import ONE, ZERO, format_scalar, parse_scalar
-from ncbv.space import invert_matrix
+from test_space import invert_matrix
 
 
 def as_vector(mat, size):
@@ -135,13 +135,13 @@ def dense_check(data):
     def form(x, y):
         return sum(x[i] * y[j] * pairing[i][j] for i in range(n) for j in range(n))
 
+    if any(pairing[i][j] != pairing[j][i] for i in range(n) for j in range(n)):
+        return "pairing must be symmetric"
     try:
         invert_matrix(pairing)
     except ValueError as exc:
         return str(exc)
     triples = list(itertools.product(e, repeat=3))
-    if any(pairing[i][j] != pairing[j][i] for i in range(n) for j in range(n)):
-        return "Frobenius pairing must be symmetric"
     for a in e:
         if mul(unit, a) != a:
             return "declared unit fails 1.a = a"
@@ -393,3 +393,26 @@ def test_from_json_rejects_bad_shapes_and_duplicate_names():
 def test_truncated_polynomials_rejects_nonpositive_depth(depth):
     with pytest.raises(ValueError, match="at least 1"):
         truncated_polynomials(depth, [])
+
+
+def test_truncated_polynomial_inverse_matches_dense_gauss_jordan():
+    """The Hankel pairings of K[t]/(t^d), with zero trace values below the
+    top one, need row swaps and fill-in; the sparse solve returns the
+    dense reference's Fractions exactly."""
+    rng = random.Random(97)
+    for _ in range(60):
+        depth = rng.randint(1, 6)
+        values = [rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(depth - 1)]
+        frob = truncated_polynomials(depth, values + [rng.choice([1, -1, Fraction(2, 3)])])
+        assert frob.inverse == invert_matrix(frob.pairing)
+        assert all(type(entry) is Fraction for row in frob.inverse for entry in row)
+
+
+def test_singular_pairing_rejected_with_dense_message():
+    mult = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}}
+    pairing = ((ONE, ZERO), (ZERO, ZERO))
+    with pytest.raises(ValueError) as dense:
+        invert_matrix(pairing)
+    with pytest.raises(ValueError) as sparse:
+        FrobeniusAlgebra(("1", "t"), mult, pairing, (ONE, ZERO))
+    assert str(sparse.value) == str(dense.value) == "singular pairing: matrix is not invertible"

@@ -1,13 +1,43 @@
 """Odd symplectic spaces and the inverse pairing."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, inverse_pairing
+from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
+from ncbv.space import Matrix
 from ncbv.verify import random_space
+
+
+def invert_matrix(rows: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(rows)
+    aug = [list(row) + [Scalar(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular pairing: matrix is not invertible")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Scalar(1) / aug[col][col]
+        aug[col] = [entry * inv for entry in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def inverse_pairing(pairing: Matrix, degrees) -> Matrix:
+    """Inverse form on letters: P^{-1} times the degree-sign diagonal."""
+    pinv = invert_matrix(tuple(tuple(Scalar(entry) for entry in row) for row in pairing))
+    n = len(pinv)
+    return tuple(
+        tuple(pinv[i][j] * (1 if degrees[j] % 2 == 0 else -1) for j in range(n))
+        for i in range(n)
+    )
 
 
 def dense_reference(letters, degrees, pairing, inverse=None):
@@ -126,8 +156,9 @@ def test_block_pairing_inverse_combines_trace_inverse():
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_decorated_inverse_matches_gauss_jordan(size):
-    """The extension's inverse is decorated from the base inverse, not
-    solved; Gauss-Jordan on the full pairing is the reference."""
+    """The extension's inverse is solved over the nonzero entries of the
+    decorated pairing; dense Gauss-Jordan on the full pairing is the
+    reference."""
     rng = random.Random(59 + size)
     for base in [sigma_a_space()] + [random_space(rng) for _ in range(4)]:
         space = MatrixExtension(base, size).space
@@ -205,3 +236,45 @@ def test_malformed_inverse_shape_rejected():
     space = sigma_a_space()
     with pytest.raises(ValueError, match="row of 1 entries"):
         GradedSymplecticSpace(space.letters, space.degrees, space.pairing, inverse=((1,), (1,)))
+
+
+def outcome(build):
+    try:
+        return "accepted", build()
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def test_sparse_solve_matches_dense_gauss_jordan_on_rational_pairings():
+    """Odd pairings with random rational entries: the zero diagonal forces
+    row swaps and the dense blocks fill in.  The sparse solve returns the
+    dense reference's Fractions exactly, and its message when singular
+    (unequal parity counts, or a rank-deficient block)."""
+    rng = random.Random(89)
+    verdicts = set()
+    for trial in range(200):
+        k = rng.randint(1, 4)
+        parities = [0] * k + [1] * (k + (trial % 6 == 0))
+        rng.shuffle(parities)
+        degrees = tuple(p + 2 * rng.randint(-1, 1) for p in parities)
+        n = len(degrees)
+        rows = [[Scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if parities[i] != parities[j] and rng.random() < 0.6:
+                    value = Scalar(rng.randint(-3, 3), rng.randint(1, 4))
+                    rows[i][j], rows[j][i] = value, -value
+        letters = tuple(f"e{i}" for i in range(n))
+        want = outcome(lambda: inverse_pairing(rows, degrees))
+        got = outcome(lambda: GradedSymplecticSpace(letters, degrees, rows).inverse)
+        assert got == want
+        if got[0] == "accepted":
+            assert all(type(entry) is Fraction for row in got[1] for entry in row)
+        verdicts.add(got[0])
+    assert verdicts == {"accepted", "rejected"}
+
+
+@pytest.mark.parametrize("scales", [(1,), (0, 1), (1, 1, 1)])
+def test_dual_scales_are_nonzero_one_per_letter(scales):
+    with pytest.raises(ValueError, match="dual_scales"):
+        GradedSymplecticSpace(("a", "b"), (0, 1), ((0, 1), (-1, 0)), dual_scales=scales)

@@ -109,7 +109,7 @@ def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
                 raise ValueError(f"pairing must be {'' if sign == 1 else 'anti'}symmetric")
     if inverse is None:
         inverse_support = _solve(support, parities)
-        inverse = tuple(tuple(dict(row).get(j, ZERO) for j in range(n)) for row in inverse_support)
+        inverse = tuple(tuple(map(dict(row).get, range(n), [ZERO] * n)) for row in inverse_support)
     else:
         inverse, inverse_support = _sparse_rows(inverse, n, "inverse pairing")
     flip = sign if degrees is None else -sign

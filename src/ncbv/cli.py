@@ -84,19 +84,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    reports = verify_mod.run_all(
-        degree_cap=args.degree_cap,
-        cases=args.cases,
-        hz_k=args.hz_k,
-        include_confluence=not args.skip_confluence,
-    )
+def _emit_reports(args, reports, **fields) -> int:
+    """Write a list of check reports (JSON, or one line per check and a
+    closing summary line) and return the exit code."""
     all_passed = all(r.passed for r in reports)
-    payload = {
-        "all_passed": all_passed,
-        "checks": [r.to_json() for r in reports],
-    }
     if args.output == "json":
+        payload = {**fields, "all_passed": all_passed, "checks": [r.to_json() for r in reports]}
         _emit(_format_json(payload), args.out)
     else:
         lines = []
@@ -105,9 +98,18 @@ def cmd_verify(args) -> int:
             if not r.passed and r.counterexample:
                 line += f"  counterexample: {r.counterexample}"
             lines.append(line)
-        lines.append(f"{'all checks passed' if all_passed else 'SOME CHECKS FAILED'}")
+        lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_passed else CHECK_FAILED
+
+
+def cmd_verify(args) -> int:
+    return _emit_reports(args, verify_mod.run_all(
+        degree_cap=args.degree_cap,
+        cases=args.cases,
+        hz_k=args.hz_k,
+        include_confluence=not args.skip_confluence,
+    ))
 
 
 def cmd_mc(args) -> int:
@@ -151,23 +153,11 @@ def cmd_hz(args) -> int:
             _emit(f"I^{args.N}_{2 * args.k} = {format_scalar(value)}\n", args.out)
         return 0
     k_max = args.kmax
-    reports = [
+    return _emit_reports(args, [
         hz_recurrence_check(k_max),
         hz_closed_form_check(min(k_max, 10), 6),
         catalan_leading_check(k_max),
-    ]
-    all_passed = all(r.passed for r in reports)
-    payload = {
-        "k_max": k_max,
-        "all_passed": all_passed,
-        "checks": [r.to_json() for r in reports],
-    }
-    if args.output == "json":
-        _emit(_format_json(payload), args.out)
-    else:
-        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name} [{r.scale}]" for r in reports]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_passed else CHECK_FAILED
+    ], k_max=k_max)
 
 
 def cmd_otft(args) -> int:

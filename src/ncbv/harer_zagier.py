@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .nupoly import NuPolynomial
 from .reduction import GueReducer, default_reducer
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalar import Scalar
 
 
@@ -60,33 +60,30 @@ def hz_recurrence_check(k_max: int, reducer: GueReducer | None = None) -> CheckR
     if k_max < 2:
         raise ValueError("the recurrence starts at k = 2")
     polys = single_trace_polynomials(k_max, reducer)
-    for k in range(2, k_max + 1):
-        lhs = polys[k].scale(k + 1)
-        rhs = polys[k - 1].shift(1).scale(4 * k - 2) + polys[k - 2].scale(
-            (k - 1) * (2 * k - 1) * (2 * k - 3)
-        )
-        if lhs != rhs:
-            return CheckReport(
-                "harer-zagier-recurrence",
-                False,
-                f"k <= {k_max}",
-                f"k={k}: (k+1)p_2k = {lhs} but rhs = {rhs}",
+
+    def failures():
+        for k in range(2, k_max + 1):
+            lhs = polys[k].scale(k + 1)
+            rhs = polys[k - 1].shift(1).scale(4 * k - 2) + polys[k - 2].scale(
+                (k - 1) * (2 * k - 1) * (2 * k - 3)
             )
-    return CheckReport("harer-zagier-recurrence", True, f"k <= {k_max}")
+            if lhs != rhs:
+                yield f"k={k}: (k+1)p_2k = {lhs} but rhs = {rhs}"
+
+    return check_report("harer-zagier-recurrence", f"k <= {k_max}", failures())
 
 
 def hz_closed_form_check(k_max: int, n_max: int, reducer: GueReducer | None = None) -> CheckReport:
     polys = single_trace_polynomials(k_max, reducer)
-    for k in range(k_max + 1):
-        for size in range(1, n_max + 1):
-            if polys[k](size) != harer_zagier_closed(k, size):
-                return CheckReport(
-                    "harer-zagier-closed-form",
-                    False,
-                    f"k <= {k_max}, N <= {n_max}",
-                    f"k={k}, N={size}: p={polys[k](size)} formula={harer_zagier_closed(k, size)}",
-                )
-    return CheckReport("harer-zagier-closed-form", True, f"k <= {k_max}, N <= {n_max}")
+
+    def failures():
+        for k in range(k_max + 1):
+            for size in range(1, n_max + 1):
+                if polys[k](size) != harer_zagier_closed(k, size):
+                    yield (f"k={k}, N={size}: p={polys[k](size)} "
+                           f"formula={harer_zagier_closed(k, size)}")
+
+    return check_report("harer-zagier-closed-form", f"k <= {k_max}, N <= {n_max}", failures())
 
 
 def catalan_leading_check(k_max: int, reducer: GueReducer | None = None) -> CheckReport:
@@ -94,25 +91,17 @@ def catalan_leading_check(k_max: int, reducer: GueReducer | None = None) -> Chec
     nonzero coefficient sits in degree k-1 (the torus stratum) and is
     positive."""
     polys = single_trace_polynomials(k_max, reducer)
-    for k in range(1, k_max + 1):
-        poly = polys[k]
-        if poly.degree != k + 1 or poly.leading_coefficient() != catalan(k):
-            return CheckReport(
-                "catalan-leading-coefficient",
-                False,
-                f"k <= {k_max}",
-                f"k={k}: degree {poly.degree}, leading {poly.leading_coefficient()}",
-            )
-        if k >= 2:
+
+    def failures():
+        for k in range(1, k_max + 1):
+            poly = polys[k]
+            if poly.degree != k + 1 or poly.leading_coefficient() != catalan(k):
+                yield f"k={k}: degree {poly.degree}, leading {poly.leading_coefficient()}"
             torus = poly.coeffs.get(k - 1, Scalar(0))
-            if torus <= 0:
-                return CheckReport(
-                    "catalan-leading-coefficient",
-                    False,
-                    f"k <= {k_max}",
-                    f"k={k}: torus-stratum coefficient {torus} is not positive",
-                )
-    return CheckReport("catalan-leading-coefficient", True, f"k <= {k_max}")
+            if k >= 2 and torus <= 0:
+                yield f"k={k}: torus-stratum coefficient {torus} is not positive"
+
+    return check_report("catalan-leading-coefficient", f"k <= {k_max}", failures())
 
 
 def multitrace_sum_check(k_max: int, reducer: GueReducer | None = None) -> CheckReport:
@@ -120,32 +109,28 @@ def multitrace_sum_check(k_max: int, reducer: GueReducer | None = None) -> Check
     if k_max < 2:
         raise ValueError("the relation is checked from k = 2")
     reducer = reducer or default_reducer()
-    for k in range(2, k_max + 1):
-        lhs = NuPolynomial.zero()
-        for i in range(1, 2 * k):
-            lhs = lhs + reducer.reduce((i, 2 * k - i))
-        rhs = reducer.reduce((2 * k + 2,)) - reducer.reduce((2 * k,)).shift(1).scale(2)
-        if lhs != rhs:
-            return CheckReport(
-                "multitrace-sum-relation",
-                False,
-                f"k <= {k_max}",
-                f"k={k}: lhs = {lhs}, rhs = {rhs}",
-            )
-    return CheckReport("multitrace-sum-relation", True, f"k <= {k_max}")
+
+    def failures():
+        for k in range(2, k_max + 1):
+            lhs = NuPolynomial.zero()
+            for i in range(1, 2 * k):
+                lhs = lhs + reducer.reduce((i, 2 * k - i))
+            rhs = reducer.reduce((2 * k + 2,)) - reducer.reduce((2 * k,)).shift(1).scale(2)
+            if lhs != rhs:
+                yield f"k={k}: lhs = {lhs}, rhs = {rhs}"
+
+    return check_report("multitrace-sum-relation", f"k <= {k_max}", failures())
 
 
 def all_ones_check(n_max: int, reducer: GueReducer | None = None) -> CheckReport:
     """p over 2n ones equals (2n-1)!! nu^n."""
     reducer = reducer or default_reducer()
-    for n in range(1, n_max + 1):
-        expected = NuPolynomial({n: Scalar(double_factorial(2 * n - 1))})
-        got = reducer.reduce((1,) * (2 * n))
-        if got != expected:
-            return CheckReport(
-                "all-ones-double-factorial",
-                False,
-                f"n <= {n_max}",
-                f"n={n}: got {got}, want {expected}",
-            )
-    return CheckReport("all-ones-double-factorial", True, f"n <= {n_max}")
+
+    def failures():
+        for n in range(1, n_max + 1):
+            expected = NuPolynomial({n: Scalar(double_factorial(2 * n - 1))})
+            got = reducer.reduce((1,) * (2 * n))
+            if got != expected:
+                yield f"n={n}: got {got}, want {expected}"
+
+    return check_report("all-ones-double-factorial", f"n <= {n_max}", failures())

@@ -18,3 +18,10 @@ class CheckReport:
             "scale": self.scale,
             "counterexample": self.counterexample,
         }
+
+
+def check_report(name: str, scale: str, counterexamples) -> CheckReport:
+    """Fail at the first string ``counterexamples`` yields, without
+    advancing it further; pass if it yields none."""
+    counterexample = next(iter(counterexamples), None)
+    return CheckReport(name, counterexample is None, scale, counterexample)

@@ -1,14 +1,17 @@
 """Seeded verification suites for every structural identity.
 
-Each check returns a CheckReport with the scale it ran at and the first
-counterexample on failure.  Random inputs are drawn from seeded
-generators over small symplectic spaces (dimensions 2 to 6) assembled
-from hyperbolic pairs, so the suites are deterministic and exact.
+Each check is a generator of counterexample strings reported through
+``report.check_report``, as a CheckReport with the scale the check runs
+at and the first counterexample on failure.  Random inputs are drawn
+from seeded generators over small symplectic spaces (dimensions 2 to 6)
+assembled from hyperbolic pairs, so the suites are deterministic and
+exact.
 """
 
 import random
 
 from .ainfinity import (
+    CyclicAInfinity,
     encode_ainfinity,
     encode_commutator_linfinity,
     letter_differential,
@@ -28,7 +31,7 @@ from .morita import MatrixExtension, sigma, sigma_K
 from .nupoly import NuPolynomial
 from .operators import OperatorContext
 from .reduction import GueReducer, default_reducer
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalar import Scalar
 from .space import GradedSymplecticSpace, hyperbolic_space
 from .wick import MAX_CAP, wick_oracle
@@ -95,6 +98,21 @@ def random_commutative_element(rng, space, max_terms=2, max_len=4) -> Element:
     return Element.from_terms(space, COMMUTATIVE, raw)
 
 
+def _random_element(rng, space, flavor) -> Element:
+    if flavor == CYCLIC:
+        return random_cyclic_element(rng, space)
+    return random_commutative_element(rng, space)
+
+
+def _random_cases(cases: int, seed: int):
+    """(case, rng, space, ctx) for each case: one rng seeded once, and a
+    fresh random space with its operator context drawn per case."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        space = random_space(rng)
+        yield case, rng, space, OperatorContext(space)
+
+
 def homogeneous(rng, make, parity=None) -> Element:
     """Draw until the element is parity-homogeneous and nonzero."""
     while True:
@@ -118,23 +136,21 @@ def homogeneous(rng, make, parity=None) -> Element:
 def golden_table_check(reducer: GueReducer | None = None) -> CheckReport:
     """Every listed moment polynomial, coefficient for coefficient."""
     reducer = reducer or default_reducer()
-    for idx, want in GOLDEN_TABLE.items():
-        got = reducer.reduce(idx)
-        expected = NuPolynomial({e: Scalar(c) for e, c in want.items()})
-        if got != expected:
-            diff_exp = sorted(
-                e
-                for e in set(got.coeffs) | set(expected.coeffs)
-                if got.coeffs.get(e, Scalar(0)) != expected.coeffs.get(e, Scalar(0))
-            )[0]
-            return CheckReport(
-                "golden-table",
-                False,
-                f"{len(GOLDEN_TABLE)} polynomials",
-                f"p_{idx}: coefficient of nu^{diff_exp} is "
-                f"{got.coeffs.get(diff_exp, 0)}, table says {expected.coeffs.get(diff_exp, 0)}",
-            )
-    return CheckReport("golden-table", True, f"{len(GOLDEN_TABLE)} polynomials")
+
+    def failures():
+        for idx, want in GOLDEN_TABLE.items():
+            got = reducer.reduce(idx)
+            expected = NuPolynomial({e: Scalar(c) for e, c in want.items()})
+            if got != expected:
+                diff_exp = sorted(
+                    e
+                    for e in set(got.coeffs) | set(expected.coeffs)
+                    if got.coeffs.get(e, Scalar(0)) != expected.coeffs.get(e, Scalar(0))
+                )[0]
+                yield (f"p_{idx}: coefficient of nu^{diff_exp} is {got.coeffs.get(diff_exp, 0)}, "
+                       f"table says {expected.coeffs.get(diff_exp, 0)}")
+
+    return check_report("golden-table", f"{len(GOLDEN_TABLE)} polynomials", failures())
 
 
 def _partitions_up_to(total: int):
@@ -160,19 +176,17 @@ def oracle_equivalence_check(degree_cap: int = 12,
             f"--degree-cap {degree_cap} exceeds the largest oracle cap {MAX_CAP}"
         )
     reducer = reducer or default_reducer()
-    count = 0
-    for idx in _partitions_up_to(degree_cap):
-        count += 1
-        reduced = reducer.reduce(idx)
-        oracle = wick_oracle(idx, cap=degree_cap)
-        if reduced != oracle:
-            return CheckReport(
-                "oracle-equivalence",
-                False,
-                f"sum <= {degree_cap} exhaustive",
-                f"idx={idx}: reduction {reduced} != oracle {oracle}",
-            )
-    return CheckReport("oracle-equivalence", True, f"{count} indices, sum <= {degree_cap}")
+    indices = _partitions_up_to(degree_cap)
+
+    def failures():
+        for idx in indices:
+            reduced = reducer.reduce(idx)
+            oracle = wick_oracle(idx, cap=degree_cap)
+            if reduced != oracle:
+                yield f"idx={idx}: reduction {reduced} != oracle {oracle}"
+
+    return check_report("oracle-equivalence",
+                        f"{len(indices)} indices, sum <= {degree_cap}", failures())
 
 
 def confluence_check(degree_cap: int = 12, seed: int = 5) -> CheckReport:
@@ -180,30 +194,28 @@ def confluence_check(degree_cap: int = 12, seed: int = 5) -> CheckReport:
     leftmost = GueReducer("leftmost")
     largest = GueReducer("largest")
     randomized = GueReducer("random", seed=seed)
-    count = 0
-    for idx in _partitions_up_to(degree_cap):
-        count += 1
-        a, b, c = leftmost.reduce(idx), largest.reduce(idx), randomized.reduce(idx)
-        if not (a == b == c):
-            return CheckReport(
-                "reduction-confluence",
-                False,
-                f"sum <= {degree_cap}",
-                f"idx={idx}: leftmost {a}, largest {b}, random {c}",
-            )
-    return CheckReport("reduction-confluence", True, f"{count} indices, sum <= {degree_cap}")
+    indices = _partitions_up_to(degree_cap)
+
+    def failures():
+        for idx in indices:
+            a, b, c = leftmost.reduce(idx), largest.reduce(idx), randomized.reduce(idx)
+            if not (a == b == c):
+                yield f"idx={idx}: leftmost {a}, largest {b}, random {c}"
+
+    return check_report("reduction-confluence",
+                        f"{len(indices)} indices, sum <= {degree_cap}", failures())
 
 
 def parity_vanishing_check(degree_cap: int = 11,
                            reducer: GueReducer | None = None) -> CheckReport:
     reducer = reducer or default_reducer()
-    for idx in _partitions_up_to(degree_cap):
-        if sum(idx) % 2 and not reducer.reduce(idx).is_zero():
-            return CheckReport(
-                "odd-sum-vanishing", False, f"sum <= {degree_cap}",
-                f"idx={idx} gave {reducer.reduce(idx)}",
-            )
-    return CheckReport("odd-sum-vanishing", True, f"sum <= {degree_cap}")
+
+    def failures():
+        for idx in _partitions_up_to(degree_cap):
+            if sum(idx) % 2 and not reducer.reduce(idx).is_zero():
+                yield f"idx={idx} gave {reducer.reduce(idx)}"
+
+    return check_report("odd-sum-vanishing", f"sum <= {degree_cap}", failures())
 
 
 def jacobi_check(flavor: str, cases: int = 200, seed: int = 101) -> CheckReport:
@@ -215,191 +227,199 @@ def jacobi_check(flavor: str, cases: int = 200, seed: int = 101) -> CheckReport:
 
     (After the parity shift making the bracket an honest Lie bracket,
     this is the ordinary graded Jacobi identity.)"""
-    rng = random.Random(seed)
-    name = f"odd-jacobi-{flavor}"
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        if flavor == CYCLIC:
-            make = lambda r: random_cyclic_element(r, space)
-            bracket = ctx.nc_bracket
-        else:
-            make = lambda r: random_commutative_element(r, space)
-            bracket = ctx.com_poisson
-        a = homogeneous(rng, make)
-        b = homogeneous(rng, make)
-        c = make(rng)
-        first = -1 if (a.parity() + 1) % 2 else 1
-        second = -1 if ((a.parity() + 1) * (b.parity() + 1)) % 2 else 1
-        lhs = bracket(a, bracket(b, c))
-        rhs = bracket(bracket(a, b), c).scale(first) + bracket(b, bracket(a, c)).scale(second)
-        if lhs != rhs:
-            return CheckReport(
-                name, False, f"{cases} cases",
-                f"case {case}: a={a} b={b} c={c}",
-            )
-    return CheckReport(name, True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            make = lambda r: _random_element(r, space, flavor)
+            a = homogeneous(rng, make)
+            b = homogeneous(rng, make)
+            c = make(rng)
+            first = -1 if (a.parity() + 1) % 2 else 1
+            second = -1 if ((a.parity() + 1) * (b.parity() + 1)) % 2 else 1
+            bracket = ctx.bracket
+            lhs = bracket(a, bracket(b, c))
+            rhs = (bracket(bracket(a, b), c).scale(first)
+                   + bracket(b, bracket(a, c)).scale(second))
+            if lhs != rhs:
+                yield f"case {case}: a={a} b={b} c={c}"
+
+    return check_report(f"odd-jacobi-{flavor}", f"{cases} cases", failures())
 
 
 def antisymmetry_check(cases: int = 200, seed: int = 103) -> CheckReport:
     """{a,b} = (-1)^{|a||b|} {b,a} (odd antisymmetry) on both flavors."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        for flavor in (CYCLIC, COMMUTATIVE):
-            if flavor == CYCLIC:
-                make = lambda r: random_cyclic_element(r, space)
-                bracket = ctx.nc_bracket
-            else:
-                make = lambda r: random_commutative_element(r, space)
-                bracket = ctx.com_poisson
-            a = homogeneous(rng, make)
-            b = homogeneous(rng, make)
-            sign = -1 if (a.parity() * b.parity()) % 2 else 1
-            if bracket(a, b) != bracket(b, a).scale(sign):
-                return CheckReport(
-                    "odd-antisymmetry", False, f"{cases} cases",
-                    f"case {case} ({flavor}): a={a} b={b}",
-                )
-    return CheckReport("odd-antisymmetry", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            for flavor in (CYCLIC, COMMUTATIVE):
+                make = lambda r: _random_element(r, space, flavor)
+                a = homogeneous(rng, make)
+                b = homogeneous(rng, make)
+                sign = -1 if (a.parity() * b.parity()) % 2 else 1
+                if ctx.bracket(a, b) != ctx.bracket(b, a).scale(sign):
+                    yield f"case {case} ({flavor}): a={a} b={b}"
+
+    return check_report("odd-antisymmetry", f"{cases} cases", failures())
 
 
 def squares_check(cases: int = 200, seed: int = 107) -> CheckReport:
     """Squares of the differentials vanish: cobracket, delta, delta_K,
     the BV Laplacian, and the full (d* + delta + cobracket) over the
     two-dimensional algebra."""
-    rng = random.Random(seed)
     gue_ctx = sigma_a_context()
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        e = random_cyclic_element(rng, space, max_terms=2, max_words=3)
-        checks = [
-            ("cobracket^2", ctx.nc_cobracket(ctx.nc_cobracket(e))),
-            ("delta^2", ctx.ce_delta(ctx.ce_delta(e))),
-            ("delta_K^2", ctx.delta_K(ctx.delta_K(e))),
-        ]
-        f = random_commutative_element(rng, space)
-        checks.append(("laplacian^2", ctx.bv_laplacian(ctx.bv_laplacian(f))))
-        g = random_cyclic_element(rng, gue_ctx.space, max_words=3)
 
-        def full(el):
-            return (
-                gue_ctx.internal_differential(el)
-                + gue_ctx.ce_delta(el)
-                + gue_ctx.nc_cobracket(el)
-            )
+    def full(el):
+        return (
+            gue_ctx.internal_differential(el)
+            + gue_ctx.ce_delta(el)
+            + gue_ctx.nc_cobracket(el)
+        )
 
-        checks.append(("(d*+delta+cobracket)^2", full(full(g))))
-        for label, value in checks:
-            if not value.is_zero():
-                return CheckReport(
-                    "differentials-square-to-zero", False, f"{cases} cases",
-                    f"case {case}: {label} != 0 on {e if 'lap' not in label else f}",
-                )
-    return CheckReport("differentials-square-to-zero", True, f"{cases} cases")
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            e = random_cyclic_element(rng, space, max_terms=2, max_words=3)
+            f = random_commutative_element(rng, space)
+            g = random_cyclic_element(rng, gue_ctx.space, max_words=3)
+            checks = [
+                ("cobracket^2", ctx.nc_cobracket(ctx.nc_cobracket(e))),
+                ("delta^2", ctx.ce_delta(ctx.ce_delta(e))),
+                ("delta_K^2", ctx.delta_K(ctx.delta_K(e))),
+                ("laplacian^2", ctx.bv_laplacian(ctx.bv_laplacian(f))),
+                ("(d*+delta+cobracket)^2", full(full(g))),
+            ]
+            for label, value in checks:
+                if not value.is_zero():
+                    yield f"case {case}: {label} != 0 on {e if 'lap' not in label else f}"
+
+    return check_report("differentials-square-to-zero", f"{cases} cases", failures())
 
 
 def bv_identity_check(cases: int = 200, seed: int = 109) -> CheckReport:
     """Delta(fg) = (Delta f) g + (-1)^{|f|} f (Delta g) + {f,g}."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        f = homogeneous(rng, lambda r: random_commutative_element(r, space))
-        g = random_commutative_element(rng, space)
-        sign = -1 if f.parity() else 1
-        lhs = ctx.bv_laplacian(f * g)
-        rhs = ctx.bv_laplacian(f) * g + (f * ctx.bv_laplacian(g)).scale(sign) + ctx.com_poisson(f, g)
-        if lhs != rhs:
-            return CheckReport(
-                "bv-identity", False, f"{cases} cases", f"case {case}: f={f} g={g}"
-            )
-    return CheckReport("bv-identity", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            f = homogeneous(rng, lambda r: random_commutative_element(r, space))
+            g = random_commutative_element(rng, space)
+            sign = -1 if f.parity() else 1
+            lhs = ctx.bv_laplacian(f * g)
+            rhs = (ctx.bv_laplacian(f) * g + (f * ctx.bv_laplacian(g)).scale(sign)
+                   + ctx.com_poisson(f, g))
+            if lhs != rhs:
+                yield f"case {case}: f={f} g={g}"
+
+    return check_report("bv-identity", f"{cases} cases", failures())
 
 
 def bialgebra_check(cases: int = 200, seed: int = 113) -> CheckReport:
     """Bracket/cobracket compatibility: delta and the cobracket
     anticommute on S(NCHam), which is the Lie-bialgebra condition in the
     form that makes delta_K a differential."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        e = random_cyclic_element(rng, space, max_terms=2, max_words=3)
-        mixed = ctx.ce_delta(ctx.nc_cobracket(e)) + ctx.nc_cobracket(ctx.ce_delta(e))
-        if not mixed.is_zero():
-            return CheckReport(
-                "lie-bialgebra-compatibility", False, f"{cases} cases",
-                f"case {case}: (delta cob + cob delta)({e}) = {mixed}",
-            )
-    return CheckReport("lie-bialgebra-compatibility", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            e = random_cyclic_element(rng, space, max_terms=2, max_words=3)
+            mixed = ctx.ce_delta(ctx.nc_cobracket(e)) + ctx.nc_cobracket(ctx.ce_delta(e))
+            if not mixed.is_zero():
+                yield f"case {case}: (delta cob + cob delta)({e}) = {mixed}"
+
+    return check_report("lie-bialgebra-compatibility", f"{cases} cases", failures())
 
 
 def leibniz_check(cases: int = 200, seed: int = 127) -> CheckReport:
     """The cyclic bracket acts by derivations on symmetric products:
     {a, bc} = {a,b}c + (-1)^{(|a|+1)|b|} b {a,c}."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        a = homogeneous(rng, lambda r: random_cyclic_element(r, space))
-        b = homogeneous(rng, lambda r: random_cyclic_element(r, space))
-        c = random_cyclic_element(rng, space)
-        sign = -1 if ((a.parity() + 1) * b.parity()) % 2 else 1
-        lhs = ctx.nc_bracket(a, b * c)
-        rhs = ctx.nc_bracket(a, b) * c + (b * ctx.nc_bracket(a, c)).scale(sign)
-        if lhs != rhs:
-            return CheckReport(
-                "bracket-leibniz", False, f"{cases} cases",
-                f"case {case}: a={a} b={b} c={c}",
-            )
-    return CheckReport("bracket-leibniz", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            a = homogeneous(rng, lambda r: random_cyclic_element(r, space))
+            b = homogeneous(rng, lambda r: random_cyclic_element(r, space))
+            c = random_cyclic_element(rng, space)
+            sign = -1 if ((a.parity() + 1) * b.parity()) % 2 else 1
+            lhs = ctx.nc_bracket(a, b * c)
+            rhs = ctx.nc_bracket(a, b) * c + (b * ctx.nc_bracket(a, c)).scale(sign)
+            if lhs != rhs:
+                yield f"case {case}: a={a} b={b} c={c}"
+
+    return check_report("bracket-leibniz", f"{cases} cases", failures())
 
 
 def sigma_homomorphism_check(cases: int = 200, seed: int = 131) -> CheckReport:
     """sigma is a map of Lie algebras: sigma{u,v} = {sigma u, sigma v}."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        u = random_cyclic_element(rng, space)
-        v = random_cyclic_element(rng, space)
-        if sigma(ctx.nc_bracket(u, v)) != ctx.com_poisson(sigma(u), sigma(v)):
-            return CheckReport(
-                "sigma-bracket-homomorphism", False, f"{cases} cases",
-                f"case {case}: u={u} v={v}",
-            )
-    return CheckReport("sigma-bracket-homomorphism", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            u = random_cyclic_element(rng, space)
+            v = random_cyclic_element(rng, space)
+            if sigma(ctx.nc_bracket(u, v)) != ctx.com_poisson(sigma(u), sigma(v)):
+                yield f"case {case}: u={u} v={v}"
+
+    return check_report("sigma-bracket-homomorphism", f"{cases} cases", failures())
 
 
 def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport:
     """M is a bracket homomorphism, intertwines the cobracket, and
     R o M = id, over random small spaces at N in sizes."""
-    rng = random.Random(seed)
-    scale = f"{cases} cases, N in {sizes}"
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        size = sizes[case % len(sizes)]
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            size = sizes[case % len(sizes)]
+            ext = MatrixExtension(space, size)
+            ctx_mat = OperatorContext(ext.space)
+            where = f"case {case} (N={size})"
+            u = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
+            v = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
+            if (ext.inflate(ctx.nc_bracket(u, v))
+                    != ctx_mat.nc_bracket(ext.inflate(u), ext.inflate(v))):
+                yield f"bracket homomorphism, {where}: u={u} v={v}"
+            if ext.inflate(ctx.nc_cobracket(u)) != ctx_mat.nc_cobracket(ext.inflate(u)):
+                yield f"cobracket intertwining, {where}: u={u}"
+            # R o M = id on word monomials (M rescales nu by N, R is nu-linear)
+            word = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=2,
+                                         allow_nu=False)
+            if ext.restrict(ext.inflate(word)) != word:
+                yield f"restriction identity, {where}: u={word}"
+
+    return check_report("morita-maps", f"{cases} cases, N in {sizes}", failures())
+
+
+def _encode_failures():
+    A = algebra_a()
+    space = sigma_a_space()
+    ctx = OperatorContext(space)
+    m_tilde = encode_ainfinity(A, space)
+    expected = Element.cyclic_word(space, ["x", "x"], Scalar(1, 2))
+    if m_tilde != expected:
+        yield f"algebra A: m~ = {m_tilde}, expected {expected}"
+    if not ctx.mc_defect(m_tilde).is_zero():
+        yield "algebra A: mc_defect(m~) != 0"
+    if sigma(m_tilde) != encode_commutator_linfinity(A, space):
+        yield "algebra A: sigma(m~) is not the commutator encoding"
+    for size in (2,):
+        stage = f"Mat_{size}(A)"
+        mat = matrix_ainfinity(A, size)
         ext = MatrixExtension(space, size)
-        ctx_mat = OperatorContext(ext.space)
-        u = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
-        v = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
-        if ext.inflate(ctx.nc_bracket(u, v)) != ctx_mat.nc_bracket(ext.inflate(u), ext.inflate(v)):
-            return CheckReport("morita-maps", False, scale,
-                               f"bracket homomorphism, case {case} (N={size}): u={u} v={v}")
-        if ext.inflate(ctx.nc_cobracket(u)) != ctx_mat.nc_cobracket(ext.inflate(u)):
-            return CheckReport("morita-maps", False, scale,
-                               f"cobracket intertwining, case {case} (N={size}): u={u}")
-        # R o M = id on word monomials (M rescales nu by N, R is nu-linear)
-        word = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=2,
-                                     allow_nu=False)
-        if ext.restrict(ext.inflate(word)) != word:
-            return CheckReport("morita-maps", False, scale,
-                               f"restriction identity, case {case} (N={size}): u={word}")
-    return CheckReport("morita-maps", True, scale)
+        m_mat = encode_ainfinity(mat, ext.space)
+        if not OperatorContext(ext.space).mc_defect(m_mat).is_zero():
+            yield f"{stage}: mc_defect(m~_Mat) != 0"
+        if ext.inflate(m_tilde) != m_mat:
+            yield f"{stage}: M(m~) != m~_Mat"
+        if ext.restrict(m_mat) != m_tilde:
+            yield f"{stage}: R(m~_Mat) != m~"
+        if sigma(m_mat) != encode_commutator_linfinity(mat, ext.space):
+            yield f"{stage}: sigma(m~_Mat) is not the commutator encoding"
+    try:
+        CyclicAInfinity(
+            basis=("a", "b"), degrees=(1, 2), pairing=((0, 1), (1, 0)),
+            ops={1: {(0,): {1: Scalar(1)}, (1,): {0: Scalar(1)}}},
+        )
+    except ValueError:
+        pass
+    else:
+        yield "negative control: a cyclicity-violating table was accepted"
+    perturbed = m_tilde + Element.cyclic_word(space, ["x", "x", "xi"])
+    if ctx.mc_defect(perturbed).is_zero():
+        yield "negative control: a perturbed structure passed the master equation"
 
 
 def encode_check() -> CheckReport:
@@ -407,52 +427,8 @@ def encode_check() -> CheckReport:
     two-dimensional algebra and its 2x2 matrices, sigma of the encoding
     is the commutator encoding, M/R swap the encodings, and the negative
     controls fail as they should."""
-    A = algebra_a()
-    space = sigma_a_space()
-    ctx = OperatorContext(space)
-    m_tilde = encode_ainfinity(A, space)
-    expected = Element.cyclic_word(space, ["x", "x"], Scalar(1, 2))
-    if m_tilde != expected:
-        return CheckReport("encoded-structures", False, "algebra A",
-                           f"m~ = {m_tilde}, expected {expected}")
-    if not ctx.mc_defect(m_tilde).is_zero():
-        return CheckReport("encoded-structures", False, "algebra A", "mc_defect(m~) != 0")
-    if sigma(m_tilde) != encode_commutator_linfinity(A, space):
-        return CheckReport("encoded-structures", False, "algebra A",
-                           "sigma(m~) is not the commutator encoding")
-    for size in (2,):
-        mat = matrix_ainfinity(A, size)
-        ext = MatrixExtension(space, size)
-        m_mat = encode_ainfinity(mat, ext.space)
-        if not OperatorContext(ext.space).mc_defect(m_mat).is_zero():
-            return CheckReport("encoded-structures", False, f"Mat_{size}(A)",
-                               "mc_defect(m~_Mat) != 0")
-        if ext.inflate(m_tilde) != m_mat:
-            return CheckReport("encoded-structures", False, f"Mat_{size}(A)",
-                               "M(m~) != m~_Mat")
-        if ext.restrict(m_mat) != m_tilde:
-            return CheckReport("encoded-structures", False, f"Mat_{size}(A)",
-                               "R(m~_Mat) != m~")
-        if sigma(m_mat) != encode_commutator_linfinity(mat, ext.space):
-            return CheckReport("encoded-structures", False, f"Mat_{size}(A)",
-                               "sigma(m~_Mat) is not the commutator encoding")
-    # negative controls
-    try:
-        from .ainfinity import CyclicAInfinity
-
-        CyclicAInfinity(
-            basis=("a", "b"), degrees=(1, 2), pairing=((0, 1), (1, 0)),
-            ops={1: {(0,): {1: Scalar(1)}, (1,): {0: Scalar(1)}}},
-        )
-        return CheckReport("encoded-structures", False, "negative control",
-                           "a cyclicity-violating table was accepted")
-    except ValueError:
-        pass
-    perturbed = m_tilde + Element.cyclic_word(space, ["x", "x", "xi"])
-    if ctx.mc_defect(perturbed).is_zero():
-        return CheckReport("encoded-structures", False, "negative control",
-                           "a perturbed structure passed the master equation")
-    return CheckReport("encoded-structures", True, "A, Mat_2(A), negative controls")
+    return check_report("encoded-structures", "A, Mat_2(A), negative controls",
+                        _encode_failures())
 
 
 def chain_map_check(cases: int = 60, seed: int = 139, size: int = 2) -> CheckReport:
@@ -470,104 +446,99 @@ def chain_map_check(cases: int = 60, seed: int = 139, size: int = 2) -> CheckRep
     def push(el):
         return sigma(ext.inflate(el))
 
-    for case in range(cases):
-        e = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=3)
-        upstairs = (
-            ctx.internal_differential(e) + ctx.ce_delta(e) + ctx.nc_cobracket(e)
-        )
-        lhs = push(upstairs)
-        image = push(e)
-        rhs = ctx_mat.internal_differential(image) + ctx_mat.bv_laplacian(image)
-        if lhs != rhs:
-            return CheckReport(
-                "quantized-trace-chain-map", False, f"{cases} cases, N={size}",
-                f"case {case}: e={e}",
+    def failures():
+        for case in range(cases):
+            e = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=3)
+            upstairs = (
+                ctx.internal_differential(e) + ctx.ce_delta(e) + ctx.nc_cobracket(e)
             )
-    return CheckReport("quantized-trace-chain-map", True, f"{cases} cases, N={size}")
+            lhs = push(upstairs)
+            image = push(e)
+            rhs = ctx_mat.internal_differential(image) + ctx_mat.bv_laplacian(image)
+            if lhs != rhs:
+                yield f"case {case}: e={e}"
+
+    return check_report("quantized-trace-chain-map", f"{cases} cases, N={size}", failures())
 
 
 def sigma_k_check(cases: int = 120, seed: int = 149) -> CheckReport:
     """The weighted quotient is a graded chain map: sigma_K(Delta_K e)
     matches the Laplacian of sigma_K(e) shifted one h-power up."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        space = random_space(rng)
-        ctx = OperatorContext(space)
-        e = random_cyclic_element(rng, space, max_terms=2, max_words=2, allow_gamma=True)
-        if e.is_zero():
-            continue
-        lhs = sigma_K(ctx.delta_K(e))
-        rhs = {}
-        for power, bucket in sigma_K(e).items():
-            image = ctx.bv_laplacian(bucket)
-            if not image.is_zero():
-                rhs[power + 1] = rhs.get(power + 1, Element.zero(space, COMMUTATIVE)) + image
-        rhs = {p: el for p, el in rhs.items() if not el.is_zero()}
-        if lhs != rhs:
-            return CheckReport(
-                "sigma-K-graded-chain-map", False, f"{cases} cases",
-                f"case {case}: e={e}",
-            )
-    return CheckReport("sigma-K-graded-chain-map", True, f"{cases} cases")
+
+    def failures():
+        for case, rng, space, ctx in _random_cases(cases, seed):
+            e = random_cyclic_element(rng, space, max_terms=2, max_words=2, allow_gamma=True)
+            if e.is_zero():
+                continue
+            lhs = sigma_K(ctx.delta_K(e))
+            rhs = {}
+            for power, bucket in sigma_K(e).items():
+                image = ctx.bv_laplacian(bucket)
+                if not image.is_zero():
+                    rhs[power + 1] = rhs.get(power + 1, Element.zero(space, COMMUTATIVE)) + image
+            rhs = {p: el for p, el in rhs.items() if not el.is_zero()}
+            if lhs != rhs:
+                yield f"case {case}: e={e}"
+
+    return check_report("sigma-K-graded-chain-map", f"{cases} cases", failures())
 
 
 def otft_matrix_check(cases: int = 60, seed: int = 151, sizes=(2, 3)) -> CheckReport:
     """mu^{g,b} over the matrix Frobenius algebra equals
     N^b prod Tr(boundary products), independent of where beta/gamma act."""
-    rng = random.Random(seed)
     frobs = {size: matrix_frobenius(size) for size in sizes}
-    for case in range(cases):
-        size = sizes[case % len(sizes)]
-        frob = frobs[size]
-        genus, free = rng.randint(0, 2), rng.randint(0, 2)
-        m = rng.randint(1, 3)
-        ks = [rng.randint(1, 3) for _ in range(m)]
-        mats = [
-            [
-                [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
-                for _ in range(k)
+
+    def failures():
+        rng = random.Random(seed)
+        for case in range(cases):
+            size = sizes[case % len(sizes)]
+            frob = frobs[size]
+            genus, free = rng.randint(0, 2), rng.randint(0, 2)
+            m = rng.randint(1, 3)
+            ks = [rng.randint(1, 3) for _ in range(m)]
+            mats = [
+                [
+                    [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+                    for _ in range(k)
+                ]
+                for k in ks
             ]
-            for k in ks
-        ]
-        boundaries, expected = matrix_trace_product(size, free, mats)
-        value = otft_mu(frob, genus, free, boundaries)
-        if value != expected:
-            return CheckReport(
-                "otft-matrix-simplification", False, f"{cases} cases, N in {sizes}",
-                f"case {case}: N={size} g={genus} b={free} ks={ks}: {value} != {expected}",
-            )
-        spots = [(bi, ki) for bi in range(m) for ki in range(ks[bi])]
-        probe = rng.choice(spots)
-        if otft_mu(frob, genus, free, boundaries, apply_at=probe) != value:
-            return CheckReport(
-                "otft-matrix-simplification", False, f"{cases} cases, N in {sizes}",
-                f"case {case}: placement {probe} changed the value",
-            )
-    return CheckReport("otft-matrix-simplification", True, f"{cases} cases, N in {sizes}")
+            boundaries, expected = matrix_trace_product(size, free, mats)
+            value = otft_mu(frob, genus, free, boundaries)
+            if value != expected:
+                yield f"case {case}: N={size} g={genus} b={free} ks={ks}: {value} != {expected}"
+            spots = [(bi, ki) for bi in range(m) for ki in range(ks[bi])]
+            probe = rng.choice(spots)
+            if otft_mu(frob, genus, free, boundaries, apply_at=probe) != value:
+                yield f"case {case}: placement {probe} changed the value"
+
+    return check_report("otft-matrix-simplification", f"{cases} cases, N in {sizes}",
+                        failures())
 
 
 def otft_placement_check(cases: int = 40, seed: int = 157) -> CheckReport:
     """Placement independence of beta^b gamma^g over random commutative
     Frobenius algebras of dimension <= 4."""
-    rng = random.Random(seed)
-    for case in range(cases):
-        depth = rng.randint(1, 4)
-        values = [random_scalar(rng) for _ in range(depth - 1)] + [
-            Scalar(rng.choice([1, -1, 2]), rng.choice([1, 2]))
-        ]
-        frob = truncated_polynomials(depth, values)
-        genus, free = rng.randint(0, 2), rng.randint(0, 2)
-        m = rng.randint(1, 3)
-        ks = [rng.randint(1, 2) for _ in range(m)]
-        boundaries = [[rng.randrange(depth) for _ in range(k)] for k in ks]
-        spots = [(bi, ki) for bi in range(m) for ki in range(ks[bi])]
-        values_at = {spot: otft_mu(frob, genus, free, boundaries, apply_at=spot) for spot in spots}
-        if len(set(values_at.values())) != 1:
-            return CheckReport(
-                "otft-placement-independence", False, f"{cases} cases, dim <= 4",
-                f"case {case}: {values_at}",
-            )
-    return CheckReport("otft-placement-independence", True, f"{cases} cases, dim <= 4")
+
+    def failures():
+        rng = random.Random(seed)
+        for case in range(cases):
+            depth = rng.randint(1, 4)
+            values = [random_scalar(rng) for _ in range(depth - 1)] + [
+                Scalar(rng.choice([1, -1, 2]), rng.choice([1, 2]))
+            ]
+            frob = truncated_polynomials(depth, values)
+            genus, free = rng.randint(0, 2), rng.randint(0, 2)
+            m = rng.randint(1, 3)
+            ks = [rng.randint(1, 2) for _ in range(m)]
+            boundaries = [[rng.randrange(depth) for _ in range(k)] for k in ks]
+            spots = [(bi, ki) for bi in range(m) for ki in range(ks[bi])]
+            values_at = {spot: otft_mu(frob, genus, free, boundaries, apply_at=spot)
+                         for spot in spots}
+            if len(set(values_at.values())) != 1:
+                yield f"case {case}: {values_at}"
+
+    return check_report("otft-placement-independence", f"{cases} cases, dim <= 4", failures())
 
 
 # -- the full battery ---------------------------------------------------
@@ -575,6 +546,10 @@ def otft_placement_check(cases: int = 40, seed: int = 157) -> CheckReport:
 
 def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15,
             include_confluence: bool = True) -> list[CheckReport]:
+    if cases < 1:
+        raise ValueError(f"--cases {cases} must be at least 1")
+    if degree_cap < 1:
+        raise ValueError(f"--degree-cap {degree_cap} must be at least 1")
     reducer = default_reducer()
     reports = [
         golden_table_check(reducer),

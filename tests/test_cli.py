@@ -195,3 +195,29 @@ def test_golden_table_negative_control():
     report = golden_table_check(FlippedReducer())
     assert not report.passed
     assert "nu^" in report.counterexample
+
+
+@pytest.mark.parametrize("flag, value", [("--cases", "0"), ("--cases", "-5"),
+                                         ("--degree-cap", "0")])
+def test_verify_rejects_vacuous_scales(capsys, flag, value):
+    """A battery that would run no case exits 2 before any work, naming the flag."""
+    code = main(["verify", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{flag} {value}" in captured.err
+
+
+def test_hz_plain_failure_shows_counterexample(capsys, monkeypatch):
+    from ncbv import harer_zagier
+
+    monkeypatch.setattr(harer_zagier, "harer_zagier_closed", lambda k, size: 0)
+    code, out = run(capsys, "hz", "--kmax", "4", "--output", "plain")
+    assert code == 1
+    assert out == (
+        "PASS  harer-zagier-recurrence [k <= 4]\n"
+        "FAIL  harer-zagier-closed-form [k <= 4, N <= 6]"
+        "  counterexample: k=0, N=1: p=1 formula=0\n"
+        "PASS  catalan-leading-coefficient [k <= 4]\n"
+        "SOME CHECKS FAILED\n"
+    )

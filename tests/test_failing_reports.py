@@ -15,6 +15,7 @@ from ncbv.morita import MatrixExtension
 from ncbv.nupoly import NuPolynomial
 from ncbv.operators import OperatorContext
 from ncbv.reduction import GueReducer, default_reducer
+from ncbv.report import check_report
 from ncbv.scalar import Scalar
 
 
@@ -186,11 +187,11 @@ PINNED = {
         'p_(4,): coefficient of nu^1 is -1, table says 1',
     ),
     'oracle-equivalence': (
-        'oracle-equivalence', 'sum <= 6 exhaustive',
+        'oracle-equivalence', '29 indices, sum <= 6',
         'idx=(2, 2): reduction nu^4 + 2*nu^2 + 1 != oracle nu^4 + 2*nu^2',
     ),
     'reduction-confluence': (
-        'reduction-confluence', 'sum <= 6',
+        'reduction-confluence', '29 indices, sum <= 6',
         'idx=(4,): leftmost 2*nu^3 + nu, largest -2*nu^3 - nu, random 2*nu^3 + nu',
     ),
     'odd-sum-vanishing': (
@@ -286,24 +287,24 @@ PINNED = {
         'restriction identity, case 0 (N=2): u=3*(u0) + 2*(u0 v0)',
     ),
     'encoded-encoding': (
-        'encoded-structures', 'algebra A',
-        'm~ = 1*(x x), expected 1/2*(x x)',
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'algebra A: m~ = 1*(x x), expected 1/2*(x x)',
     ),
     'encoded-defect': (
-        'encoded-structures', 'algebra A',
-        'mc_defect(m~) != 0',
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'algebra A: mc_defect(m~) != 0',
     ),
     'encoded-commutator': (
-        'encoded-structures', 'algebra A',
-        'sigma(m~) is not the commutator encoding',
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'algebra A: sigma(m~) is not the commutator encoding',
     ),
     'encoded-matrix': (
-        'encoded-structures', 'Mat_2(A)',
-        'R(m~_Mat) != m~',
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'Mat_2(A): R(m~_Mat) != m~',
     ),
     'encoded-negative-control': (
-        'encoded-structures', 'negative control',
-        'a cyclicity-violating table was accepted',
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'negative control: a cyclicity-violating table was accepted',
     ),
     'quantized-trace-chain-map': (
         'quantized-trace-chain-map', '20 cases, N=2',
@@ -335,3 +336,23 @@ def test_failing_report_is_pinned(monkeypatch, case, perturb, check):
     report = check()
     assert report.passed is False
     assert (report.name, report.scale, report.counterexample) == PINNED[case]
+
+
+def test_report_stops_at_the_first_counterexample():
+    drawn = []
+
+    def counterexamples():
+        for text in ("first", "second"):
+            drawn.append(text)
+            yield text
+
+    report = check_report("probe", "2 cases", counterexamples())
+    assert (report.passed, report.counterexample, drawn) == (False, "first", ["first"])
+    assert check_report("probe", "0 cases", iter(())).passed
+
+
+@pytest.mark.parametrize("check", [harer_zagier.hz_recurrence_check,
+                                   harer_zagier.multitrace_sum_check])
+def test_checks_reject_k_max_below_two(check):
+    with pytest.raises(ValueError, match="k = 2"):
+        check(1)

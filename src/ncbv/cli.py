@@ -8,11 +8,9 @@ invocations produce byte-identical reports.  Exit codes: 0 success,
 
 import argparse
 import json
-import random
 import sys
 
 from . import verify as verify_mod
-from .frobenius import matrix_frobenius, matrix_trace_product, otft_mu
 from .harer_zagier import (
     catalan_leading_check,
     harer_zagier_closed,
@@ -153,6 +151,8 @@ def cmd_hz(args) -> int:
             _emit(f"I^{args.N}_{2 * args.k} = {format_scalar(value)}\n", args.out)
         return 0
     k_max = args.kmax
+    if k_max < 2:
+        raise ValueError(f"--kmax {k_max} must be at least 2")
     return _emit_reports(args, [
         hz_recurrence_check(k_max),
         hz_closed_form_check(min(k_max, 10), 6),
@@ -161,20 +161,10 @@ def cmd_hz(args) -> int:
 
 
 def cmd_otft(args) -> int:
-    size = args.N
-    frob = matrix_frobenius(size)
-    rng = random.Random(args.seed)
-    boundaries_mats = [
-        [
-            [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
-            for _ in range(k)
-        ]
-        for k in args.boundaries
-    ]
-    boundaries, expected = matrix_trace_product(size, args.free, boundaries_mats)
-    value = otft_mu(frob, args.genus, args.free, boundaries)
+    _, value, expected = verify_mod.otft_trace_case(
+        args.seed, args.N, args.genus, args.free, args.boundaries)
     payload = {
-        "N": size,
+        "N": args.N,
         "genus": args.genus,
         "free_boundaries": args.free,
         "boundary_sizes": list(args.boundaries),

@@ -28,6 +28,7 @@ from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
 from .space import _checked_pairing
 
 Vector = tuple[Scalar, ...]
+Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
 
 
 def _sized(values, n: int, what: str) -> tuple:
@@ -35,6 +36,10 @@ def _sized(values, n: int, what: str) -> tuple:
     if len(values) != n:
         raise ValueError(f"{what} has {len(values)} entries; the algebra has dimension {n}")
     return values
+
+
+def _sparse(values) -> Sparse:
+    return {k: c for k, c in enumerate(map(Scalar, values)) if c}
 
 
 def _products(mult, n: int) -> dict:
@@ -59,9 +64,9 @@ def _products(mult, n: int) -> dict:
 class FrobeniusAlgebra:
     """``mult[i][j]`` is the coefficient vector of e_i e_j, or a mapping
     {(i, j): {k: c}} gives the nonzero products alone; those are kept as
-    ``self.mult[i, j] = ((k, c), ...)``.  The handles (x_i, y^i) =
+    ``self.mult[i, j] = ((k, c), ...)``.  The unit, the handles (x_i, y^i) =
     (e_i, ``self.inverse[i]``) of the inverse form, the counit, H and G are
-    built here."""
+    sparse vectors, built here."""
 
     def __init__(self, basis, mult, pairing, unit):
         self.basis = tuple(basis)
@@ -71,33 +76,30 @@ class FrobeniusAlgebra:
             if self._index.setdefault(name, i) != i:
                 raise ValueError(f"duplicate basis name {name!r}")
         self.mult = _products(mult, n)
+        self._by_left = {}
+        for (i, j), cell in self.mult.items():
+            self._by_left.setdefault(i, []).append((j, cell))
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
-        self.unit = tuple(map(Scalar, _sized(unit, n, "the unit")))
-        e = tuple(tuple(Scalar(int(t == i)) for t in range(n)) for i in range(n))
-        self._basis_vectors = e
+        self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
-        self.handles = tuple(zip(e, self.inverse))
-        self.counit = tuple(self._form(vec, self.unit) for vec in e)
-        # H = x_i y^i and G = x_i C(y^i) with C(a) = x_j a y^j, over the
-        # nonzero entries of the handles
-        xs = [{i: ONE} for i in range(n)]
-        ys = [{k: c for k, c in enumerate(y) if c} for y in self.inverse]
-        H, G = {}, {}
-        for x, y in zip(xs, ys):
-            self._add_product(H, x, y)
+        self.handles = tuple(({i: ONE}, _sparse(y)) for i, y in enumerate(self.inverse))
+        self.counit = _sparse(self._form({i: ONE}, self.unit) for i in range(n))
+        # H = x_i y^i and G = x_i C(y^i) with C(a) = x_j a y^j
+        self.H, self.G = {}, {}
+        for x, y in self.handles:
+            self._mul(x, y, self.H)
             conjugated = {}
-            for u, v in zip(xs, ys):
-                self._add_product(conjugated, self._add_product({}, u, y), v)
-            self._add_product(G, x, conjugated)
-        self.H = tuple(H.get(k, ZERO) for k in range(n))
-        self.G = tuple(G.get(k, ZERO) for k in range(n))
+            for u, v in self.handles:
+                self._mul(self._mul(u, y), v, conjugated)
+            self._mul(x, conjugated, self.G)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def _check(self) -> None:
-        for vec in self._basis_vectors:
+        for i in range(self.dim):
+            vec = {i: ONE}
             if self._mul(self.unit, vec) != vec:
                 raise ValueError("declared unit fails 1.a = a")
             if self._mul(vec, self.unit) != vec:
@@ -107,15 +109,14 @@ class FrobeniusAlgebra:
         # nonzero products e_a e_b = sum c e_l, taken once as the left
         # factor (a, b) = (i, j) and once as the right one (a, b) = (j, k);
         # <e_i, e_l> = <e_l, e_i> by the symmetry checked on construction.
-        by_left, by_right = {}, {}
+        by_right = {}
         for (i, j), cell in self.mult.items():
-            by_left.setdefault(i, []).append((j, cell))
             by_right.setdefault(j, []).append((i, cell))
         paired = [[(k, g) for k, g in enumerate(row) if g] for row in self.pairing]
         associator, defect = {}, {}
         for (a, b), cell in self.mult.items():
             for l, c in cell:
-                for k, product in by_left.get(l, ()):
+                for k, product in self._by_left.get(l, ()):
                     for out, d in product:
                         add_to(associator, (a, b, k, out), c * d)
                 for i, product in by_right.get(l, ()):
@@ -129,47 +130,43 @@ class FrobeniusAlgebra:
         if defect:
             raise ValueError("pairing is not invariant: <ab,c> != <a,bc>")
 
-    def coerce(self, value) -> Vector:
-        """A basis index, a basis name or a coefficient vector, as a vector."""
+    def _dense(self, vec: Sparse) -> Vector:
+        return tuple(vec.get(k, ZERO) for k in range(self.dim))
+
+    def coerce(self, value) -> Sparse:
+        """A basis index, a basis name or a coefficient vector, as a sparse vector."""
         if isinstance(value, int):
             if not 0 <= value < self.dim:
                 raise ValueError(f"basis index {value} is out of range for dimension {self.dim}")
-            return self._basis_vectors[value]
+            return {value: ONE}
         if isinstance(value, str):
             if value not in self._index:
                 raise ValueError(f"unknown basis name {value!r}")
-            return self._basis_vectors[self._index[value]]
-        return tuple(map(Scalar, _sized(value, self.dim, "the vector")))
+            return {self._index[value]: ONE}
+        return _sparse(_sized(value, self.dim, "the vector"))
 
     # Exact arithmetic on coerced vectors; the public methods coerce once.
 
-    def _mul(self, left: Vector, right: Vector) -> Vector:
-        out = [ZERO] * len(left)
-        right = [(j, b) for j, b in enumerate(right) if b]
-        for i, a in enumerate(left):
-            if a:
-                for j, b in right:
-                    for k, c in self.mult.get((i, j), ()):
-                        out[k] += a * b * c
-        return tuple(out)
-
-    def _add_product(self, out: dict, left: dict, right: dict) -> dict:
-        """Add the product of sparse vectors {index: coeff} into ``out``."""
+    def _mul(self, left: Sparse, right: Sparse, out: Sparse | None = None) -> Sparse:
+        """Add the product ``left right`` into ``out``, a new vector by default."""
+        out = {} if out is None else out
         for i, a in left.items():
-            for j, b in right.items():
-                for k, c in self.mult.get((i, j), ()):
-                    add_to(out, k, a * b * c)
+            for j, cell in self._by_left.get(i, ()):
+                b = right.get(j)
+                if b:
+                    for k, c in cell:
+                        add_to(out, k, a * b * c)
         return out
 
-    def _form(self, left: Vector, right: Vector) -> Scalar:
-        rows = ((a, row) for a, row in zip(left, self.pairing) if a)
-        return sum((a * b * g for a, row in rows for b, g in zip(right, row) if b), ZERO)
+    def _form(self, left: Sparse, right: Sparse) -> Scalar:
+        return sum((a * b * self.pairing[i][j]
+                    for i, a in left.items() for j, b in right.items()), ZERO)
 
-    def _eps(self, vec: Vector) -> Scalar:
-        return sum((a * c for a, c in zip(vec, self.counit) if a), ZERO)
+    def _eps(self, vec: Sparse) -> Scalar:
+        return sum((a * self.counit[k] for k, a in vec.items() if k in self.counit), ZERO)
 
     def multiply(self, left, right) -> Vector:
-        return self._mul(self.coerce(left), self.coerce(right))
+        return self._dense(self._mul(self.coerce(left), self.coerce(right)))
 
     def form(self, left, right) -> Scalar:
         return self._form(self.coerce(left), self.coerce(right))
@@ -183,24 +180,22 @@ class FrobeniusAlgebra:
 
     def free_boundary(self, vec) -> Vector:
         """beta(c) = x_i y^i c = H c."""
-        return self._mul(self.H, self.coerce(vec))
+        return self._dense(self._mul(self.H, self.coerce(vec)))
 
     def genus_map(self, vec) -> Vector:
         """gamma(c) = x_i x_j y^i y^j c = G c."""
-        return self._mul(self.G, self.coerce(vec))
+        return self._dense(self._mul(self.G, self.coerce(vec)))
 
     def to_json(self) -> dict:
-        def cell(i, j):
-            vec = [ZERO] * self.dim
-            for k, c in self.mult.get((i, j), ()):
-                vec[k] = c
-            return [format_scalar(c) for c in vec]
+        def dense(vec):
+            return [format_scalar(c) for c in self._dense(vec)]
 
         return {
             "basis": list(self.basis),
-            "mult": [[cell(i, j) for j in range(self.dim)] for i in range(self.dim)],
+            "mult": [[dense(dict(self.mult.get((i, j), ()))) for j in range(self.dim)]
+                     for i in range(self.dim)],
             "pairing": [[format_scalar(c) for c in row] for row in self.pairing],
-            "unit": [format_scalar(c) for c in self.unit],
+            "unit": dense(self.unit),
         }
 
     @classmethod
@@ -244,7 +239,7 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
         total = ZERO
         for x, tail in steps[level]:
             head = frob._mul(x, outer)
-            if any(head):
+            if head:
                 total += walk(level + 1, head, frob._mul(inner, tail))
         return total
 

@@ -281,15 +281,15 @@ def squares_check(cases: int = 200, seed: int = 107) -> CheckReport:
             f = random_commutative_element(rng, space)
             g = random_cyclic_element(rng, gue_ctx.space, max_words=3)
             checks = [
-                ("cobracket^2", ctx.nc_cobracket(ctx.nc_cobracket(e))),
-                ("delta^2", ctx.ce_delta(ctx.ce_delta(e))),
-                ("delta_K^2", ctx.delta_K(ctx.delta_K(e))),
-                ("laplacian^2", ctx.bv_laplacian(ctx.bv_laplacian(f))),
-                ("(d*+delta+cobracket)^2", full(full(g))),
+                ("cobracket^2", e, ctx.nc_cobracket(ctx.nc_cobracket(e))),
+                ("delta^2", e, ctx.ce_delta(ctx.ce_delta(e))),
+                ("delta_K^2", e, ctx.delta_K(ctx.delta_K(e))),
+                ("laplacian^2", f, ctx.bv_laplacian(ctx.bv_laplacian(f))),
+                ("(d*+delta+cobracket)^2", g, full(full(g))),
             ]
-            for label, value in checks:
+            for label, element, value in checks:
                 if not value.is_zero():
-                    yield f"case {case}: {label} != 0 on {e if 'lap' not in label else f}"
+                    yield f"case {case}: {label} != 0 on {element}"
 
     return check_report("differentials-square-to-zero", f"{cases} cases", failures())
 
@@ -483,6 +483,21 @@ def sigma_k_check(cases: int = 120, seed: int = 149) -> CheckReport:
     return check_report("sigma-K-graded-chain-map", f"{cases} cases", failures())
 
 
+def otft_trace_case(rng, size: int, genus: int, free: int, ks, frob=None):
+    """mu^{g,b} over Mat_N on random integer matrices (entries -2..2, k_i
+    on boundary i) drawn from ``rng``, a random.Random or a seed, and its
+    closed form N^b prod Tr: (boundaries, mu, trace product).  ``frob``
+    defaults to ``matrix_frobenius(size)``."""
+    frob = matrix_frobenius(size) if frob is None else frob
+    rng = random.Random(rng) if isinstance(rng, int) else rng
+    mats = [
+        [[[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)] for _ in range(k)]
+        for k in ks
+    ]
+    boundaries, expected = matrix_trace_product(size, free, mats)
+    return boundaries, otft_mu(frob, genus, free, boundaries), expected
+
+
 def otft_matrix_check(cases: int = 60, seed: int = 151, sizes=(2, 3)) -> CheckReport:
     """mu^{g,b} over the matrix Frobenius algebra equals
     N^b prod Tr(boundary products), independent of where beta/gamma act."""
@@ -496,15 +511,7 @@ def otft_matrix_check(cases: int = 60, seed: int = 151, sizes=(2, 3)) -> CheckRe
             genus, free = rng.randint(0, 2), rng.randint(0, 2)
             m = rng.randint(1, 3)
             ks = [rng.randint(1, 3) for _ in range(m)]
-            mats = [
-                [
-                    [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
-                    for _ in range(k)
-                ]
-                for k in ks
-            ]
-            boundaries, expected = matrix_trace_product(size, free, mats)
-            value = otft_mu(frob, genus, free, boundaries)
+            boundaries, value, expected = otft_trace_case(rng, size, genus, free, ks, frob)
             if value != expected:
                 yield f"case {case}: N={size} g={genus} b={free} ks={ks}: {value} != {expected}"
             spots = [(bi, ki) for bi in range(m) for ki in range(ks[bi])]
@@ -550,6 +557,8 @@ def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15,
         raise ValueError(f"--cases {cases} must be at least 1")
     if degree_cap < 1:
         raise ValueError(f"--degree-cap {degree_cap} must be at least 1")
+    if hz_k < 2:
+        raise ValueError(f"--hz-k {hz_k} must be at least 2")
     reducer = default_reducer()
     reports = [
         golden_table_check(reducer),

@@ -27,9 +27,6 @@ class Monomial(NamedTuple):
     words: tuple[Word, ...]
 
 
-UNIT = Monomial(0, 0, ())
-
-
 def word_parity(space, word: Word) -> int:
     return sum(map(space.parities.__getitem__, word)) % 2
 

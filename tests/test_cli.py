@@ -208,6 +208,24 @@ def test_verify_rejects_vacuous_scales(capsys, flag, value):
     assert f"{flag} {value}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--hz-k", "1"], ["hz", "--kmax", "1"]],
+                         ids=["verify", "hz"])
+def test_recurrence_flags_below_two_are_rejected(capsys, monkeypatch, argv):
+    """k < 2 exits 2 naming the flag, before any moment is reduced."""
+    from ncbv import harer_zagier, verify
+
+    def no_work():
+        raise AssertionError("a check ran before the flag was validated")
+
+    monkeypatch.setattr(verify, "default_reducer", no_work)
+    monkeypatch.setattr(harer_zagier, "default_reducer", no_work)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{argv[1]} 1 must be at least 2" in captured.err
+
+
 def test_hz_plain_failure_shows_counterexample(capsys, monkeypatch):
     from ncbv import harer_zagier
 

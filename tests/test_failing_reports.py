@@ -260,7 +260,7 @@ PINNED = {
     ),
     'squares-full': (
         'differentials-square-to-zero', '20 cases',
-        'case 0: (d*+delta+cobracket)^2 != 0 on -1*v^2(u0)(u0 v0 v0)(u0 v0 v0)',
+        'case 0: (d*+delta+cobracket)^2 != 0 on -1*v',
     ),
     'bv-identity': (
         'bv-identity', '20 cases',

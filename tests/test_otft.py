@@ -27,12 +27,23 @@ def trace(mat, size):
     return sum(mat[p][p] for p in range(size))
 
 
-def test_matrix_tensor_is_trace_product():
-    size = 2
+def random_matrix(rng, size):
+    return [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+
+
+SIX = random.Random(6)
+
+
+@pytest.mark.parametrize(
+    "size, a, b, c",
+    [
+        (2, [[1, 2], [3, 4]], [[0, 1], [-1, 2]], [[2, 0], [1, 1]]),
+        (6, *(random_matrix(SIX, 6) for _ in range(3))),
+    ],
+    ids=["N2", "N6"],
+)
+def test_matrix_tensor_is_trace_product(size, a, b, c):
     frob = matrix_frobenius(size)
-    a = [[1, 2], [3, 4]]
-    b = [[0, 1], [-1, 2]]
-    c = [[2, 0], [1, 1]]
     boundaries = [[as_vector(a, size), as_vector(b, size)], [as_vector(c, size)]]
     value = otft_mu(frob, 1, 2, boundaries)
     expected = Scalar(size) ** 2 * trace(mat_mul(a, b, size), size) * trace(c, size)

@@ -21,6 +21,8 @@ and minus its adjoint action reproduces the dual differential on words
 (for the two-dimensional algebra: d* xi = -x, d* x = 0).
 """
 
+import math
+
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
@@ -203,12 +205,16 @@ def suspend_matrix(algebra, size, names=None, scales=None):
     return MatrixExtension(suspend(algebra, names, scales), size).space
 
 
-def _suspension_sign(algebra, key) -> int:
+def _encoded_coeff(algebra, scales, key, value, weight) -> Scalar:
+    """value * (suspension sign) * weight / prod of the key's letter scales."""
     k = len(key) - 1
     exponent = (k * (k + 1)) // 2
     for j, idx in enumerate(key):
         exponent += (k - j) * algebra.degrees[idx]
-    return -1 if exponent % 2 else 1
+    coeff = value * (-1 if exponent % 2 else 1) * weight
+    for idx in key:
+        coeff /= scales[idx]
+    return coeff
 
 
 def encode_ainfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
@@ -220,10 +226,7 @@ def encode_ainfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> 
         tensor = algebra.structure_tensor(k)
         weight = Scalar(1, k + 1)
         for key, value in tensor.items():
-            coeff = value * _suspension_sign(algebra, key) * weight
-            for idx in key:
-                coeff /= scales[idx]
-            raw.append((0, 0, [key], coeff))
+            raw.append((0, 0, [key], _encoded_coeff(algebra, scales, key, value, weight)))
     return Element.from_terms(space, CYCLIC, raw)
 
 
@@ -235,7 +238,6 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
         if k > 2 and algebra.ops[k]:
             raise ValueError("commutator encoding implemented for m_1, m_2 only")
     scales = space.dual_scales
-    factorial = [1, 1, 2, 6]
     raw = []
     for k in (1, 2):
         if k not in algebra.ops:
@@ -250,11 +252,9 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
                 add_to(tensor, (i, j, l), value)
                 sign = -1 if (algebra.degrees[i] * algebra.degrees[j]) % 2 else 1
                 add_to(tensor, (j, i, l), -sign * value)
-        weight = Scalar(1, factorial[k + 1])
+        weight = Scalar(1, math.factorial(k + 1))
         for key, value in tensor.items():
-            coeff = value * _suspension_sign(algebra, key) * weight
-            for idx in key:
-                coeff /= scales[idx]
+            coeff = _encoded_coeff(algebra, scales, key, value, weight)
             raw.append((0, 0, [[idx] for idx in key], coeff))
     return Element.from_terms(space, COMMUTATIVE, raw)
 

@@ -9,23 +9,25 @@ repeatedly trading a factor (x^l) for the exact term:
     (x^l).rest = -d*((x^{l-1} xi).rest)
                ~ (delta + cobracket)((x^{l-1} xi).rest),
 
-which removes two letters per step.  Each surviving term pairs the xi
-against an x, so the state stays a product of pure x-powers times a nu
-power; states are memoized by their sorted tuple of word lengths.
+which removes two letters per step.  This is the recurrence the BV
+formalism gives for every multi-point correlator.  The inverse form
+pairs x only with xi, so both operators kill pure x-words and delta
+vanishes on one word; the x^m being even, the second-order identity
+gives, for the pivot P_l = x^{l-1} xi and rest = x^{m_1}...x^{m_k},
 
-The image is never built on the whole product.  The inverse form pairs
-x only with xi, so delta + cobracket kills a pure x-word and every
-bracket between two of them; since the operator is second order and the
-words x^m are even, the image of a state with pivot P_l = x^{l-1} xi is
+    image(P_l . rest) = cobracket(P_l) . rest
+                        + sum_i {P_l, x^{m_i}} . rest without x^{m_i}.
 
-    image(P_l . x^{m_1} ... x^{m_k})
-        = image(P_l) . rest + sum_i pair(l, m_i) . rest without x^{m_i},
-    pair(l, m) = image(P_l . x^m) - image(P_l) . x^m.
+Both tables are the GUE loop equations (Tutte's recursion), against
+which the tests check them, with Tr X^0 = nu:
 
-Both pieces depend on lengths only.  Each reducer computes them once per
-l and per (l, m) through its ``OperatorContext`` and keeps them as
-sparse maps {(nu power, sorted word lengths): coefficient}, so a state's
-successors are sorted length tuples, built without any Element.
+    cobracket(x^{l-1} xi) = sum_{a+b=l-2} Tr X^a . Tr X^b,
+    {x^{l-1} xi, x^m}     = m . Tr X^{l+m-2}.
+
+Each reducer computes them once per l and per (l, m) through its
+``OperatorContext`` as sparse maps {(nu power, sorted word lengths):
+coefficient}, so a state is a memoized sorted tuple of word lengths and
+its successors are built without any Element.
 
 Three pivot choices are available; their agreement (confluence) is a
 tested property of the engine, not an assumption.
@@ -35,7 +37,7 @@ import random
 import threading
 
 from .algebras import sigma_a_context, sigma_a_space
-from .element import CYCLIC, Element
+from .element import Element
 from .nupoly import NuPolynomial
 from .scalar import Scalar, add_to
 
@@ -102,31 +104,30 @@ class GueReducer:
         return random.Random(f"{self.seed}:{state}").randrange(len(state))
 
     def _pivot_image(self, length: int) -> dict:
-        """image(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
+        """cobracket(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
         image = self._pivot_images.get(length)
         if image is None:
-            image = self._pivot_images[length] = self._image([_pivot_word(length)])
+            pivot = Element.cyclic_word(self.space, _pivot_word(length))
+            image = self._pivot_images[length] = _by_lengths(self.ctx.nc_cobracket(pivot))
         return image
 
     def _pair_image(self, length: int, other: int) -> dict:
-        """pair(l, m) = image(P_l . x^m) - image(P_l) . x^m, as {(nu, lengths): coeff}."""
+        """{P_l, x^m} for (l, m) = (``length``, ``other``), as {(nu, lengths): coeff}."""
         key = (length, other)
         image = self._pair_images.get(key)
         if image is None:
-            image = self._image([_pivot_word(length), (X,) * other])
-            for (nu, lengths), coeff in self._pivot_image(length).items():
-                add_to(image, (nu, tuple(sorted(lengths + (other,)))), -coeff)
-            self._pair_images[key] = image
+            pivot = Element.cyclic_word(self.space, _pivot_word(length))
+            power = Element.cyclic_word(self.space, (X,) * other)
+            image = self._pair_images[key] = _by_lengths(self.ctx.nc_bracket(pivot, power))
         return image
 
-    def _image(self, words) -> dict:
-        """(delta + cobracket) of the product of ``words``, by word lengths."""
-        element = Element.from_terms(self.space, CYCLIC, [(0, 0, words, Scalar(1))])
-        image = self.ctx.ce_delta(element) + self.ctx.nc_cobracket(element)
-        out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-        for monomial, coeff in image.terms.items():
-            add_to(out, (monomial.nu, tuple(sorted(len(word) for word in monomial.words))), coeff)
-        return out
+
+def _by_lengths(element: Element) -> dict:
+    """The terms of a cyclic Element as {(nu, sorted word lengths): coeff}."""
+    out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+    for monomial, coeff in element.terms.items():
+        add_to(out, (monomial.nu, tuple(sorted(len(word) for word in monomial.words))), coeff)
+    return out
 
 
 def _pivot_word(length: int) -> tuple[int, ...]:

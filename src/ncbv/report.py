@@ -1,6 +1,6 @@
 """Pass/fail reports shared by the verification suites and the CLI."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -9,15 +9,9 @@ class CheckReport:
     passed: bool
     scale: str
     counterexample: str | None = None
-    details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "scale": self.scale,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def check_report(name: str, scale: str, counterexamples) -> CheckReport:

@@ -136,6 +136,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         raise ValueError("multi-index entries are nonnegative")
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     plan = []
     remaining, chunk_index = samples, 0
     while remaining > 0:

@@ -179,8 +179,9 @@ class GradedSymplecticSpace:
             raise ValueError(f"unknown letter {name!r}") from None
 
     def check_letters(self, letters) -> None:
+        dim = len(self.letters)
         for letter in letters:
-            if not 0 <= letter < self.dim:
+            if not 0 <= letter < dim:
                 raise ValueError(f"letter index {letter} out of range for this space")
 
     def to_json(self) -> dict:

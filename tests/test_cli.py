@@ -137,6 +137,12 @@ def test_mc_rejects_nonpositive_chunk(capsys, chunk):
     assert run(capsys, *args, "--chunk", chunk)[0] == 2
 
 
+def test_mc_rejects_negative_seed(capsys):
+    code = main(["mc", "--idx", "2", "--N", "2", "--samples", "10", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0"])
 def test_mc_rejects_bad_thread_count(capsys, monkeypatch, value):
     monkeypatch.setenv("NCBV_THREADS", value)

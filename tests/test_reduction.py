@@ -107,6 +107,30 @@ def test_length_reduction_matches_monomial_reduction(pivot, seed, top):
     assert reducer._cache.keys() == reference._cache.keys()
 
 
+def _traces(*powers) -> tuple[int, tuple[int, ...]]:
+    """The product of Tr X^p over ``powers`` as (nu power, sorted positive
+    lengths), with Tr X^0 = nu."""
+    return sum(1 for p in powers if p == 0), tuple(sorted(p for p in powers if p))
+
+
+def test_tables_are_the_gue_loop_equations():
+    """Every pivot and pair table equals its closed form:
+    cobracket(x^{l-1} xi) = sum_{a+b=l-2} Tr X^a Tr X^b and
+    {x^{l-1} xi, x^m} = m Tr X^{l+m-2}."""
+    reducer = GueReducer()
+    assert reducer._pivot_image(4) == {(1, (2,)): 2, (0, (1, 1)): 1}
+    assert reducer._pair_image(1, 1) == {(1, ()): 1}
+    for length in range(1, 41):
+        expected = {}
+        for a in range(length - 1):
+            key = _traces(a, length - 2 - a)
+            expected[key] = expected.get(key, 0) + 1
+        assert reducer._pivot_image(length) == expected, length
+        for other in range(1, 31):
+            expected = {_traces(length + other - 2): other}
+            assert reducer._pair_image(length, other) == expected, (length, other)
+
+
 def test_fifty_matches_harer_zagier_closed_form():
     """(50,) against the closed formula: degree at most 26, so its values
     at N = 1..27 fix it."""

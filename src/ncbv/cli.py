@@ -36,36 +36,32 @@ def _parse_index(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _emit(text: str, out_path) -> None:
+def _render(args, payload, plain: str, csv: str | None = None) -> None:
+    """Write ``payload`` as JSON, or the ``csv`` or ``plain`` text, as
+    ``--output`` asks, to ``--out`` or stdout."""
+    if args.output == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        text = csv if args.output == "csv" else plain
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
-        with open(out_path, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _format_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_moments(args) -> int:
     reducer = default_reducer()
     poly = reducer.reduce(args.idx)
     payload = {"idx": list(canonical_index(args.idx)), "polynomial": poly.to_json()}
+    plain = f"p_{canonical_index(args.idx)} = {poly}"
     if args.N is not None:
         payload["N"] = args.N
-        payload["value_at_N"] = format_scalar(poly(args.N))
-    if args.output == "json":
-        _emit(_format_json(payload), args.out)
-    elif args.output == "csv":
-        _emit(poly.to_csv(), args.out)
-    else:
-        line = f"p_{canonical_index(args.idx)} = {poly}"
-        if args.N is not None:
-            line += f"\np({args.N}) = {format_scalar(poly(args.N))}"
-        _emit(line + "\n", args.out)
+        payload["value_at_N"] = value = format_scalar(poly(args.N))
+        plain += f"\np({args.N}) = {value}"
+    _render(args, payload, plain, poly.to_csv())
     return 0
 
 
@@ -73,12 +69,7 @@ def cmd_oracle(args) -> int:
     poly = wick_oracle(args.idx, cap=args.cap)
     payload = {"idx": list(canonical_index(args.idx)), "polynomial": poly.to_json(),
                "cap": args.cap}
-    if args.output == "json":
-        _emit(_format_json(payload), args.out)
-    elif args.output == "csv":
-        _emit(poly.to_csv(), args.out)
-    else:
-        _emit(f"wick_{canonical_index(args.idx)} = {poly}\n", args.out)
+    _render(args, payload, f"wick_{canonical_index(args.idx)} = {poly}", poly.to_csv())
     return 0
 
 
@@ -86,18 +77,15 @@ def _emit_reports(args, reports, **fields) -> int:
     """Write a list of check reports (JSON, or one line per check and a
     closing summary line) and return the exit code."""
     all_passed = all(r.passed for r in reports)
-    if args.output == "json":
-        payload = {**fields, "all_passed": all_passed, "checks": [r.to_json() for r in reports]}
-        _emit(_format_json(payload), args.out)
-    else:
-        lines = []
-        for r in reports:
-            line = f"{'PASS' if r.passed else 'FAIL'}  {r.name} [{r.scale}]"
-            if not r.passed and r.counterexample:
-                line += f"  counterexample: {r.counterexample}"
-            lines.append(line)
-        lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {**fields, "all_passed": all_passed, "checks": [r.to_json() for r in reports]}
+    lines = []
+    for r in reports:
+        line = f"{'PASS' if r.passed else 'FAIL'}  {r.name} [{r.scale}]"
+        if not r.passed and r.counterexample:
+            line += f"  counterexample: {r.counterexample}"
+        lines.append(line)
+    lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
+    _render(args, payload, "\n".join(lines))
     return 0 if all_passed else CHECK_FAILED
 
 
@@ -127,14 +115,8 @@ def cmd_mc(args) -> int:
         "z_score": z,
         "within_5_sigma": bool(abs(result.estimate - float(target)) <= 5 * result.std_error),
     }
-    if args.output == "json":
-        _emit(_format_json(payload), args.out)
-    else:
-        _emit(
-            f"estimate = {result.estimate:.6f} +- {result.std_error:.6f} "
-            f"(target {format_scalar(target)}, z = {z:+.3f})\n",
-            args.out,
-        )
+    _render(args, payload, f"estimate = {result.estimate:.6f} +- {result.std_error:.6f} "
+                           f"(target {format_scalar(target)}, z = {z:+.3f})")
     return 0
 
 
@@ -145,10 +127,7 @@ def cmd_hz(args) -> int:
             return USAGE_ERROR
         value = harer_zagier_closed(args.k, args.N)
         payload = {"k": args.k, "N": args.N, "moment": format_scalar(value)}
-        if args.output == "json":
-            _emit(_format_json(payload), args.out)
-        else:
-            _emit(f"I^{args.N}_{2 * args.k} = {format_scalar(value)}\n", args.out)
+        _render(args, payload, f"I^{args.N}_{2 * args.k} = {format_scalar(value)}")
         return 0
     k_max = args.kmax
     if k_max < 2:
@@ -173,14 +152,9 @@ def cmd_otft(args) -> int:
         "trace_product": format_scalar(expected),
         "match": value == expected,
     }
-    if args.output == "json":
-        _emit(_format_json(payload), args.out)
-    else:
-        _emit(
-            f"mu^{{{args.genus},{args.free}}} = {format_scalar(value)} "
-            f"(N^b trace product {format_scalar(expected)}, match={value == expected})\n",
-            args.out,
-        )
+    _render(args, payload, f"mu^{{{args.genus},{args.free}}} = {format_scalar(value)} "
+                           f"(N^b trace product {format_scalar(expected)}, "
+                           f"match={value == expected})")
     return 0 if value == expected else CHECK_FAILED
 
 

@@ -19,20 +19,23 @@ with the rotation signs rot from ``words.rotation_signs``.
 Each extension to products of factors is written once, as a kernel of
 ``OperatorContext`` holding its transport sign:
 
-    _biderivation   Leibniz rule in both arguments   (bracket, Poisson)
-    _second_order   contraction of a pair of factors (delta, Laplacian)
-    _derivation     odd derivation on each factor    (cobracket, d)
+    _pairs        contraction of a pair of factors (delta, Laplacian, brackets)
+    _derivation   odd derivation on each factor    (cobracket, d)
 
-The cyclic and commutative operators differ only in the contraction
-handed to the first two: on cyclic words it is ``bracket_words`` (the
-pair becomes one spliced word), on the one-letter words of polynomials
-it is the inverse form (the pair disappears).  On one-letter words the
-two agree up to the quotient sigma, which the tests check.
+delta and the Laplacian contract every pair i < j of a product's
+factors, each bracket {a, b} only the cross pairs of the product ab;
+the BV identity delta(ab) = delta(a) b + (-1)^{|a|} a delta(b) + {a, b}
+is this split of the pairs of ab.  The cyclic and commutative
+operators differ only in the contraction: on cyclic words it is
+``bracket_words`` (the pair becomes one spliced word), on the one-letter
+words of polynomials it is the inverse form (the pair disappears).  On
+one-letter words the two agree up to the quotient sigma, which the
+tests check.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .scalar import Scalar
-from .words import Monomial, rotation_signs, word_parity
+from .words import rotation_signs, word_parity
 
 
 def _prefix_parities(space, word):
@@ -137,66 +140,43 @@ class OperatorContext:
 
     # -- kernels: one transport sign each ----------------------------------
 
+    def _pairs(self, out, gamma, nu, words, coeff, contract, split=None):
+        """Add to ``out`` the contraction of each pair i < j of ``words``
+        (only the cross pairs i < split <= j when ``split`` is given),
+        both factors moved to the front."""
+        pars = _word_parities(self.space, words)
+        prefix = [0]
+        for p in pars:
+            prefix.append(prefix[-1] + p)
+        for i in range(len(words) if split is None else split):
+            for j in range(i + 1 if split is None else split, len(words)):
+                pairs = contract(words[i], words[j])
+                if not pairs:
+                    continue
+                sign = 1
+                if pars[i] and prefix[i] % 2:
+                    sign = -sign
+                if pars[j] and (prefix[j] + pars[i]) % 2:
+                    sign = -sign
+                rest = words[:i] + words[i + 1 : j] + words[j + 1 :]
+                for c, merged in pairs:
+                    out._accumulate(gamma, nu, merged + rest, sign * c * coeff)
+
     def _biderivation(self, left, right, contract):
-        """Contract every factor of ``left`` with every factor of ``right``,
-        moving both to the front (Leibniz in each argument)."""
-        space = self.space
-        out = Element.zero(space, left.flavor)
+        """Contract every factor of ``left`` with every factor of ``right``:
+        the cross pairs of the product (Leibniz in each argument)."""
+        out = Element.zero(self.space, left.flavor)
         for m1, c1 in left.terms.items():
-            pars1 = _word_parities(space, m1.words)
-            total1 = sum(pars1) % 2
             for m2, c2 in right.terms.items():
-                pars2 = _word_parities(space, m2.words)
-                base = c1 * c2
-                pre1 = 0
-                for i, w1 in enumerate(m1.words):
-                    rest1 = m1.words[:i] + m1.words[i + 1 :]
-                    pre2 = 0
-                    for j, w2 in enumerate(m2.words):
-                        pairs = contract(w1, w2)
-                        if pairs:
-                            sign = 1
-                            if pars1[i] and pre1 % 2:
-                                sign = -sign
-                            if pars2[j] and (total1 + pars1[i] + pre2) % 2:
-                                sign = -sign
-                            rest = rest1 + m2.words[:j] + m2.words[j + 1 :]
-                            for coeff, merged in pairs:
-                                out._accumulate(
-                                    m1.gamma + m2.gamma,
-                                    m1.nu + m2.nu,
-                                    merged + rest,
-                                    sign * coeff * base,
-                                )
-                        pre2 += pars2[j]
-                    pre1 += pars1[i]
+                self._pairs(out, m1.gamma + m2.gamma, m1.nu + m2.nu, m1.words + m2.words,
+                            c1 * c2, contract, split=len(m1.words))
         return out
 
     def _second_order(self, element, contract):
         """Contract each pair i < j of factors, moving both to the front."""
-        space = self.space
-        out = Element.zero(space, element.flavor)
-        for monomial, coeff in element.terms.items():
-            words = monomial.words
-            pars = _word_parities(space, words)
-            prefix = [0]
-            for p in pars:
-                prefix.append(prefix[-1] + p)
-            for i in range(len(words)):
-                for j in range(i + 1, len(words)):
-                    pairs = contract(words[i], words[j])
-                    if not pairs:
-                        continue
-                    sign = 1
-                    if pars[i] and prefix[i] % 2:
-                        sign = -sign
-                    if pars[j] and (prefix[j] + pars[i]) % 2:
-                        sign = -sign
-                    rest = words[:i] + words[i + 1 : j] + words[j + 1 :]
-                    for c, merged in pairs:
-                        out._accumulate(
-                            monomial.gamma, monomial.nu, merged + rest, sign * c * coeff
-                        )
+        out = Element.zero(self.space, element.flavor)
+        for m, c in element.terms.items():
+            self._pairs(out, m.gamma, m.nu, m.words, c, contract)
         return out
 
     def _derivation(self, element, images):
@@ -234,13 +214,12 @@ class OperatorContext:
         return self._second_order(element, self._splice_words)
 
     def delta_K(self, element: Element) -> Element:
-        """The combined differential: cobracket plus genus-weighted delta."""
-        grad = self.nc_cobracket(element)
-        bumped = {
-            Monomial(m.gamma + 1, m.nu, m.words): c
-            for m, c in self.ce_delta(element).terms.items()
-        }
-        return grad + Element(self.space, CYCLIC, bumped)
+        """The combined differential: cobracket plus genus-weighted delta,
+        the delta pairs added into the cobracket with gamma raised by one."""
+        out = self.nc_cobracket(element)
+        for m, c in element.terms.items():
+            self._pairs(out, m.gamma + 1, m.nu, m.words, c, self._splice_words)
+        return out
 
     # -- commutative side ------------------------------------------------
 

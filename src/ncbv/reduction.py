@@ -25,9 +25,11 @@ which the tests check them, with Tr X^0 = nu:
     {x^{l-1} xi, x^m}     = m . Tr X^{l+m-2}.
 
 Each reducer computes them once per l and per (l, m) through its
-``OperatorContext`` as sparse maps {(nu power, sorted word lengths):
-coefficient}, so a state is a memoized sorted tuple of word lengths and
-its successors are built without any Element.
+``OperatorContext`` and reads them through
+``MultiTraceFunctional.from_element`` (the trace-map image) as sparse
+maps {(nu power, sorted trace powers): coefficient}, so a state is a
+memoized sorted tuple of word lengths and its successors are built
+without any Element.
 
 Three pivot choices are available; their agreement (confluence) is a
 tested property of the engine, not an assumption.
@@ -38,6 +40,7 @@ import threading
 
 from .algebras import sigma_a_context, sigma_a_space
 from .element import Element
+from .multitrace import MultiTraceFunctional
 from .nupoly import NuPolynomial
 from .scalar import Scalar, add_to
 
@@ -108,7 +111,8 @@ class GueReducer:
         image = self._pivot_images.get(length)
         if image is None:
             pivot = Element.cyclic_word(self.space, _pivot_word(length))
-            image = self._pivot_images[length] = _by_lengths(self.ctx.nc_cobracket(pivot))
+            image = MultiTraceFunctional.from_element(self.ctx.nc_cobracket(pivot)).terms
+            self._pivot_images[length] = image
         return image
 
     def _pair_image(self, length: int, other: int) -> dict:
@@ -118,16 +122,9 @@ class GueReducer:
         if image is None:
             pivot = Element.cyclic_word(self.space, _pivot_word(length))
             power = Element.cyclic_word(self.space, (X,) * other)
-            image = self._pair_images[key] = _by_lengths(self.ctx.nc_bracket(pivot, power))
+            image = MultiTraceFunctional.from_element(self.ctx.nc_bracket(pivot, power)).terms
+            self._pair_images[key] = image
         return image
-
-
-def _by_lengths(element: Element) -> dict:
-    """The terms of a cyclic Element as {(nu, sorted word lengths): coeff}."""
-    out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-    for monomial, coeff in element.terms.items():
-        add_to(out, (monomial.nu, tuple(sorted(len(word) for word in monomial.words))), coeff)
-    return out
 
 
 def _pivot_word(length: int) -> tuple[int, ...]:

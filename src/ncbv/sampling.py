@@ -112,8 +112,6 @@ def _chunk_sums(idx, size, count, seed, chunk_index):
 class McResult:
     estimate: float
     std_error: float
-    samples: int
-    seed: int
 
     def z_score(self, target: float) -> float:
         if self.std_error == 0.0:
@@ -162,4 +160,4 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         total_sq += part_sq
     mean = total / samples
     variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return McResult(mean, math.sqrt(variance / samples), samples, seed)
+    return McResult(mean, math.sqrt(variance / samples))

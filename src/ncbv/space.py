@@ -17,9 +17,9 @@ inverse once the Koszul sign of applying (left-slot, right-slot) dual
 maps to a tensor is taken into account.  On an odd pairing's support
 this B is plainly symmetric.  ``_checked_pairing``, the one routine that
 checks and inverts a pairing (here and in the cyclic A-infinity and
-Frobenius algebras), asserts the odd degree and antisymmetry of P, the
-symmetry of B and P . B = diag((-1)^{deg e_i}) over nonzero entries
-only, whether B was supplied or solved for.
+Frobenius algebras), asserts distinct basis names, the odd degree and
+antisymmetry of P, the symmetry of B and P . B = diag((-1)^{deg e_i})
+over nonzero entries only, whether B was supplied or solved for.
 """
 
 from dataclasses import dataclass, field
@@ -85,13 +85,15 @@ def _solve(support, parities):
 
 
 def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
-    """The pairing P on the basis ``names`` and B = P^{-1} . D with
-    D = diag((-1)^deg) (D = 1 without ``degrees``), as Matrices checked
-    over nonzero entries only: P[j][i] = sign * P[i][j], P vanishes on
-    even-degree pairs when ``degrees`` are given, and B, solved unless
+    """The pairing P on the distinct basis ``names`` and B = P^{-1} . D
+    with D = diag((-1)^deg) (D = 1 without ``degrees``), as Matrices
+    checked over nonzero entries only: P[j][i] = sign * P[i][j], P vanishes
+    on even-degree pairs when ``degrees`` are given, and B, solved unless
     ``inverse`` supplies it, has the symmetry of P^{-1} . D (that of P when
     D = 1, the opposite on an odd pairing) and satisfies P . B = D."""
     n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("letter names must be distinct")
     if degrees is not None and len(degrees) != n:
         raise ValueError("basis and degrees sizes disagree")
     parities = [0] * n if degrees is None else [d % 2 for d in degrees]
@@ -159,8 +161,6 @@ class GradedSymplecticSpace:
 
     def __post_init__(self):
         n = len(self.letters)
-        if len(set(self.letters)) != n:
-            raise ValueError("letter names must be distinct")
         object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
         pairing, inverse = _checked_pairing(self.pairing, self.letters, -1, self.degrees,
                                             self.inverse)

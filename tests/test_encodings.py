@@ -64,6 +64,15 @@ def test_cyclic_algebra_rejects_bad_pairings(pairing, match):
         CyclicAInfinity.from_json(data)
 
 
+def test_cyclic_algebra_rejects_duplicate_basis_names():
+    with pytest.raises(ValueError, match="letter names must be distinct"):
+        CyclicAInfinity(("a", "a"), (1, 2), ((0, 1), (1, 0)), {})
+    data = {"basis": [{"name": "a", "degree": 1}, {"name": "a", "degree": 2}],
+            "pairing": [["0", "1"], ["1", "0"]], "ops": {}}
+    with pytest.raises(ValueError, match="letter names must be distinct"):
+        CyclicAInfinity.from_json(data)
+
+
 @pytest.mark.parametrize("scales", [(0, 1), (1,)])
 def test_suspend_rejects_bad_scales(scales):
     with pytest.raises(ValueError, match="dual_scales"):

@@ -98,6 +98,22 @@ def test_delta_k_squares_to_zero_randomized():
         assert ctx.delta_K(ctx.delta_K(e)).is_zero()
 
 
+def test_delta_fails_to_be_a_derivation_by_the_bracket():
+    """Cyclic BV identity: delta(ab) = delta(a) b + (-1)^{|a|} a delta(b) + {a, b}."""
+    from ncbv.verify import homogeneous, random_cyclic_element, random_space
+
+    rng = random.Random(41)
+    for _ in range(400):
+        space = random_space(rng)
+        ctx = OperatorContext(space)
+        a = homogeneous(rng, lambda r: random_cyclic_element(r, space, max_words=3))
+        b = random_cyclic_element(rng, space, max_words=3)
+        sign = -1 if a.parity() else 1
+        rhs = (ctx.ce_delta(a) * b + (a * ctx.ce_delta(b)).scale(sign)
+               + ctx.nc_bracket(a, b))
+        assert ctx.ce_delta(a * b) == rhs
+
+
 def test_poisson_pinned_values():
     assert CTX.com_poisson(poly("x"), poly("xi")) == Element.unit(SPACE, "commutative")
     assert CTX.com_poisson(poly("xi"), poly("x")) == Element.unit(SPACE, "commutative")

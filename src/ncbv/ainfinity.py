@@ -26,7 +26,7 @@ import math
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
-from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales
+from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales, dense
 
 
 class CyclicAInfinity:
@@ -63,10 +63,8 @@ class CyclicAInfinity:
         tensor = {}
         for args, images in self.ops.get(k, {}).items():
             for out, coeff in images.items():
-                for last in range(self.dim):
-                    pair = self.pairing[out][last]
-                    if pair:
-                        add_to(tensor, args + (last,), coeff * pair)
+                for last, pair in self.pairing[out].items():
+                    add_to(tensor, args + (last,), coeff * pair)
         return tensor
 
     def check_cyclic(self) -> None:
@@ -117,7 +115,7 @@ class CyclicAInfinity:
             "basis": [
                 {"name": name, "degree": deg} for name, deg in zip(self.basis, self.degrees)
             ],
-            "pairing": [[format_scalar(c) for c in row] for row in self.pairing],
+            "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
             "ops": {
                 str(k): [
                     {
@@ -189,13 +187,8 @@ def suspend(algebra: CyclicAInfinity, names=None, scales=None) -> GradedSymplect
     scales = _dual_scales(scales, n)
     # letters are (scaled) duals of the suspended basis: degree 1 - deg_A
     degrees = tuple(1 - d for d in algebra.degrees)
-    pairing = tuple(
-        tuple(
-            (-1) ** (algebra.degrees[i] % 2) * algebra.pairing[i][j] / (scales[i] * scales[j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    pairing = tuple({j: (-1) ** (algebra.degrees[i] % 2) * entry / (scales[i] * scales[j])
+                     for j, entry in row.items()} for i, row in enumerate(algebra.pairing))
     return GradedSymplecticSpace(tuple(names), degrees, pairing, dual_scales=scales)
 
 

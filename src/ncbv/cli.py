@@ -121,10 +121,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_hz(args) -> int:
+    if (args.k is None) != (args.N is None):
+        raise ValueError("--k requires --N" if args.N is None else "--N requires --k")
     if args.k is not None:
-        if args.N is None:
-            print("hz: --k requires --N", file=sys.stderr)
-            return USAGE_ERROR
         value = harer_zagier_closed(args.k, args.N)
         payload = {"k": args.k, "N": args.N, "moment": format_scalar(value)}
         _render(args, payload, f"I^{args.N}_{2 * args.k} = {format_scalar(value)}")

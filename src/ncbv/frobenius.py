@@ -25,7 +25,7 @@ from functools import reduce
 
 from .morita import decorate, index_chains, matrix_index
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
-from .space import _checked_pairing
+from .space import _checked_pairing, dense
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
@@ -82,7 +82,7 @@ class FrobeniusAlgebra:
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
         self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
-        self.handles = tuple(({i: ONE}, _sparse(y)) for i, y in enumerate(self.inverse))
+        self.handles = tuple(({i: ONE}, y) for i, y in enumerate(self.inverse))
         self.counit = _sparse(self._form({i: ONE}, self.unit) for i in range(n))
         # H = x_i y^i and G = x_i C(y^i) with C(a) = x_j a y^j
         self.H, self.G = {}, {}
@@ -112,7 +112,6 @@ class FrobeniusAlgebra:
         by_right = {}
         for (i, j), cell in self.mult.items():
             by_right.setdefault(j, []).append((i, cell))
-        paired = [[(k, g) for k, g in enumerate(row) if g] for row in self.pairing]
         associator, defect = {}, {}
         for (a, b), cell in self.mult.items():
             for l, c in cell:
@@ -122,7 +121,7 @@ class FrobeniusAlgebra:
                 for i, product in by_right.get(l, ()):
                     for out, d in product:
                         add_to(associator, (i, a, b, out), -c * d)
-                for t, g in paired[l]:
+                for t, g in self.pairing[l].items():
                     add_to(defect, (a, b, t), c * g)
                     add_to(defect, (t, a, b), -c * g)
         if associator:
@@ -159,8 +158,8 @@ class FrobeniusAlgebra:
         return out
 
     def _form(self, left: Sparse, right: Sparse) -> Scalar:
-        return sum((a * b * self.pairing[i][j]
-                    for i, a in left.items() for j, b in right.items()), ZERO)
+        return sum((a * right[j] * g for i, a in left.items()
+                    for j, g in self.pairing[i].items() if j in right), ZERO)
 
     def _eps(self, vec: Sparse) -> Scalar:
         return sum((a * self.counit[k] for k, a in vec.items() if k in self.counit), ZERO)
@@ -187,15 +186,15 @@ class FrobeniusAlgebra:
         return self._dense(self._mul(self.G, self.coerce(vec)))
 
     def to_json(self) -> dict:
-        def dense(vec):
+        def listed(vec):
             return [format_scalar(c) for c in self._dense(vec)]
 
         return {
             "basis": list(self.basis),
-            "mult": [[dense(dict(self.mult.get((i, j), ()))) for j in range(self.dim)]
+            "mult": [[listed(dict(self.mult.get((i, j), ()))) for j in range(self.dim)]
                      for i in range(self.dim)],
-            "pairing": [[format_scalar(c) for c in row] for row in self.pairing],
-            "unit": dense(self.unit),
+            "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
+            "unit": listed(self.unit),
         }
 
     @classmethod
@@ -251,7 +250,7 @@ def matrix_frobenius(size: int) -> FrobeniusAlgebra:
 
     The basis and pairing are the Mat_N decoration of the line ((1,),);
     the N^3 nonzero products are E_pq E_qs = E_ps."""
-    basis, _, pairing = decorate(("E",), (0,), ((ONE,),), size)
+    basis, _, pairing = decorate(("E",), (0,), ({0: ONE},), size)
     mult = {
         (matrix_index(0, p, q, size), matrix_index(0, q, s, size)):
             {matrix_index(0, p, s, size): ONE}

@@ -3,8 +3,9 @@
 This module is the one place that decorates letters with matrix
 indices: ``decorate`` tensors a graded pairing with the trace form of
 Mat_N, so letter (i, p, q) sits at index (i N + p) N + q, is named
-``name[p,q]`` and pairs with (j, q, p) through <i,j>.  The matrix
-extensions of A-infinity and Frobenius algebras are built from it.
+``name[p,q]`` and pairs with (j, q, p) through <i,j>: each nonzero of
+the base Form gives exactly N^2 nonzeros.  The matrix extensions of
+A-infinity and Frobenius algebras are built from it.
 
 ``MatrixExtension`` packages the odd symplectic space of matrix-valued
 letters (letter, row, col), the inflation map M that tensors a cyclic
@@ -23,7 +24,7 @@ import itertools
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .scalar import Scalar
-from .space import GradedSymplecticSpace
+from .space import Form, GradedSymplecticSpace
 from .words import Monomial
 
 
@@ -42,25 +43,18 @@ def index_chains(size: int, length: int):
     return itertools.product(range(size), repeat=length)
 
 
-def trace_tensor(matrix, size: int):
-    """``matrix`` tensored with the trace form of Mat_N: entry (i, j)
-    lands at ((i,p,q), (j,q,p)), since Tr(E_pq E_qp) = 1 is the only
-    nonzero trace product."""
-    n = len(matrix)
-    dim = n * size * size
-    rows = [[Scalar(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            entry = matrix[i][j]
-            if entry:
-                for p, q in index_chains(size, 2):
-                    rows[matrix_index(i, p, q, size)][matrix_index(j, q, p, size)] = entry
-    return tuple(map(tuple, rows))
+def trace_tensor(form: Form, size: int) -> Form:
+    """The Form ``form`` tensored with the trace form of Mat_N: each
+    nonzero (i, j) gives its N^2 entries ((i,p,q), (j,q,p)), since
+    Tr(E_pq E_qp) = 1 is the only nonzero trace product."""
+    cells = list(index_chains(size, 2))
+    return tuple({matrix_index(j, q, p, size): entry for j, entry in row.items()}
+                 for row in form for p, q in cells)
 
 
-def decorate(names, degrees, pairing, size: int):
-    """Names, degrees and trace-form pairing of the letters (i, p, q)
-    of V (x) Mat_N, ordered by ``matrix_index``."""
+def decorate(names, degrees, pairing: Form, size: int):
+    """Names, degrees and trace-form pairing (a Form, as ``pairing`` is)
+    of the letters (i, p, q) of V (x) Mat_N, ordered by ``matrix_index``."""
     if size < 1:
         raise ValueError("matrix size must be at least 1")
     cells = list(index_chains(size, 2))

@@ -21,6 +21,8 @@ class MultiTraceFunctional:
         if terms:
             for (nu_power, traces), coeff in terms.items():
                 key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
+                if key[0] < 0:
+                    raise ValueError("nu exponents are nonnegative")
                 if any(t < 1 for t in key[1]):
                     raise ValueError("trace powers must be positive; zeros are nu factors")
                 add_to(self.terms, key, Scalar(coeff))

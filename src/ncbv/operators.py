@@ -61,8 +61,9 @@ def bracket_words(space, u, v):
     out = []
     for i, a in enumerate(u):
         rest_parity = parity_u ^ parities[a]
+        row = inv[a]
         for j, b in enumerate(v):
-            coeff = inv[a][b]
+            coeff = row.get(b)
             if not coeff:
                 continue
             sign = rot_u[i] * rot_v[j]
@@ -81,8 +82,9 @@ def cobracket_word(space, word):
     prefix = _prefix_parities(space, word)
     out = []
     for i in range(len(word)):
+        row = inv[word[i]]
         for j in range(i + 1, len(word)):
-            coeff = inv[word[i]][word[j]]
+            coeff = row.get(word[j])
             if not coeff:
                 continue
             sign = rot[i]
@@ -135,7 +137,7 @@ class OperatorContext:
         return [(c, (splice,)) for c, splice in bracket_words(self.space, u, v)]
 
     def _pair_letters(self, u, v):
-        c = self.space.inverse[u[0]][v[0]]
+        c = self.space.inverse[u[0]].get(v[0])
         return [(c, ())] if c else []
 
     # -- kernels: one transport sign each ----------------------------------

@@ -1,7 +1,10 @@
 """Graded vector spaces with an odd symplectic pairing.
 
 A space is a finite ordered basis with integer degrees together with the
-matrix of the odd symplectic form on it.  The inverse form lives on the
+odd symplectic form on it.  Every form is held as a ``Form``, row i the
+dict {j: nonzero entry}; ``_form`` normalizes rows given as n entries or
+as such dicts, and ``dense`` is the one n x n table of a form.  The
+inverse form lives on the
 dual basis (the "letters" out of which cyclic words and polynomials are
 built) and is the single source of truth for every bracket, cobracket
 and Laplacian in the package.
@@ -22,40 +25,54 @@ antisymmetry of P, the symmetry of B and P . B = diag((-1)^{deg e_i})
 over nonzero entries only, whether B was supplied or solved for.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
+Form = tuple[dict[int, Scalar], ...]  # row i is {column j: nonzero entry}
 
 
 def _scalar(value) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar(value)
 
 
-def _sparse_rows(rows, n: int, what: str):
-    """``rows`` as an n x n Matrix, coercing only entries that are not
-    Scalars, and each row's nonzero entries as (column, value) pairs."""
-    matrix, support = [], []
+def dense(form: Form) -> Matrix:
+    """``form`` as an n x n table: the one place a form is laid out densely."""
+    n = len(form)
+    return tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in form)
+
+
+def _form(rows, n: int, what: str) -> Form:
+    """``rows`` as a Form, coercing only entries that are not Scalars.
+    Each row is a sequence of n entries (outside input) or a mapping
+    {column: entry} (a Form's own rows); a new dict is built either way."""
+    form = []
     for row in rows:
-        row = tuple(map(_scalar, row))
-        if len(row) != n:
-            raise ValueError(f"{what} row has {len(row)} entries: a row of {len(row)} entries for "
-                             f"a basis of {n}")
-        matrix.append(row)
-        support.append([(j, entry) for j, entry in enumerate(row) if entry])
-    if len(matrix) != n:
-        raise ValueError(f"the {what} has {len(matrix)} entries; the basis has {n} vectors")
-    return tuple(matrix), support
+        if isinstance(row, Mapping):
+            items = [(j, _scalar(entry)) for j, entry in row.items()]
+            for j, _ in items:
+                if not (isinstance(j, int) and 0 <= j < n):
+                    raise ValueError(f"{what} row has column {j!r} outside 0..{n - 1}")
+        else:
+            items = list(enumerate(map(_scalar, row)))
+            if len(items) != n:
+                raise ValueError(f"{what} row has {len(items)} entries: a row of {len(items)} "
+                                 f"entries for a basis of {n}")
+        form.append({j: entry for j, entry in items if entry})
+    if len(form) != n:
+        raise ValueError(f"the {what} has {len(form)} entries; the basis has {n} vectors")
+    return tuple(form)
 
 
-def _solve(support, parities):
-    """The nonzero entries of B = P^{-1} . diag((-1)^parity), row by row,
-    by Gauss-Jordan over the nonzero entries of P.  Each row is a dict
-    {column: value} of P augmented by the identity in columns n..2n-1;
-    ``holders[c]`` is the set of rows with a nonzero entry in column c."""
-    n = len(support)
-    rows = [{**dict(row), n + i: ONE} for i, row in enumerate(support)]
+def _solve(pairing: Form, parities) -> Form:
+    """B = P^{-1} . diag((-1)^parity), rows ordered by column, by
+    Gauss-Jordan over the nonzero entries of P.  Each working row is a
+    dict {column: value} of P augmented by the identity in columns
+    n..2n-1; ``holders[c]`` is the set of rows with a nonzero entry in c."""
+    n = len(pairing)
+    rows = [{**row, n + i: ONE} for i, row in enumerate(pairing)]
     holders = [set() for _ in range(2 * n)]
     for i, row in enumerate(rows):
         for c in row:
@@ -80,15 +97,15 @@ def _solve(support, parities):
                 else:
                     del target[c]
                     holders[c].discard(r)
-    return [[(c - n, -v if parities[c - n] else v) for c, v in rows[p].items() if c >= n]
-            for p in pivots]
+    return tuple({c - n: -v if parities[c - n] else v
+                  for c, v in sorted(rows[p].items()) if c >= n} for p in pivots)
 
 
 def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
     """The pairing P on the distinct basis ``names`` and B = P^{-1} . D
-    with D = diag((-1)^deg) (D = 1 without ``degrees``), as Matrices
-    checked over nonzero entries only: P[j][i] = sign * P[i][j], P vanishes
-    on even-degree pairs when ``degrees`` are given, and B, solved unless
+    with D = diag((-1)^deg) (D = 1 without ``degrees``), as Forms checked
+    over nonzero entries only: P[j][i] = sign * P[i][j], P vanishes on
+    even-degree pairs when ``degrees`` are given, and B, solved unless
     ``inverse`` supplies it, has the symmetry of P^{-1} . D (that of P when
     D = 1, the opposite on an odd pairing) and satisfies P . B = D."""
     n = len(names)
@@ -97,32 +114,29 @@ def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
     if degrees is not None and len(degrees) != n:
         raise ValueError("basis and degrees sizes disagree")
     parities = [0] * n if degrees is None else [d % 2 for d in degrees]
-    pairing, support = _sparse_rows(rows, n, "pairing")
+    pairing = _form(rows, n, "pairing")
     # A zero entry can fail only through its nonzero transpose, which the
     # same scan visits.
-    for i, row in enumerate(support):
-        for j, entry in row:
+    for i, row in enumerate(pairing):
+        for j, entry in row.items():
             if degrees is not None and parities[i] == parities[j]:
                 raise ValueError(
                     f"pairing <{names[i]},{names[j]}> is nonzero "
                     "on an even-degree pair; the form must have odd degree"
                 )
-            if pairing[j][i] != (entry if sign == 1 else -entry):
+            if pairing[j].get(i) != (entry if sign == 1 else -entry):
                 raise ValueError(f"pairing must be {'' if sign == 1 else 'anti'}symmetric")
-    if inverse is None:
-        inverse_support = _solve(support, parities)
-        inverse = tuple(tuple(map(dict(row).get, range(n), [ZERO] * n)) for row in inverse_support)
-    else:
-        inverse, inverse_support = _sparse_rows(inverse, n, "inverse pairing")
+    inverse = (_solve(pairing, parities) if inverse is None
+               else _form(inverse, n, "inverse pairing"))
     flip = sign if degrees is None else -sign
-    for i, row in enumerate(inverse_support):
-        for j, entry in row:
-            if inverse[j][i] != (entry if flip == 1 else -entry):
+    for i, row in enumerate(inverse):
+        for j, entry in row.items():
+            if inverse[j].get(i) != (entry if flip == 1 else -entry):
                 raise ValueError("inverse pairing failed its symmetry check")
-    for i, row in enumerate(support):
+    for i, row in enumerate(pairing):
         product = {}
-        for k, p in row:
-            for j, b in inverse_support[k]:
+        for k, p in row.items():
+            for j, b in inverse[k].items():
                 add_to(product, j, p * b)
         if product != {i: -1 if parities[i] else 1}:
             raise ValueError(f"inverse pairing is not the inverse of the pairing at {names[i]!r}")
@@ -141,21 +155,22 @@ def _dual_scales(scales, n: int) -> tuple[Scalar, ...]:
 class GradedSymplecticSpace:
     """Finite graded basis with an odd nondegenerate pairing.
 
-    ``letters`` names the dual basis; ``pairing[i][j]`` is the form on
-    the basis itself.  ``dual_scales`` records an optional rescaling of
-    the letters relative to the plain dual basis of a suspended algebra
-    (for example xi = -b* over the two-dimensional algebra), one nonzero
-    scale per letter; it affects only how structure tensors are expressed
-    in these letters.
+    ``letters`` names the dual basis; ``pairing`` is the form on the
+    basis itself, held as a Form.  ``dual_scales`` records an optional
+    rescaling of the letters relative to the plain dual basis of a
+    suspended algebra (for example xi = -b* over the two-dimensional
+    algebra), one nonzero scale per letter; it affects only how structure
+    tensors are expressed in these letters.
     ``parities[i]`` is ``degrees[i] % 2``, the only way letter degrees
     enter a sign.  ``inverse`` is solved by Gauss-Jordan unless given;
-    a given inverse is checked, not trusted.
+    a given inverse is checked, not trusted.  Spaces compare by letters,
+    degrees and pairing and hash by letters and degrees alone.
     """
 
     letters: tuple[str, ...]
     degrees: tuple[int, ...]
-    pairing: Matrix
-    inverse: Matrix = field(compare=False, default=None)
+    pairing: Form = field(hash=False)
+    inverse: Form = field(compare=False, default=None)
     dual_scales: tuple[Scalar, ...] = field(compare=False, default=None)
     parities: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -189,7 +204,7 @@ class GradedSymplecticSpace:
             "letters": [
                 {"name": name, "degree": deg} for name, deg in zip(self.letters, self.degrees)
             ],
-            "pairing": [[format_scalar(entry) for entry in row] for row in self.pairing],
+            "pairing": [list(map(format_scalar, row)) for row in dense(self.pairing)],
         }
 
     @classmethod
@@ -208,21 +223,15 @@ def hyperbolic_space(names_degrees) -> GradedSymplecticSpace:
     pair by pair: [[0, c], [-c, 0]]^{-1} times the degree signs puts
     (-1)^{deg u} / c at both (u, v) and (v, u).
     """
-    letters, degrees = [], []
-    pairs = []
+    letters, degrees, rows, inverse = [], [], [], []
     for (name_u, deg_u), (name_v, deg_v), coeff in names_degrees:
         coeff = _scalar(coeff)
         if not coeff:
             raise ValueError(f"hyperbolic pair ({name_u}, {name_v}) has coefficient zero")
         i = len(letters)
+        dual = (-1 if deg_u % 2 else 1) / coeff
         letters.extend([name_u, name_v])
         degrees.extend([deg_u, deg_v])
-        pairs.append((i, i + 1, coeff, (-1 if deg_u % 2 else 1) / coeff))
-    n = len(letters)
-    rows = [[ZERO] * n for _ in range(n)]
-    inverse = [[ZERO] * n for _ in range(n)]
-    for i, j, coeff, dual in pairs:
-        rows[i][j] = coeff
-        rows[j][i] = -coeff
-        inverse[i][j] = inverse[j][i] = dual
+        rows.extend([{i + 1: coeff}, {i: -coeff}])
+        inverse.extend([{i + 1: dual}, {i: dual}])
     return GradedSymplecticSpace(tuple(letters), tuple(degrees), rows, inverse=inverse)

@@ -156,6 +156,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "moments", "--idx", "x")[0] == 2
     assert run(capsys, "mc", "--idx", "2", "--N", "2", "--samples", "1", "--seed", "0")[0] == 2
     assert run(capsys, "hz", "--k", "3")[0] == 2  # --k without --N
+    for argv, message in ((["hz", "--k", "3"], "--k requires --N"),
+                          (["hz", "--N", "4", "--kmax", "3"], "--N requires --k")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"ncbv: {message}\n"
+        assert captured.out == ""
 
 
 def test_oracle_cap_bound(capsys):

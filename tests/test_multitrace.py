@@ -67,3 +67,13 @@ def test_from_json_sums_duplicate_entries():
         {"nu_power": 0, "traces": [3, 1], "coeff": "-1"},
     ]}
     assert MultiTraceFunctional.from_json(data) == MultiTraceFunctional({(1, (2,)): 2})
+
+
+def test_negative_nu_power_rejected():
+    """nu = N is the trace of the empty word: only nonnegative powers
+    occur, as in ``NuPolynomial``."""
+    with pytest.raises(ValueError, match="nu exponents are nonnegative"):
+        MultiTraceFunctional({(-1, (2,)): 1})
+    data = {"terms": [{"nu_power": -2, "traces": [], "coeff": "1"}]}
+    with pytest.raises(ValueError, match="nu exponents are nonnegative"):
+        MultiTraceFunctional.from_json(data)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space
+from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, matrix_frobenius
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
-from ncbv.space import Matrix
+from ncbv.space import Matrix, dense
 from ncbv.verify import random_space
 
 
@@ -82,34 +82,36 @@ def perturbations(space, rng):
     """Seeded defective (and a few valid) variants of ``space.pairing``:
     flipped signs, even-degree support, asymmetric entries, zeroed pairs."""
     n = space.dim
-    nonzero = [(i, j) for i in range(n) for j in range(n) if space.pairing[i][j]]
+    pairing = dense(space.pairing)
+    nonzero = [(i, j) for i in range(n) for j in range(n) if pairing[i][j]]
     same_parity = [
         (i, j) for i in range(n) for j in range(n) if space.parities[i] == space.parities[j]
     ]
     value = Scalar(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
 
     def edited(*cells):
-        rows = [list(row) for row in space.pairing]
+        rows = [list(row) for row in pairing]
         for (i, j), entry in cells:
             rows[i][j] = entry
         return rows
 
     i, j = rng.choice(nonzero)
-    yield edited(((i, j), -space.pairing[i][j]))  # one sign flipped
-    yield edited(((i, j), -space.pairing[i][j]), ((j, i), space.pairing[i][j]))  # both
+    yield edited(((i, j), -pairing[i][j]))  # one sign flipped
+    yield edited(((i, j), -pairing[i][j]), ((j, i), pairing[i][j]))  # both
     k, l = rng.choice(same_parity)
     yield edited(((k, l), value), ((l, k), -value))  # even-degree support
     yield edited(((k, l), value))  # even-degree support, one-sided
     k, l = rng.randrange(n), rng.randrange(n)
-    yield edited(((k, l), space.pairing[k][l] + value))  # asymmetric entry
+    yield edited(((k, l), pairing[k][l] + value))  # asymmetric entry
     yield edited(((i, j), 0), ((j, i), 0))  # zeroed pair
     yield edited(((i, j), 0))  # zeroed on one side
 
 
 def assert_same_verdicts(space, rng):
-    for rows in [space.pairing, *perturbations(space, rng)]:
+    for rows in [dense(space.pairing), *perturbations(space, rng)]:
         old = verdict(lambda: dense_reference(space.letters, space.degrees, rows))
-        new = verdict(lambda: GradedSymplecticSpace(space.letters, space.degrees, rows).inverse)
+        new = verdict(
+            lambda: dense(GradedSymplecticSpace(space.letters, space.degrees, rows).inverse))
         assert old == new
 
 
@@ -118,8 +120,8 @@ def test_sigma_a_inverse_is_symmetric_unit():
     x, xi = space.index("x"), space.index("xi")
     assert space.inverse[x][xi] == 1
     assert space.inverse[xi][x] == 1
-    assert space.inverse[x][x] == 0
-    assert space.inverse[xi][xi] == 0
+    assert x not in space.inverse[x]
+    assert xi not in space.inverse[xi]
 
 
 def test_commuting_triangle_definition():
@@ -127,15 +129,16 @@ def test_commuting_triangle_definition():
     odd map D_r passing u."""
     space = sigma_a_space()
     n = space.dim
+    pairing, inverse = dense(space.pairing), dense(space.inverse)
     for i in range(n):
         for j in range(n):
             total = Scalar(0)
             for k in range(n):
                 for l in range(n):
-                    total += space.pairing[i][k] * space.inverse[k][l] * space.pairing[l][j]
+                    total += pairing[i][k] * inverse[k][l] * pairing[l][j]
             sign = -1 if space.degrees[i] % 2 else 1
             # letters carry minus the basis degree; mod 2 they agree
-            assert sign * total == space.pairing[i][j]
+            assert sign * total == pairing[i][j]
 
 
 def test_block_pairing_inverse_combines_trace_inverse():
@@ -149,7 +152,7 @@ def test_block_pairing_inverse_combines_trace_inverse():
         for q in range(2):
             for r in range(2):
                 for s in range(2):
-                    entry = space.inverse[ext.encode(x, p, q)][ext.encode(xi, r, s)]
+                    entry = dense(space.inverse)[ext.encode(x, p, q)][ext.encode(xi, r, s)]
                     expected = base.inverse[x][xi] if (r, s) == (q, p) else Scalar(0)
                     assert entry == expected
 
@@ -162,7 +165,7 @@ def test_decorated_inverse_matches_gauss_jordan(size):
     rng = random.Random(59 + size)
     for base in [sigma_a_space()] + [random_space(rng) for _ in range(4)]:
         space = MatrixExtension(base, size).space
-        assert space.inverse == inverse_pairing(space.pairing, space.degrees)
+        assert dense(space.inverse) == inverse_pairing(dense(space.pairing), space.degrees)
 
 
 def test_singular_pairing_rejected():
@@ -204,7 +207,7 @@ def test_hyperbolic_inverse_matches_gauss_jordan():
     rng = random.Random(79)
     for _ in range(240):
         space = random_space(rng)
-        assert space.inverse == inverse_pairing(space.pairing, space.degrees)
+        assert dense(space.inverse) == inverse_pairing(dense(space.pairing), space.degrees)
 
 
 def test_zero_hyperbolic_coefficient_rejected():
@@ -219,11 +222,11 @@ def test_perturbed_decorated_inverse_rejected(size):
     n = space.dim
     for _ in range(10):
         i, j = rng.randrange(n), rng.randrange(n)
-        rows = [list(row) for row in space.inverse]
+        rows = [list(row) for row in dense(space.inverse)]
         rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([1, -1, Scalar(1, 2)])
         # symmetric, so only the P . B check can catch it; the dense
         # constructor trusted it
-        dense_reference(space.letters, space.degrees, space.pairing, rows)
+        dense_reference(space.letters, space.degrees, dense(space.pairing), rows)
         with pytest.raises(ValueError, match="not the inverse"):
             GradedSymplecticSpace(space.letters, space.degrees, space.pairing, inverse=rows)
         rows[i][j] += 1
@@ -266,7 +269,7 @@ def test_sparse_solve_matches_dense_gauss_jordan_on_rational_pairings():
                     rows[i][j], rows[j][i] = value, -value
         letters = tuple(f"e{i}" for i in range(n))
         want = outcome(lambda: inverse_pairing(rows, degrees))
-        got = outcome(lambda: GradedSymplecticSpace(letters, degrees, rows).inverse)
+        got = outcome(lambda: dense(GradedSymplecticSpace(letters, degrees, rows).inverse))
         assert got == want
         if got[0] == "accepted":
             assert all(type(entry) is Fraction for row in got[1] for entry in row)
@@ -278,3 +281,64 @@ def test_sparse_solve_matches_dense_gauss_jordan_on_rational_pairings():
 def test_dual_scales_are_nonzero_one_per_letter(scales):
     with pytest.raises(ValueError, match="dual_scales"):
         GradedSymplecticSpace(("a", "b"), (0, 1), ((0, 1), (-1, 0)), dual_scales=scales)
+
+
+def entries(form):
+    return sum(len(row) for row in form)
+
+
+def dense_decoration(pairing: Matrix, size: int) -> Matrix:
+    """The trace-form decoration laid out densely: <(i,p,q),(j,q,p)> = <i,j>."""
+    n = len(pairing)
+    cells = [(i, p, q) for i in range(n) for p in range(size) for q in range(size)]
+    return tuple(tuple(pairing[i][j] if (r, s) == (q, p) else Scalar(0) for j, r, s in cells)
+                 for i, p, q in cells)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_decorated_pairing_holds_its_nonzero_entries(size):
+    """Each nonzero of the base pairing gives exactly N^2 entries of the
+    decorated Form, and the Form is the dense decoration's nonzeros."""
+    rng = random.Random(97 + size)
+    for base in [sigma_a_space()] + [random_space(rng) for _ in range(4)]:
+        space = MatrixExtension(base, size).space
+        assert entries(space.pairing) == size * size * entries(base.pairing)
+        assert dense(space.pairing) == dense_decoration(dense(base.pairing), size)
+        assert all(entry for row in (*space.pairing, *space.inverse) for entry in row.values())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_matrix_frobenius_pairing_has_one_entry_per_basis_vector(size):
+    assert entries(matrix_frobenius(size).pairing) == size * size
+
+
+def test_dense_and_sparse_rows_build_the_same_space():
+    rng = random.Random(101)
+    for base in [sigma_a_space()] + [random_space(rng) for _ in range(20)]:
+        for space in (base, MatrixExtension(base, 2).space):
+            from_rows = GradedSymplecticSpace(space.letters, space.degrees, dense(space.pairing))
+            from_form = GradedSymplecticSpace(space.letters, space.degrees, space.pairing)
+            assert from_rows == from_form == space
+            assert hash(from_rows) == hash(from_form) == hash(space)
+            assert from_rows.inverse == from_form.inverse == space.inverse
+
+
+def test_mutating_the_callers_rows_leaves_the_space_unchanged():
+    rows = [{1: Scalar(1)}, {0: Scalar(-1)}]
+    inverse = [{1: Scalar(1)}, {0: Scalar(1)}]
+    space = GradedSymplecticSpace(("a", "b"), (0, 1), rows, inverse=inverse)
+    rows[0][1] = Scalar(5)
+    rows[1].clear()
+    inverse[0][0] = Scalar(2)
+    assert space.pairing == ({1: 1}, {0: -1})
+    assert space.inverse == ({1: 1}, {0: 1})
+    assert dense(space.pairing) == ((0, 1), (-1, 0))
+
+
+@pytest.mark.parametrize("column", [-1, 2])
+def test_mapping_row_column_out_of_range_rejected(column):
+    with pytest.raises(ValueError, match=r"pairing row has column -?\d outside 0\.\.1"):
+        GradedSymplecticSpace(("a", "b"), (0, 1), ({1: 1}, {0: -1, column: 1}))
+    with pytest.raises(ValueError, match=r"inverse pairing row has column -?\d outside 0\.\.1"):
+        GradedSymplecticSpace(("a", "b"), (0, 1), ({1: 1}, {0: -1}),
+                              inverse=({1: 1, column: 1}, {0: 1}))

@@ -31,19 +31,8 @@ class Element:
         self.flavor = flavor
         self.terms: dict[Monomial, Scalar] = {}
         if terms:
-            for monomial, coeff in terms.items():
-                if coeff:
-                    self._check_monomial(monomial)
-                    for word in monomial.words:
-                        space.check_letters(word)
-                    self.terms[monomial] = Scalar(coeff)
-
-    def _check_monomial(self, monomial: Monomial) -> None:
-        if self.flavor == COMMUTATIVE:
-            if monomial.gamma or monomial.nu:
-                raise ValueError("commutative-flavor monomials carry no gamma/nu powers")
-            if any(len(word) != 1 for word in monomial.words):
-                raise ValueError("commutative-flavor monomials are products of letters")
+            for (gamma, nu, words), coeff in terms.items():
+                self._accumulate(gamma, nu, words, Scalar(coeff))
 
     # -- construction -------------------------------------------------
 
@@ -53,7 +42,8 @@ class Element:
 
     @classmethod
     def from_terms(cls, space, flavor, raw_terms) -> "Element":
-        """Build from ``(gamma, nu, raw_words, coeff)`` items, canonicalizing."""
+        """Build from ``(gamma, nu, raw_words, coeff)`` items, canonicalizing
+        each as the constructor does its {monomial: coeff} entries."""
         out = cls(space, flavor)
         for gamma, nu, raw_words, coeff in raw_terms:
             out._accumulate(gamma, nu, raw_words, Scalar(coeff))
@@ -94,7 +84,11 @@ class Element:
         if canon is None:
             return
         monomial, sign = canon
-        self._check_monomial(monomial)
+        if self.flavor == COMMUTATIVE:
+            if monomial.gamma or monomial.nu:
+                raise ValueError("commutative-flavor monomials carry no gamma/nu powers")
+            if any(len(word) != 1 for word in monomial.words):
+                raise ValueError("commutative-flavor monomials are products of letters")
         add_to(self.terms, monomial, coeff if sign > 0 else -coeff)
 
     # -- linear structure ---------------------------------------------

@@ -15,7 +15,14 @@ any single argument (the value is independent of which; that
 independence is a tested property).  By associativity, the unit and
 invariance (checked on construction) t_k(c_1, ..., c_k) = eps(c_1 ... c_k)
 for the counit eps(a) = <a, 1>, and beta, gamma are left multiplication by
-H = x_i y^i and G = x_i x_j y^i y^j.  For the matrix algebra the tensors
+H = x_i y^i and G = x_i x_j y^i y^j.  Summing out i_1 by <R, x_i><y^i, Q>
+= <R, Q> joins the two t's into one eps, in which, by its cyclicity, each
+later pair reads x_i (...) y^i = C(...) for the Casimir map C(a) = x_i a y^i:
+
+    mu^{0,0}(...) = eps(C(... C(C(A_1) A_2) ...) A_m),   A_l = c_l1 ... c_lk_l,
+
+so H = C(1), G = x_i C(y^i), and mu costs m - 1 applications of C, not a
+walk over all n^m handle choices.  For the matrix algebra the tensors
 collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m), which
 ``matrix_trace_product`` evaluates directly.
 """
@@ -64,8 +71,7 @@ def _products(mult, n: int) -> dict:
 class FrobeniusAlgebra:
     """``mult[i][j]`` is the coefficient vector of e_i e_j, or a mapping
     {(i, j): {k: c}} gives the nonzero products alone; those are kept as
-    ``self.mult[i, j] = ((k, c), ...)``.  The unit, the handles (x_i, y^i) =
-    (e_i, ``self.inverse[i]``) of the inverse form, the counit, H and G are
+    ``self.mult[i, j] = ((k, c), ...)``.  The unit, the counit, H and G are
     sparse vectors, built here."""
 
     def __init__(self, basis, mult, pairing, unit):
@@ -82,16 +88,11 @@ class FrobeniusAlgebra:
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
         self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
-        self.handles = tuple(({i: ONE}, y) for i, y in enumerate(self.inverse))
         self.counit = _sparse(self._form({i: ONE}, self.unit) for i in range(n))
-        # H = x_i y^i and G = x_i C(y^i) with C(a) = x_j a y^j
-        self.H, self.G = {}, {}
-        for x, y in self.handles:
-            self._mul(x, y, self.H)
-            conjugated = {}
-            for u, v in self.handles:
-                self._mul(self._mul(u, y), v, conjugated)
-            self._mul(x, conjugated, self.G)
+        # H = x_i y^i = C(1) and G = x_i x_j y^i y^j = x_i C(y^i)
+        self.H, self.G = self._conjugate(self.unit), {}
+        for i, y in enumerate(self.inverse):
+            self._mul({i: ONE}, self._conjugate(y), self.G)
 
     @property
     def dim(self) -> int:
@@ -157,6 +158,13 @@ class FrobeniusAlgebra:
                         add_to(out, k, a * b * c)
         return out
 
+    def _conjugate(self, vec: Sparse) -> Sparse:
+        """The Casimir map C(a) = x_i a y^i over the handles (e_i, ``inverse[i]``)."""
+        out = {}
+        for i, y in enumerate(self.inverse):
+            self._mul(self._mul({i: ONE}, vec), y, out)
+        return out
+
     def _form(self, left: Sparse, right: Sparse) -> Scalar:
         return sum((a * right[j] * g for i, a in left.items()
                     for j, g in self.pairing[i].items() if j in right), ZERO)
@@ -211,7 +219,8 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
 
     ``boundaries`` is a list of m nonempty lists of algebra elements
     (indices, names or coefficient vectors).  ``apply_at`` selects which
-    argument receives beta^b gamma^g.
+    argument receives beta^b gamma^g; the boundaries are then folded
+    through the Casimir map.
     """
     if genus < 0 or free_boundaries < 0:
         raise ValueError("genus and free boundary counts are nonnegative")
@@ -228,21 +237,8 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
         vec = frob._mul(frob.H, vec)
     args[bi][ki] = vec
 
-    # level l picks a handle (x_i, y^i): x_i joins the outer product on the
-    # left, y^i A_l (A_l = the product of boundary l) the inner on the right
-    steps = [[(x, reduce(frob._mul, boundary, y)) for x, y in frob.handles] for boundary in args]
-
-    def walk(level, outer, inner):
-        if level == len(steps):
-            return frob._eps(outer) * frob._eps(inner)
-        total = ZERO
-        for x, tail in steps[level]:
-            head = frob._mul(x, outer)
-            if head:
-                total += walk(level + 1, head, frob._mul(inner, tail))
-        return total
-
-    return walk(0, frob.unit, frob.unit)
+    products = [reduce(frob._mul, boundary) for boundary in args]
+    return frob._eps(reduce(lambda vec, a: frob._mul(frob._conjugate(vec), a), products))
 
 
 def matrix_frobenius(size: int) -> FrobeniusAlgebra:

@@ -12,20 +12,25 @@ from .element import CYCLIC, Element
 from .scalar import Scalar, add_to, format_scalar, parse_scalar
 
 
+def _key(nu_power, traces) -> tuple[int, tuple[int, ...]]:
+    """The canonical term key (nu_power, sorted trace powers), checked
+    before any entry is summed into it."""
+    key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
+    if key[0] < 0:
+        raise ValueError("nu exponents are nonnegative")
+    if any(t < 1 for t in key[1]):
+        raise ValueError("trace powers must be positive; zeros are nu factors")
+    return key
+
+
 class MultiTraceFunctional:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # canonical term key: (nu_power, sorted trace powers)
         self.terms: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         if terms:
             for (nu_power, traces), coeff in terms.items():
-                key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
-                if key[0] < 0:
-                    raise ValueError("nu exponents are nonnegative")
-                if any(t < 1 for t in key[1]):
-                    raise ValueError("trace powers must be positive; zeros are nu factors")
-                add_to(self.terms, key, Scalar(coeff))
+                add_to(self.terms, _key(nu_power, traces), Scalar(coeff))
 
     @classmethod
     def from_multi_index(cls, idx) -> "MultiTraceFunctional":
@@ -103,9 +108,9 @@ class MultiTraceFunctional:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiTraceFunctional":
-        terms = {}
+        out = cls()
         for item in data["terms"]:
-            key = (int(item["nu_power"]), tuple(item["traces"]))
-            add_to(terms, key, parse_scalar(item["coeff"]))
-        return cls(terms)
+            add_to(out.terms, _key(item["nu_power"], item["traces"]),
+                   parse_scalar(item["coeff"]))
+        return out
 

@@ -3,6 +3,14 @@
 from .scalar import Scalar, add_to, format_scalar, parse_scalar
 
 
+def _exponent(exp) -> int:
+    """The one check on an exponent from outside, made before it is summed."""
+    exp = int(exp)
+    if exp < 0:
+        raise ValueError("nu exponents are nonnegative")
+    return exp
+
+
 class NuPolynomial:
     __slots__ = ("coeffs",)
 
@@ -10,10 +18,7 @@ class NuPolynomial:
         self.coeffs: dict[int, Scalar] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if c:
-                    if exp < 0:
-                        raise ValueError("nu exponents are nonnegative")
-                    self.coeffs[int(exp)] = Scalar(c)
+                add_to(self.coeffs, _exponent(exp), Scalar(c))
 
     @classmethod
     def zero(cls) -> "NuPolynomial":
@@ -118,14 +123,14 @@ class NuPolynomial:
         return {"coeffs": {str(e): format_scalar(c) for e, c in sorted(self.coeffs.items())}}
 
     # Outside input may name one exponent twice (a repeated CSV line, or
-    # JSON keys such as "1" and "01"); the entries are summed.
+    # JSON keys such as "1" and "01"); each is checked, then they are summed.
 
     @classmethod
     def from_json(cls, data: dict) -> "NuPolynomial":
-        coeffs = {}
+        out = cls()
         for exp, c in data["coeffs"].items():
-            add_to(coeffs, int(exp), parse_scalar(c))
-        return cls(coeffs)
+            add_to(out.coeffs, _exponent(exp), parse_scalar(c))
+        return out
 
     def to_csv(self) -> str:
         lines = ["exponent,numerator,denominator"]
@@ -139,8 +144,8 @@ class NuPolynomial:
         lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if not lines or lines[0] != "exponent,numerator,denominator":
             raise ValueError("missing or malformed CSV header")
-        coeffs = {}
+        out = cls()
         for line in lines[1:]:
             exp, num, den = line.split(",")
-            add_to(coeffs, int(exp), Scalar(int(num), int(den)))
-        return cls(coeffs)
+            add_to(out.coeffs, _exponent(exp), Scalar(int(num), int(den)))
+        return out

@@ -118,6 +118,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("hz", ("hz", "--kmax", "10")),
     ("verify", ("verify", "--degree-cap", "6", "--cases", "25", "--hz-k", "6",
                 "--skip-confluence")),
+    ("otft-four", ("otft", "--N", "6", "--genus", "2", "--free", "2",
+                   "--boundaries", "3,3,3,3")),
 ])
 def test_output_matches_golden(capsys, name, argv):
     """Exact CLI JSON is pinned byte for byte (mc is left out: its floats

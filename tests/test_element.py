@@ -93,9 +93,23 @@ def test_out_of_range_letter_is_rejected(letter):
 
 @pytest.mark.parametrize("letter", [-1, SPACE.dim, SPACE.dim + 5])
 def test_raw_constructor_rejects_out_of_range_letter(letter):
-    # the raw constructor takes monomials as given, with no canonicalization
+    # the raw constructor canonicalizes its monomials as from_terms does
     for flavor, words in ((CYCLIC, ((0, letter),)), (COMMUTATIVE, ((0,), (letter,)))):
         with pytest.raises(ValueError, match="out of range"):
             Element(SPACE, flavor, {Monomial(0, 0, words): 1})
     # a zero coefficient drops the monomial before any check
     assert Element(SPACE, CYCLIC, {Monomial(0, 0, ((letter,),)): 0}).is_zero()
+
+
+def test_raw_constructor_canonicalizes_like_from_terms():
+    """A {monomial: coeff} entry is the class of its raw words: rotated to
+    the canonical representative, with odd squares killed and negative
+    gamma/nu powers rejected."""
+    rotated = Element(SPACE, CYCLIC, {Monomial(0, 0, ((1, 0),)): 1})
+    assert rotated == Element.cyclic_word(SPACE, [1, 0])
+    assert rotated == Element.from_terms(SPACE, CYCLIC, [(0, 0, [[1, 0]], 1)])
+    assert Element(SPACE, CYCLIC, {Monomial(0, 0, ((1,), (1,))): 1}).is_zero()
+    with pytest.raises(ValueError, match="nonnegative"):
+        Element(SPACE, CYCLIC, {Monomial(0, -3, ()): 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        Element.nu_power(SPACE, -1)

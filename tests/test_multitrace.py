@@ -77,3 +77,14 @@ def test_negative_nu_power_rejected():
     data = {"terms": [{"nu_power": -2, "traces": [], "coeff": "1"}]}
     with pytest.raises(ValueError, match="nu exponents are nonnegative"):
         MultiTraceFunctional.from_json(data)
+    # each entry is checked before it is summed, so cancelling pairs fail too
+    cancelling = {"terms": [{"nu_power": -2, "traces": [], "coeff": "1"},
+                            {"nu_power": -2, "traces": [], "coeff": "-1"}]}
+    with pytest.raises(ValueError, match="nu exponents are nonnegative"):
+        MultiTraceFunctional.from_json(cancelling)
+    zero_traces = {"terms": [{"nu_power": 0, "traces": [0], "coeff": "1"},
+                             {"nu_power": 0, "traces": [0], "coeff": "-1"}]}
+    with pytest.raises(ValueError, match="trace powers must be positive"):
+        MultiTraceFunctional.from_json(zero_traces)
+    with pytest.raises(ValueError, match="nu exponents are nonnegative"):
+        MultiTraceFunctional({(-1, ()): 0})

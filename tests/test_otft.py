@@ -1,5 +1,6 @@
 """Surface tensors over Frobenius algebras."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_poly
 from ncbv.frobenius import FrobeniusAlgebra, matrix_trace_product
 from ncbv.scalar import ONE, ZERO, format_scalar, parse_scalar
 from ncbv.space import dense
+from ncbv.verify import otft_trace_case
 from test_space import invert_matrix
 
 
@@ -353,6 +355,29 @@ def test_otft_mu_matches_leaf_walk(frob):
         spot = (bi, rng.randrange(len(boundaries[bi])))
         expected = ref.otft_mu(genus, free, boundaries, spot)
         assert otft_mu(frob, genus, free, boundaries, apply_at=spot) == expected
+
+
+@pytest.mark.parametrize("size, ks", [(3, (1, 2, 3, 1, 2, 3, 2, 1)), (12, (3, 3, 3))],
+                         ids=["N3-eight-boundaries", "N12"])
+def test_casimir_fold_matches_trace_product_beyond_the_leaf_walk(size, ks):
+    """Scales where a walk over one handle per boundary would visit
+    (N^2)^m leaves: 9^8 at N = 3, 144^3 at N = 12."""
+    boundaries, value, expected = otft_trace_case(0, size, 2, 2, ks)
+    assert value == expected
+
+
+def test_otft_mu_leaves_the_algebra_unchanged():
+    """The fold accumulates products in place, into vectors it owns: the
+    algebra's tables stay as built."""
+    for frob in (f for f in reference_algebras() if f.dim <= 4):
+        fields = ("unit", "counit", "H", "G", "inverse", "pairing", "mult")
+        before = {name: copy.deepcopy(getattr(frob, name)) for name in fields}
+        rng = random.Random(frob.dim)
+        for _ in range(4):
+            boundaries = [[random_element(rng, frob) for _ in range(rng.randint(1, 3))]
+                          for _ in range(rng.randint(1, 4))]
+            otft_mu(frob, rng.randint(0, 2), rng.randint(0, 2), boundaries)
+        assert {name: getattr(frob, name) for name in fields} == before
 
 
 def test_matrix_structure_constants_are_sparse():

@@ -67,6 +67,13 @@ def test_csv_header_required():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         NuPolynomial({-1: Scalar(1)})
+    # each exponent is checked as it is read, before entries are summed
+    with pytest.raises(ValueError, match="nonnegative"):
+        NuPolynomial({-1: Scalar(0)})
+    with pytest.raises(ValueError, match="nonnegative"):
+        NuPolynomial.from_json({"coeffs": {"-1": "1", "-01": "-1"}})
+    with pytest.raises(ValueError, match="nonnegative"):
+        NuPolynomial.from_csv("exponent,numerator,denominator\n-1,1,1\n-1,-1,1\n")
 
 
 def test_csv_sums_duplicate_exponents():

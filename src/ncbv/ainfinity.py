@@ -25,7 +25,7 @@ import math
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, div, format_scalar, parse_scalar
 from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales, dense
 
 
@@ -187,7 +187,7 @@ def suspend(algebra: CyclicAInfinity, names=None, scales=None) -> GradedSymplect
     scales = _dual_scales(scales, n)
     # letters are (scaled) duals of the suspended basis: degree 1 - deg_A
     degrees = tuple(1 - d for d in algebra.degrees)
-    pairing = tuple({j: (-1) ** (algebra.degrees[i] % 2) * entry / (scales[i] * scales[j])
+    pairing = tuple({j: div((-1) ** (algebra.degrees[i] % 2) * entry, scales[i] * scales[j])
                      for j, entry in row.items()} for i, row in enumerate(algebra.pairing))
     return GradedSymplecticSpace(tuple(names), degrees, pairing, dual_scales=scales)
 
@@ -206,7 +206,7 @@ def _encoded_coeff(algebra, scales, key, value, weight) -> Scalar:
         exponent += (k - j) * algebra.degrees[idx]
     coeff = value * (-1 if exponent % 2 else 1) * weight
     for idx in key:
-        coeff /= scales[idx]
+        coeff = div(coeff, scales[idx])
     return coeff
 
 

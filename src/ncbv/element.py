@@ -122,7 +122,7 @@ class Element:
         coeff = Scalar(coeff)
         out = Element(self.space, self.flavor)
         if coeff:
-            out.terms = {m: coeff * c for m, c in self.terms.items()}
+            out.terms = {m: Scalar(coeff * c) for m, c in self.terms.items()}
         return out
 
     def __rmul__(self, coeff) -> "Element":

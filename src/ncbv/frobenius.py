@@ -166,11 +166,11 @@ class FrobeniusAlgebra:
         return out
 
     def _form(self, left: Sparse, right: Sparse) -> Scalar:
-        return sum((a * right[j] * g for i, a in left.items()
-                    for j, g in self.pairing[i].items() if j in right), ZERO)
+        return Scalar(sum(a * right[j] * g for i, a in left.items()
+                          for j, g in self.pairing[i].items() if j in right))
 
     def _eps(self, vec: Sparse) -> Scalar:
-        return sum((a * self.counit[k] for k, a in vec.items() if k in self.counit), ZERO)
+        return Scalar(sum(a * self.counit[k] for k, a in vec.items() if k in self.counit))
 
     def multiply(self, left, right) -> Vector:
         return self._dense(self._mul(self.coerce(left), self.coerce(right)))
@@ -252,7 +252,7 @@ def matrix_frobenius(size: int) -> FrobeniusAlgebra:
             {matrix_index(0, p, s, size): ONE}
         for p, q, s in index_chains(size, 3)
     }
-    unit = [Scalar(int(p == q)) for p, q in index_chains(size, 2)]
+    unit = [int(p == q) for p, q in index_chains(size, 2)]
     return FrobeniusAlgebra(basis, mult, pairing, unit)
 
 
@@ -269,17 +269,17 @@ def matrix_trace_product(size: int, free_boundaries: int, matrices):
     ]
     expected = Scalar(size) ** free_boundaries
     for bd in matrices:
-        prod = [[Scalar(int(p == q)) for q in range(size)] for p in range(size)]
+        prod = [[int(p == q) for q in range(size)] for p in range(size)]
         for mat in bd:
             prod = [
                 [
-                    sum((prod[p][t] * mat[t][q] for t in range(size)), Scalar(0))
+                    sum(prod[p][t] * mat[t][q] for t in range(size))
                     for q in range(size)
                 ]
                 for p in range(size)
             ]
-        expected *= sum((prod[p][p] for p in range(size)), Scalar(0))
-    return boundaries, expected
+        expected *= sum(prod[p][p] for p in range(size))
+    return boundaries, Scalar(expected)
 
 
 def ground_field() -> FrobeniusAlgebra:
@@ -307,5 +307,5 @@ def truncated_polynomials(depth: int, trace_values) -> FrobeniusAlgebra:
         [values[a + b] if a + b < depth else ZERO for b in range(depth)]
         for a in range(depth)
     ]
-    unit = [Scalar(int(a == 0)) for a in range(depth)]
+    unit = [int(a == 0) for a in range(depth)]
     return FrobeniusAlgebra(basis, mult, pairing, unit)

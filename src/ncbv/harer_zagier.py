@@ -18,7 +18,7 @@ from math import comb, factorial
 from .nupoly import NuPolynomial
 from .reduction import GueReducer, default_reducer
 from .report import CheckReport, check_report
-from .scalar import Scalar
+from .scalar import Scalar, div
 
 
 def double_factorial(n: int) -> int:
@@ -40,13 +40,13 @@ def harer_zagier_closed(k: int, size) -> Scalar:
         raise ValueError("k must be nonnegative")
     size = Scalar(size)
     prefactor = Scalar(factorial(2 * k), 2**k * factorial(k))
-    total = Scalar(0)
+    total = 0
     for m in range(k + 1):
-        binom_n = Scalar(1)
+        binom_n = 1
         for t in range(m + 1):  # C(N, m+1) as a polynomial in N
-            binom_n *= (size - t) / (t + 1)
+            binom_n = div(binom_n * (size - t), t + 1)
         total += 2**m * comb(k, m) * binom_n
-    return prefactor * total
+    return Scalar(prefactor * total)
 
 
 def single_trace_polynomials(k_max: int, reducer: GueReducer | None = None):

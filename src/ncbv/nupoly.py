@@ -66,7 +66,7 @@ class NuPolynomial:
         value = Scalar(value)
         out = NuPolynomial()
         if value:
-            out.coeffs = {e: value * c for e, c in self.coeffs.items()}
+            out.coeffs = {e: Scalar(value * c) for e, c in self.coeffs.items()}
         return out
 
     def shift(self, power: int) -> "NuPolynomial":
@@ -98,10 +98,10 @@ class NuPolynomial:
 
     def __call__(self, value) -> Scalar:
         value = Scalar(value)
-        total = Scalar(0)
+        total = 0
         for exp, c in self.coeffs.items():
             total += c * value**exp
-        return total
+        return Scalar(total)
 
     def __repr__(self) -> str:
         if not self.coeffs:

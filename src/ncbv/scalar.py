@@ -1,43 +1,79 @@
-"""Exact scalars: rationals with arbitrary-precision integer parts.
+"""Exact scalars: ``int`` when integral, a reduced ``Fraction`` otherwise.
 
-The ground field is the rationals throughout; ``fractions.Fraction``
-already keeps values in lowest terms with a positive denominator, so it
-is used directly as the scalar type.  No floating point enters any
-algebraic module (floats appear only in the Monte Carlo sampler).
+The ground field is the rationals throughout.  Almost every exact value
+in the package (GUE coefficients, loop-equation tables, Mat_N structure
+constants, decorated pairings) is an integer, and ``int`` arithmetic is
+far cheaper than ``fractions.Fraction``'s, so a scalar is held as an
+``int`` whenever it is integral and as a ``Fraction`` with denominator
+> 1 only when it is not.  Python mixes the two exactly, an ``int`` and
+an integral ``Fraction`` compare and hash equal, and ``format_scalar``
+prints both the same way, so the representation never shows in output.
+No floating point enters any algebraic module (floats appear only in
+the Monte Carlo sampler).
+
+``Scalar(value, den=1)`` is the one constructor and normalizer: it
+returns value/den exactly, as an ``int`` when integral.  ``int / int``
+is a float, so ``div`` is the one exact division.  A product of scalars
+may be an integral ``Fraction`` (2 * 1/2); results that are not summed
+through ``add_to`` pass through ``Scalar``.
 
 Every sparse map from keys to exact coefficients stores nonzero values
-only and is updated through ``add_to``.
+only and is updated through ``add_to``, which also turns a sum whose
+denominator becomes 1 back into an ``int``.
 """
 
 from fractions import Fraction
 
-Scalar = Fraction
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
+ZERO = 0
+ONE = 1
 
 
-def add_to(terms: dict, key, value: Scalar) -> None:
-    """Add the exact ``value`` to ``terms[key]``; a zero sum deletes the key."""
+def Scalar(value=0, den=1):
+    """The exact rational value/den: an ``int`` when integral, else a
+    reduced ``Fraction``.  Accepts ints, Fractions, other rationals,
+    decimal strings and floats (taken exactly), as ``Fraction`` does."""
+    if den == 1:
+        if type(value) is int:
+            return value
+        if type(value) is not Fraction:
+            value = Fraction(value)
+    else:
+        value = Fraction(value, den)
+    return value.numerator if value.denominator == 1 else value
+
+
+def div(num, den):
+    """The exact quotient num / den of two scalars; a zero ``den`` raises
+    ``ZeroDivisionError``."""
+    if type(num) is int and type(den) is int and den and not num % den:
+        return num // den
+    return Scalar(num, den)
+
+
+def add_to(terms: dict, key, value) -> None:
+    """Add the exact ``value`` to ``terms[key]``; a zero sum deletes the
+    key, and an integral sum is stored as an ``int``."""
     old = terms.get(key)
     total = value if old is None else old + value
-    if total:
+    if not total:
+        terms.pop(key, None)
+    elif type(total) is int or total.denominator != 1:
         terms[key] = total
     else:
-        terms.pop(key, None)
+        terms[key] = total.numerator
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse ``"3/4"`` or ``"-2"`` into a Scalar."""
+def parse_scalar(text: str):
+    """Parse ``"3/4"`` or ``"-2"`` into a scalar."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
         return Scalar(int(num), int(den))
-    return Scalar(int(text))
+    return int(text)
 
 
-def format_scalar(value: Scalar) -> str:
-    """Format a Scalar as ``"3/4"`` or ``"-2"`` (denominator 1 omitted)."""
+def format_scalar(value) -> str:
+    """Format a scalar as ``"3/4"`` or ``"-2"`` (denominator 1 omitted)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -28,14 +28,10 @@ over nonzero entries only, whether B was supplied or solved for.
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, div, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Form = tuple[dict[int, Scalar], ...]  # row i is {column j: nonzero entry}
-
-
-def _scalar(value) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(value)
 
 
 def dense(form: Form) -> Matrix:
@@ -45,18 +41,18 @@ def dense(form: Form) -> Matrix:
 
 
 def _form(rows, n: int, what: str) -> Form:
-    """``rows`` as a Form, coercing only entries that are not Scalars.
+    """``rows`` as a Form, each entry through ``Scalar``.
     Each row is a sequence of n entries (outside input) or a mapping
     {column: entry} (a Form's own rows); a new dict is built either way."""
     form = []
     for row in rows:
         if isinstance(row, Mapping):
-            items = [(j, _scalar(entry)) for j, entry in row.items()]
+            items = [(j, Scalar(entry)) for j, entry in row.items()]
             for j, _ in items:
                 if not (isinstance(j, int) and 0 <= j < n):
                     raise ValueError(f"{what} row has column {j!r} outside 0..{n - 1}")
         else:
-            items = list(enumerate(map(_scalar, row)))
+            items = list(enumerate(map(Scalar, row)))
             if len(items) != n:
                 raise ValueError(f"{what} row has {len(items)} entries: a row of {len(items)} "
                                  f"entries for a basis of {n}")
@@ -86,11 +82,11 @@ def _solve(pairing: Form, parities) -> Form:
         pivots.append(p)
         prow, pivot = rows[p], rows[p][col]
         for c, v in prow.items():
-            prow[c] = v / pivot
+            prow[c] = div(v, pivot)
         for r in holders[col] - {p}:
             target, factor = rows[r], rows[r][col]
             for c, v in prow.items():
-                total = target.get(c, ZERO) - factor * v
+                total = Scalar(target.get(c, ZERO) - factor * v)
                 if total:
                     target[c] = total
                     holders[c].add(r)
@@ -145,7 +141,7 @@ def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
 
 def _dual_scales(scales, n: int) -> tuple[Scalar, ...]:
     """``scales`` as n nonzero Scalars, one per letter; all 1 when None."""
-    scales = (ONE,) * n if scales is None else tuple(map(_scalar, scales))
+    scales = (ONE,) * n if scales is None else tuple(map(Scalar, scales))
     if len(scales) != n or not all(scales):
         raise ValueError(f"dual_scales must be {n} nonzero scalars, one per letter")
     return scales
@@ -225,11 +221,11 @@ def hyperbolic_space(names_degrees) -> GradedSymplecticSpace:
     """
     letters, degrees, rows, inverse = [], [], [], []
     for (name_u, deg_u), (name_v, deg_v), coeff in names_degrees:
-        coeff = _scalar(coeff)
+        coeff = Scalar(coeff)
         if not coeff:
             raise ValueError(f"hyperbolic pair ({name_u}, {name_v}) has coefficient zero")
         i = len(letters)
-        dual = (-1 if deg_u % 2 else 1) / coeff
+        dual = div(-1 if deg_u % 2 else 1, coeff)
         letters.extend([name_u, name_v])
         degrees.extend([deg_u, deg_v])
         rows.extend([{i + 1: coeff}, {i: -coeff}])

@@ -324,7 +324,7 @@ PINNED = {
     ),
     'otft-placement-independence': (
         'otft-placement-independence', '10 cases, dim <= 4',
-        'case 1: {(0, 0): Fraction(8, 1), (1, 0): Fraction(9, 1), (1, 1): Fraction(9, 1)}',
+        'case 1: {(0, 0): 8, (1, 0): 9, (1, 1): 9}',
     ),
 }
 

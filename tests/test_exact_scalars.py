@@ -7,13 +7,14 @@ value is integral, else a ``Fraction`` with denominator > 1, never a
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
 from ncbv import (
+    CyclicAInfinity,
     Element,
     GueReducer,
+    Monomial,
     NuPolynomial,
     encode_ainfinity,
     encode_commutator_linfinity,
@@ -25,9 +26,10 @@ from ncbv import (
     truncated_polynomials,
 )
 from ncbv.algebras import algebra_a, exterior_line, sigma_a_space
+from ncbv.frobenius import matrix_trace_product
 from ncbv.morita import MatrixExtension
 from ncbv.scalar import Scalar, add_to, div, parse_scalar
-from ncbv.verify import random_space
+from ncbv.verify import _partitions_up_to, random_space
 
 
 def is_exact(value) -> bool:
@@ -44,17 +46,9 @@ def assert_form_exact(form, what):
     assert_exact([v for row in form for v in row.values()], what)
 
 
-def multi_indices(max_sum):
-    """Every sorted multi-index of positive parts with sum <= ``max_sum``."""
-    for length in range(1, max_sum + 1):
-        for idx in combinations_with_replacement(range(1, max_sum + 1), length):
-            if sum(idx) <= max_sum:
-                yield idx
-
-
 def test_reducer_polynomials_and_tables_are_exact():
     reducer = GueReducer()
-    indices = list(multi_indices(14))
+    indices = _partitions_up_to(14)
     assert len(indices) == 507
     for idx in indices:
         assert_exact(reducer.reduce(idx).coeffs.values(), f"p_{idx}")
@@ -74,6 +68,18 @@ def test_matrix_frobenius_vectors_are_exact(size):
     for name in ("unit", "counit", "H", "G"):
         assert_exact(getattr(frob, name).values(), name)
     assert frob.H == {i: size for i in frob.unit}
+
+
+def test_products_of_rational_vectors_are_exact():
+    """1/2 against 2: integral values from Fraction products."""
+    frob = matrix_frobenius(2)
+    half, two = [[Fraction(1, 2)] * 2] * 2, [[2] * 2] * 2
+    assert frob.form(sum(half, []), sum(two, [])) == 4
+    assert is_exact(frob.form(sum(half, []), sum(two, [])))
+    boundaries, expected = matrix_trace_product(2, 1, [[half, two]])
+    assert expected == 8 and is_exact(expected)
+    assert otft_mu(frob, 0, 1, boundaries) == expected
+    assert is_exact(frob.trace_form(boundaries[0]))
 
 
 def test_truncated_polynomial_vectors_and_values_are_exact():
@@ -121,11 +127,24 @@ def test_encodings_are_exact(algebra, names, scales):
 
 
 def test_harer_zagier_closed_is_exact():
+    """Exact in value too: a float step would round at N = 10^20 + 1."""
+    reducer = GueReducer()
     for k in range(9):
-        for size in [*range(1, 6), Fraction(1, 2), Fraction(-3, 2)]:
-            assert is_exact(harer_zagier_closed(k, size)), (k, size)
+        moment = reducer.reduce((2 * k,))
+        for size in [*range(1, 6), 10**20 + 1, Fraction(1, 2), Fraction(-3, 2)]:
+            value = harer_zagier_closed(k, size)
+            assert is_exact(value) and value == moment(size), (k, size)
     assert harer_zagier_closed(5, 3) == 68985
-    assert harer_zagier_closed(2, Fraction(1, 2)) == Fraction(3, 4)
+
+
+def test_divisions_by_int_scales_are_exact():
+    """An int over an int scale: the suspended pairing, and m_0, whose
+    encoding weight is 1."""
+    assert suspend(algebra_a(), scales=(2, 3)).pairing == ({1: Fraction(-1, 6)},
+                                                           {0: Fraction(1, 6)})
+    curved = CyclicAInfinity(("a", "b"), (1, 2), ((0, 1), (1, 0)), {0: {(): {1: 1}}})
+    space = suspend(curved, scales=(3, 1))
+    assert encode_ainfinity(curved, space).terms == {Monomial(0, 0, ((0,),)): Fraction(1, 3)}
 
 
 def test_scale_and_evaluation_are_exact():

@@ -14,7 +14,8 @@ words; the residual signs are
     bracket:    rot(u,i) . rot(v,j) . (-1)^{|b_j| |u - a_i|}
     cobracket:  rot(w,i) . (-1)^{|a_j| |arc between i and j|}
 
-with the rotation signs rot from ``words.rotation_signs``.
+with the rotation signs rot and the arc parities read from the prefix
+parities of ``words.prefix_parities``, which also checks the letters.
 
 Each extension to products of factors is written once, as a kernel of
 ``OperatorContext`` holding its transport sign:
@@ -35,16 +36,7 @@ tests check.
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .scalar import Scalar
-from .words import rotation_signs, word_parity
-
-
-def _prefix_parities(space, word):
-    """prefix[i] = parity of letters strictly before position i."""
-    parities = space.parities
-    out = [0] * (len(word) + 1)
-    for i, letter in enumerate(word):
-        out[i + 1] = out[i] ^ parities[letter]
-    return out
+from .words import prefix_parities, rotation_sign, word_parity
 
 
 def bracket_words(space, u, v):
@@ -55,18 +47,18 @@ def bracket_words(space, u, v):
     """
     inv = space.inverse
     parities = space.parities
-    rot_u = rotation_signs(space, u)
-    rot_v = rotation_signs(space, v)
-    parity_u = word_parity(space, u)
+    prefix_u = prefix_parities(space, u)
+    prefix_v = prefix_parities(space, v)
     out = []
     for i, a in enumerate(u):
-        rest_parity = parity_u ^ parities[a]
+        rest_parity = prefix_u[-1] ^ parities[a]
+        sign_u = rotation_sign(prefix_u, i)
         row = inv[a]
         for j, b in enumerate(v):
             coeff = row.get(b)
             if not coeff:
                 continue
-            sign = rot_u[i] * rot_v[j]
+            sign = sign_u * rotation_sign(prefix_v, j)
             if rest_parity and parities[b]:
                 sign = -sign
             splice = u[i + 1 :] + u[:i] + v[j + 1 :] + v[:j]
@@ -78,8 +70,7 @@ def cobracket_word(space, word):
     """Raw cobracket of one cyclic word: list of (coeff, arc1, arc2)."""
     inv = space.inverse
     parities = space.parities
-    rot = rotation_signs(space, word)
-    prefix = _prefix_parities(space, word)
+    prefix = prefix_parities(space, word)
     out = []
     for i in range(len(word)):
         row = inv[word[i]]
@@ -87,7 +78,7 @@ def cobracket_word(space, word):
             coeff = row.get(word[j])
             if not coeff:
                 continue
-            sign = rot[i]
+            sign = rotation_sign(prefix, i)
             arc1_parity = prefix[j] ^ prefix[i + 1]
             if arc1_parity and parities[word[j]]:
                 sign = -sign

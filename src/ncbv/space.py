@@ -189,12 +189,6 @@ class GradedSymplecticSpace:
         except ValueError:
             raise ValueError(f"unknown letter {name!r}") from None
 
-    def check_letters(self, letters) -> None:
-        dim = len(self.letters)
-        for letter in letters:
-            if not 0 <= letter < dim:
-                raise ValueError(f"letter index {letter} out of range for this space")
-
     def to_json(self) -> dict:
         return {
             "letters": [

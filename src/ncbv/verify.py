@@ -32,7 +32,7 @@ from .nupoly import NuPolynomial
 from .operators import OperatorContext
 from .reduction import GueReducer, default_reducer
 from .report import CheckReport, check_report
-from .scalar import Scalar
+from .scalar import Scalar, format_scalar
 from .space import GradedSymplecticSpace, hyperbolic_space
 from .wick import MAX_CAP, wick_oracle
 
@@ -543,7 +543,9 @@ def otft_placement_check(cases: int = 40, seed: int = 157) -> CheckReport:
             values_at = {spot: otft_mu(frob, genus, free, boundaries, apply_at=spot)
                          for spot in spots}
             if len(set(values_at.values())) != 1:
-                yield f"case {case}: {values_at}"
+                values = ", ".join(f"{spot} -> {format_scalar(value)}"
+                                   for spot, value in values_at.items())
+                yield f"case {case}: {values}"
 
     return check_report("otft-placement-independence", f"{cases} cases, dim <= 4", failures())
 

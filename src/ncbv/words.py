@@ -1,19 +1,27 @@
 """Canonical signed normal forms for cyclic words and their products.
 
 A cyclic word is stored as the lexicographically minimal rotation of its
-letter-index sequence (ties broken by the earliest rotation).  Rotating
-one letter past the rest costs the Koszul sign (-1)^{|first|.|rest|};
-``rotation_signs`` accumulates these signs and is the one place the
-rotation sign is computed (the operators reuse it).  Every rotation that
-fixes a word is a power of the rotation by its smallest period p, so the
-class is zero exactly when rotating by p carries sign -1; such classes
-are reported as zero here rather than ever being stored.
+letter-index sequence (ties broken by the earliest rotation).  Every
+Koszul sign of the words layer starts from one array, the prefix
+parities of ``prefix_parities``: P_i is the parity of the letters
+w[:i], and T = P_k is the parity of the word.  It is also the one place
+letters are checked against the space, in the same pass.
+
+Rotating w so that position i comes first moves the prefix w[:i] past
+the rest, which costs (-1)^{P_i (T - P_i)}.  As P_i^2 = P_i mod 2 this is
+(-1)^{P_i} for an even word and +1 for an odd word, so no per-rotation
+sign list is needed (``rotation_sign``).  Every rotation that fixes a
+word is a power of the rotation by its smallest period p, so the class
+is zero exactly when the word is even and P_p is odd; such classes are
+reported as zero here rather than ever being stored.
 
 A monomial is a product gamma^i nu^j w_1 ... w_n of canonical cyclic
-words; the word list is kept sorted (plain tuple order), accumulating
-the Koszul sign (-1)^{|u||v|} per transposition, and a repeated word of
-odd parity makes the monomial zero.  The formal variables nu (the empty
-cyclic word) and gamma (the genus weight) are even and central.
+words; the word list is kept sorted (plain tuple order), and each
+transposition of two words u, v costs (-1)^{|u||v|}, so the sign of the
+sort is (-1)^{number of pairs of odd words that sorting reverses}.  A
+repeated word of odd parity makes the monomial zero.  The formal
+variables nu (the empty cyclic word) and gamma (the genus weight) are
+even and central.
 """
 
 from typing import NamedTuple, Optional
@@ -31,18 +39,26 @@ def word_parity(space, word: Word) -> int:
     return sum(map(space.parities.__getitem__, word)) % 2
 
 
-def rotation_signs(space, word) -> list[int]:
-    """sign[i] = Koszul sign rotating word so position i comes first."""
+def prefix_parities(space, word) -> list[int]:
+    """prefix[i] = parity of the letters word[:i]; prefix[-1] is the
+    parity of the word.  Raises ``ValueError`` on a letter outside
+    0..dim-1, checked in the same pass."""
     parities = space.parities
-    total = word_parity(space, word)
-    signs = [1] * len(word)
-    sign = 1
-    for i in range(1, len(word)):
-        p = parities[word[i - 1]]
-        if p and (total - p) % 2:
-            sign = -sign
-        signs[i] = sign
-    return signs
+    dim = len(parities)
+    out = [0] * (len(word) + 1)
+    parity = 0
+    for i, letter in enumerate(word):
+        if not 0 <= letter < dim:
+            raise ValueError(f"letter index {letter} out of range for this space")
+        parity ^= parities[letter]
+        out[i + 1] = parity
+    return out
+
+
+def rotation_sign(prefix, i) -> int:
+    """Koszul sign rotating a word so position i comes first, read from
+    the word's prefix parities: -1 iff the word is even and P_i odd."""
+    return -1 if prefix[i] and not prefix[-1] else 1
 
 
 def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
@@ -55,19 +71,18 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
     word = tuple(letters)
     if not word:
         raise ValueError("cyclic words are nonempty; the empty word is the nu variable")
-    space.check_letters(word)
-    signs = rotation_signs(space, word)
-    best_word, best_sign = word, 1
+    prefix = prefix_parities(space, word)
+    best_word, best_i = word, 0
     for i in range(1, len(word)):
         rotated = word[i:] + word[:i]
         if rotated == word:
             # i is the smallest period; later rotations repeat the first i
-            if signs[i] < 0:
+            if rotation_sign(prefix, i) < 0:
                 return None
             break
         if rotated < best_word:
-            best_word, best_sign = rotated, signs[i]
-    return best_word, best_sign
+            best_word, best_i = rotated, i
+    return best_word, rotation_sign(prefix, best_i)
 
 
 def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:
@@ -76,20 +91,16 @@ def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:
     Returns ``(sorted_words, sign)`` or ``None`` when a word of odd
     parity repeats (odd square), which kills the monomial.
     """
-    items = list(words)
+    words = tuple(words)
+    odd = [w for w in words if word_parity(space, w)]
     sign = 1
-    # insertion sort; adjacent transposition of words u,v costs (-1)^{|u||v|}
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j] < items[j - 1]:
-            if word_parity(space, items[j]) and word_parity(space, items[j - 1]):
+    for i, u in enumerate(odd):
+        for v in odd[i + 1 :]:
+            if v == u:
+                return None
+            if v < u:
                 sign = -sign
-            items[j], items[j - 1] = items[j - 1], items[j]
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and word_parity(space, a):
-            return None
-    return tuple(items), sign
+    return tuple(sorted(words)), sign
 
 
 def canonicalize_monomial(space, gamma: int, nu: int, raw_words) -> Optional[tuple[Monomial, int]]:

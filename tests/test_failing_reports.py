@@ -93,6 +93,12 @@ def otft_placed(frob, genus, free, boundaries, apply_at=(0, 0)):
     return value if apply_at == (0, 0) else value + 1
 
 
+def otft_half_placed(frob, genus, free, boundaries, apply_at=(0, 0)):
+    """Off the first argument, the value moves by a non-integral 1/2."""
+    value = otft_mu(frob, genus, free, boundaries, apply_at)
+    return value if apply_at == (0, 0) else value + Scalar(1, 2)
+
+
 def wrong_encoding(algebra, space):
     return Element.cyclic_word(space, ["x", "x"])
 
@@ -178,6 +184,8 @@ CASES = [
     ("otft-matrix-placement", patch(verify, "otft_mu", otft_placed),
      lambda: verify.otft_matrix_check(10)),
     ("otft-placement-independence", patch(verify, "otft_mu", otft_placed),
+     lambda: verify.otft_placement_check(10)),
+    ("otft-placement-half", patch(verify, "otft_mu", otft_half_placed),
      lambda: verify.otft_placement_check(10)),
 ]
 
@@ -324,7 +332,11 @@ PINNED = {
     ),
     'otft-placement-independence': (
         'otft-placement-independence', '10 cases, dim <= 4',
-        'case 1: {(0, 0): 8, (1, 0): 9, (1, 1): 9}',
+        'case 1: (0, 0) -> 8, (1, 0) -> 9, (1, 1) -> 9',
+    ),
+    'otft-placement-half': (
+        'otft-placement-independence', '10 cases, dim <= 4',
+        'case 1: (0, 0) -> 8, (1, 0) -> 17/2, (1, 1) -> 17/2',
     ),
 }
 

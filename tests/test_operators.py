@@ -8,7 +8,9 @@ import pytest
 from ncbv import CYCLIC, Element, OperatorContext, Scalar, sigma
 from ncbv.algebras import algebra_a, sigma_a_context, sigma_a_space
 from ncbv.ainfinity import encode_ainfinity
-from ncbv.words import Monomial
+from ncbv.operators import bracket_words, cobracket_word
+from ncbv.verify import random_space
+from ncbv.words import Monomial, canonicalize_cyclic
 
 SPACE = sigma_a_space()
 CTX = sigma_a_context()
@@ -189,3 +191,70 @@ def test_missing_differential_rejected():
     plain = OperatorContext(SPACE)
     with pytest.raises(ValueError, match="internal differential"):
         plain.internal_differential(word("x"))
+
+
+def stepwise_rotation_signs(space, word):
+    """sign[i] of rotating ``word`` so position i comes first, one letter
+    at a time: an odd letter passing a rest of odd parity flips the sign."""
+    parities = [degree % 2 for degree in space.degrees]
+    total = sum(parities[letter] for letter in word) % 2
+    signs, sign = [1], 1
+    for letter in word[:-1]:
+        if parities[letter] and (total - parities[letter]) % 2:
+            sign = -sign
+        signs.append(sign)
+    return signs
+
+
+def reference_bracket_words(space, u, v):
+    parities = [degree % 2 for degree in space.degrees]
+    rot_u, rot_v = stepwise_rotation_signs(space, u), stepwise_rotation_signs(space, v)
+    out = []
+    for i, a in enumerate(u):
+        rest_parity = (sum(parities[letter] for letter in u) - parities[a]) % 2
+        for j, b in enumerate(v):
+            coeff = space.inverse[a].get(b)
+            if coeff:
+                sign = rot_u[i] * rot_v[j] * (-1 if rest_parity and parities[b] else 1)
+                out.append((sign * coeff, u[i + 1 :] + u[:i] + v[j + 1 :] + v[:j]))
+    return out
+
+
+def reference_cobracket_word(space, w):
+    parities = [degree % 2 for degree in space.degrees]
+    rot = stepwise_rotation_signs(space, w)
+    out = []
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            coeff = space.inverse[w[i]].get(w[j])
+            if coeff:
+                arc1 = w[i + 1 : j]
+                arc1_parity = sum(parities[letter] for letter in arc1) % 2
+                sign = rot[i] * (-1 if arc1_parity and parities[w[j]] else 1)
+                out.append((sign * coeff, arc1, w[j + 1 :] + w[:i]))
+    return out
+
+
+def test_word_contractions_match_stepwise_rotation_signs():
+    """bracket_words and cobracket_word, entry for entry and in order,
+    against rotation signs folded one letter at a time, over random
+    canonical words of length 1-8 (periodic words u^m included)."""
+    rng = random.Random(83)
+    flipped = periodic = 0
+    for _ in range(300):
+        space = random_space(rng)
+        words = []
+        for _ in range(4):
+            unit = [rng.randrange(space.dim) for _ in range(rng.randint(1, 8))]
+            for raw in (unit, unit[:2] * rng.randint(2, 4)):
+                canon = canonicalize_cyclic(raw, space)
+                if canon is not None:
+                    words.append(canon[0])
+        for w in words:
+            expected = reference_cobracket_word(space, w)
+            assert cobracket_word(space, w) == expected
+            flipped += -1 in stepwise_rotation_signs(space, w)
+            periodic += any(w == w[p:] + w[:p] for p in range(1, len(w)))
+        for u, v in zip(words, words[1:]):
+            assert bracket_words(space, u, v) == reference_bracket_words(space, u, v)
+    assert flipped and periodic

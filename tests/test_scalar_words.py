@@ -10,6 +10,7 @@ from ncbv import Scalar, canonicalize_cyclic, canonicalize_monomial, format_scal
 from ncbv.algebras import sigma_a_space
 from ncbv.space import hyperbolic_space
 from ncbv.verify import random_space
+from ncbv.words import prefix_parities, sort_words
 
 SPACE = sigma_a_space()  # letters: x (even), xi (odd)
 X, XI = 0, 1
@@ -165,6 +166,64 @@ def test_invalid_letter_rejected():
         canonicalize_cyclic([0, 9], SPACE)
     with pytest.raises(ValueError):
         canonicalize_cyclic([], SPACE)
+
+
+@pytest.mark.parametrize("letter", [-1, MIXED.dim])
+def test_prefix_parities_rejects_out_of_range_letter(letter):
+    # -1 must not wrap round to the last letter
+    with pytest.raises(ValueError, match="letter index .* out of range for this space"):
+        prefix_parities(MIXED, [0, letter])
+
+
+def test_prefix_parities_counts_odd_letters():
+    xi, eta = MIXED.index("xi"), MIXED.index("eta")
+    assert prefix_parities(MIXED, [xi, 0, eta, xi]) == [0, 1, 1, 0, 1]
+
+
+def degree_parity(space, word):
+    return sum(space.degrees[letter] for letter in word) % 2
+
+
+def insertion_sort_words(space, words):
+    """Reference: insertion sort with one Koszul sign per adjacent swap of
+    two odd words, then a repeated odd word kills the monomial."""
+    items = list(words)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j] < items[j - 1]:
+            if degree_parity(space, items[j]) and degree_parity(space, items[j - 1]):
+                sign = -sign
+            items[j], items[j - 1] = items[j - 1], items[j]
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b and degree_parity(space, a):
+            return None
+    return tuple(items), sign
+
+
+def test_sort_words_matches_insertion_sort():
+    """Lists of 0-6 canonical words drawn with repeats from a small pool,
+    so repeated odd words, repeated even words and mixed parities all occur."""
+    rng = random.Random(59)
+    seen = {"odd repeat": 0, "even repeat": 0, "odd swap": 0}
+    for _ in range(300):
+        space = random_space(rng)
+        pool = []
+        while len(pool) < 4:
+            word = [rng.randrange(space.dim) for _ in range(rng.randint(1, 4))]
+            canon = canonicalize_cyclic(word, space)
+            if canon is not None:
+                pool.append(canon[0])
+        for _ in range(10):
+            words = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+            expected = insertion_sort_words(space, words)
+            assert sort_words(space, words) == expected
+            repeats = {w for w in words if words.count(w) > 1}
+            seen["odd repeat"] += any(degree_parity(space, w) for w in repeats)
+            seen["even repeat"] += any(not degree_parity(space, w) for w in repeats)
+            seen["odd swap"] += expected is not None and expected[1] == -1
+    assert all(seen.values()), seen
 
 
 def test_monomial_odd_word_squared_is_zero():

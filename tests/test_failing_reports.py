@@ -177,6 +177,8 @@ CASES = [
      verify.encode_check),
     ("quantized-trace-chain-map", plus_unit("bv_laplacian"),
      lambda: verify.chain_map_check(20)),
+    ("quantized-trace-chain-map-d", times_dim("internal_differential"),
+     lambda: verify.chain_map_check(20)),
     ("sigma-K-graded-chain-map", plus_unit("bv_laplacian"),
      lambda: verify.sigma_k_check(20)),
     ("otft-matrix-value", patch(verify, "otft_mu", otft_shifted),
@@ -315,6 +317,10 @@ PINNED = {
         'negative control: a cyclicity-violating table was accepted',
     ),
     'quantized-trace-chain-map': (
+        'quantized-trace-chain-map', '20 cases, N=2',
+        'case 0: e=-1*v^2(x xi)(x xi xi)',
+    ),
+    'quantized-trace-chain-map-d': (
         'quantized-trace-chain-map', '20 cases, N=2',
         'case 0: e=-1*v^2(x xi)(x xi xi)',
     ),

@@ -258,3 +258,105 @@ def test_word_contractions_match_stepwise_rotation_signs():
         for u, v in zip(words, words[1:]):
             assert bracket_words(space, u, v) == reference_bracket_words(space, u, v)
     assert flipped and periodic
+
+
+def two_letter_part(element):
+    """The single two-letter words of an element, without gamma or nu."""
+    return Element(element.space, CYCLIC, {
+        m: c for m, c in element.terms.items()
+        if not m.gamma and not m.nu and len(m.words) == 1 and len(m.words[0]) == 2
+    })
+
+
+def reference_letter_table(q):
+    """d on letters, letter -> [(coeff, letter)], read off d(l) = -{q, (l)}."""
+    space = q.space
+    plain = OperatorContext(space)
+    table = {}
+    for letter in range(space.dim):
+        image = plain.nc_bracket(q, Element.cyclic_word(space, [letter]))
+        table[letter] = [(-c, m.words[0][0]) for m, c in image.terms.items()]
+    return table
+
+
+def reference_differential(table, element):
+    """The odd derivation extending ``table`` letter by letter over every
+    factor of every monomial, each letter passing the letters before it."""
+    parities = element.space.parities
+    raw = []
+    for m, coeff in element.terms.items():
+        before = 0
+        for i, w in enumerate(m.words):
+            for k, letter in enumerate(w):
+                for c, target in table[letter]:
+                    new_word = w[:k] + (target,) + w[k + 1 :]
+                    words = m.words[:i] + (new_word,) + m.words[i + 1 :]
+                    raw.append((m.gamma, m.nu, words, -c * coeff if before else c * coeff))
+                before ^= parities[letter]
+    return Element.from_terms(element.space, element.flavor, raw)
+
+
+def context_with(space, q):
+    return OperatorContext(space, reference_letter_table(q))
+
+
+def random_even_quadratic(rng, space):
+    """A random sum of two-letter words (a b) with |a| + |b| even."""
+    raw = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(space.dim)
+        b = rng.choice([l for l in range(space.dim) if space.parities[l] == space.parities[a]])
+        raw.append((0, 0, [[a, b]], rng.choice([1, -1, 2, Scalar(1, 2), Scalar(-3, 2)])))
+    return Element.from_terms(space, CYCLIC, raw)
+
+
+def assert_d_matches_reference(rng, ctx, q, draws):
+    from ncbv.verify import random_commutative_element, random_cyclic_element
+
+    table = reference_letter_table(q)
+    nonzero = 0
+    for _ in range(draws):
+        e = random_cyclic_element(rng, ctx.space, max_words=3, allow_gamma=True)
+        f = random_commutative_element(rng, ctx.space, max_terms=3)
+        for element in (e, f):
+            got = ctx.internal_differential(element)
+            assert got == reference_differential(table, element), element
+            nonzero += not got.is_zero()
+    return nonzero
+
+
+def test_internal_differential_is_the_letter_derivation():
+    """d, on both flavors, against the letter-by-letter odd derivation of
+    d(l) = -{q, (l)}: on 300 random spaces with a random even two-letter q,
+    on the two-dimensional algebra and on its Mat_2 and Mat_3 contexts."""
+    from ncbv.ainfinity import letter_differential, matrix_ainfinity
+    from ncbv.morita import MatrixExtension
+
+    rng = random.Random(97)
+    nonzero = 0
+    for _ in range(300):
+        space = random_space(rng)
+        q = random_even_quadratic(rng, space)
+        nonzero += assert_d_matches_reference(rng, context_with(space, q), q, 2)
+    q_gue = two_letter_part(encode_ainfinity(algebra_a(), SPACE))
+    nonzero += assert_d_matches_reference(rng, CTX, q_gue, 100)
+    for size in (2, 3):
+        ext = MatrixExtension(SPACE, size)
+        mat = matrix_ainfinity(algebra_a(), size)
+        ctx = OperatorContext(ext.space, letter_differential(mat, ext.space))
+        q_mat = two_letter_part(encode_ainfinity(mat, ext.space))
+        nonzero += assert_d_matches_reference(rng, ctx, q_mat, 50)
+    assert nonzero > 800  # of 1,600 comparisons
+
+
+@pytest.mark.parametrize("element, defect", [
+    (word(["x", "x"]) + word("xi"), "1*(x)"),
+    (word(["x", "x"]) + word(["x", "xi"]) * word("xi"), "-1*(x)(x xi) + 1*(x x)(xi)"),
+    (word(["x", "x", "xi"]) + word(["x", "xi", "xi"]), "-1*(x x x) + -1*(x x xi xi)"),
+    ((nu() * word(["x", "xi"]) * word("xi")).scale(-1), "-1*v(x)(x xi) + 1*v(x x)(xi)"),
+    (word(["x", "x"], Scalar(1, 2)), "0"),
+])
+def test_mc_defect_with_a_differential(element, defect):
+    """d(x) + (1/2){x, x} over the two-dimensional algebra, where d is
+    declared: pinned values, with both parts nonzero in the first three."""
+    assert str(CTX.mc_defect(element)) == defect

@@ -252,32 +252,10 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
     return Element.from_terms(space, COMMUTATIVE, raw)
 
 
-def quadratic_part(encoded: Element) -> Element:
-    """The single-word, two-letter piece of an encoded structure (the
-    differential's contribution)."""
-    terms = {
-        m: c
-        for m, c in encoded.terms.items()
-        if m.gamma == 0 and m.nu == 0 and len(m.words) == 1 and len(m.words[0]) == 2
-    }
-    return Element(encoded.space, encoded.flavor, terms)
-
-
-def letter_differential(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> dict:
-    """The dual differential on letters, d = -{m_quadratic, -}, as a
-    table letter -> ((coeff, letter), ...) for OperatorContext."""
-    from .operators import OperatorContext
-
-    ctx = OperatorContext(space)
-    quad = quadratic_part(encode_ainfinity(algebra, space))
-    table = {}
-    for letter in range(space.dim):
-        image = ctx.nc_bracket(quad, Element.cyclic_word(space, [letter])).scale(-1)
-        entries = []
-        for monomial, coeff in image.terms.items():
-            if monomial.nu or monomial.gamma or len(monomial.words) != 1 or len(monomial.words[0]) != 1:
-                raise ValueError("quadratic part did not act as a letter map")
-            entries.append((coeff, monomial.words[0][0]))
-        if entries:
-            table[letter] = tuple(entries)
-    return table
+def letter_differential(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
+    """The quadratic part q of the encoded structure (the two-letter words
+    m_1 contributes), for ``OperatorContext``: d = -{q, -} is the dual
+    differential on words."""
+    encoded = encode_ainfinity(algebra, space)
+    return Element(space, CYCLIC, {m: c for m, c in encoded.terms.items()
+                                   if len(m.words[0]) == 2})

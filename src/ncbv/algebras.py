@@ -38,7 +38,7 @@ def sigma_a_space():
 def sigma_a_context() -> OperatorContext:
     """Operator context over the suspension, with d* xi = -x declared."""
     space = sigma_a_space()
-    return OperatorContext(space, letter_diff=letter_differential(algebra_a(), space))
+    return OperatorContext(space, letter_differential(algebra_a(), space))
 
 
 @lru_cache(maxsize=None)

@@ -17,24 +17,24 @@ words; the residual signs are
 with the rotation signs rot and the arc parities read from the prefix
 parities of ``words.prefix_parities``, which also checks the letters.
 
-Each extension to products of factors is written once, as a kernel of
-``OperatorContext`` holding its transport sign:
-
-    _pairs        contraction of a pair of factors (delta, Laplacian, brackets)
-    _derivation   odd derivation on each factor    (cobracket, d)
-
-delta and the Laplacian contract every pair i < j of a product's
-factors, each bracket {a, b} only the cross pairs of the product ab;
+Every extension to pairs of factors is written once, as the kernel
+``OperatorContext._pairs`` holding its transport sign: delta and the
+Laplacian contract every pair i < j of a product's factors, each
+bracket {a, b} only the cross pairs of the product ab;
 the BV identity delta(ab) = delta(a) b + (-1)^{|a|} a delta(b) + {a, b}
 is this split of the pairs of ab.  The cyclic and commutative
 operators differ only in the contraction: on cyclic words it is
 ``bracket_words`` (the pair becomes one spliced word), on the one-letter
 words of polynomials it is the inverse form (the pair disappears).  On
 one-letter words the two agree up to the quotient sigma, which the
-tests check.
+tests check.  The internal differential is a bracket too: d = -{q, -}
+with q the quadratic part of the encoded structure, and -{sigma(q), -}
+on polynomials.  The cobracket is the one odd derivation, replacing
+each word in place with sign (-1)^{parity of the words before it}.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
+from .morita import sigma
 from .scalar import Scalar
 from .words import prefix_parities, rotation_sign, word_parity
 
@@ -92,29 +92,25 @@ def _word_parities(space, words):
     return [word_parity(space, w) for w in words]
 
 
-def _odd_derivation(factors, parities, images):
-    """Terms of an odd derivation on the product of ``factors``: factor i
-    is replaced by each ``(coeff, replacement factors)`` of
-    ``images(factor)``, with sign (-1)^{parity of the factors before i}."""
-    prefix = 0
-    for i, factor in enumerate(factors):
-        for c, replacement in images(factor):
-            yield (-c if prefix else c), factors[:i] + replacement + factors[i + 1 :]
-        prefix ^= parities[i]
-
-
 class OperatorContext:
-    """Shared read-only state: the space, its inverse form and an optional
-    internal differential given on letters (letter -> [(coeff, letter)])."""
+    """Shared read-only state: the space and, optionally, the quadratic
+    part q of an encoded structure (an even sum of single two-letter
+    cyclic words over the space, without gamma or nu), which declares the
+    internal differential d = -{q, -}; on polynomials d is -{sigma(q), -}.
+    -q and -sigma(q) are built once, here."""
 
-    def __init__(self, space, letter_diff=None):
+    def __init__(self, space, quadratic=None):
         self.space = space
-        if letter_diff is not None:
-            letter_diff = {
-                letter: tuple((Scalar(c), target) for c, target in images)
-                for letter, images in letter_diff.items()
-            }
-        self.letter_diff = letter_diff
+        self._minus_q = None
+        if quadratic is not None:
+            if quadratic.space != space or quadratic.flavor != CYCLIC:
+                raise ValueError("the quadratic part must be a cyclic element over this space")
+            for m in quadratic.terms:
+                if m.gamma or m.nu or len(m.words) != 1 or len(m.words[0]) != 2:
+                    raise ValueError("the quadratic part must be a sum of two-letter words")
+            if quadratic.parity() != 0:
+                raise ValueError("the quadratic part must be even")
+            self._minus_q = {CYCLIC: -quadratic, COMMUTATIVE: -sigma(quadratic)}
 
     def _require(self, element, flavor):
         if element.space != self.space:
@@ -172,16 +168,6 @@ class OperatorContext:
             self._pairs(out, m.gamma, m.nu, m.words, c, contract)
         return out
 
-    def _derivation(self, element, images):
-        """The odd derivation sending each word to ``images(word)``."""
-        space = self.space
-        out = Element.zero(space, element.flavor)
-        for monomial, coeff in element.terms.items():
-            words = monomial.words
-            for c, new_words in _odd_derivation(words, _word_parities(space, words), images):
-                out._accumulate(monomial.gamma, monomial.nu, new_words, c * coeff)
-        return out
-
     # -- cyclic side ----------------------------------------------------
 
     def nc_bracket(self, left: Element, right: Element) -> Element:
@@ -191,15 +177,22 @@ class OperatorContext:
         return self._biderivation(left, right, self._splice_words)
 
     def nc_cobracket(self, element: Element) -> Element:
-        """Cobracket, extended to products of words as an odd derivation;
-        the two arcs replace the word in place."""
+        """Cobracket, extended to products of words as an odd derivation:
+        the two arcs replace word i in place, with sign (-1)^{parity of
+        the words before i}."""
         self._require(element, CYCLIC)
         space = self.space
-
-        def arcs(word):
-            return [(c, (arc1, arc2)) for c, arc1, arc2 in cobracket_word(space, word)]
-
-        return self._derivation(element, arcs)
+        out = Element.zero(space, CYCLIC)
+        for monomial, coeff in element.terms.items():
+            words = monomial.words
+            before = 0
+            for i, word in enumerate(words):
+                for c, arc1, arc2 in cobracket_word(space, word):
+                    out._accumulate(monomial.gamma, monomial.nu,
+                                    words[:i] + (arc1, arc2) + words[i + 1 :],
+                                    -c * coeff if before else c * coeff)
+                before ^= word_parity(space, word)
+        return out
 
     def ce_delta(self, element: Element) -> Element:
         """Chevalley-Eilenberg differential: bracket each pair of factors."""
@@ -231,29 +224,11 @@ class OperatorContext:
     # -- internal differential and Maurer-Cartan defect -------------------
 
     def internal_differential(self, element: Element) -> Element:
-        """Degree +1 derivation induced by the declared letter differential.
-
-        Works on both flavors: words of letters and polynomials extend
-        the same way, the letter differential acting as an odd derivation
-        on the letters of each word."""
-        if self.letter_diff is None:
+        """Degree +1 derivation d = -{q, -} on either flavor: the bracket
+        with -q on cyclic elements, with -sigma(q) on polynomials."""
+        if self._minus_q is None:
             raise ValueError("this context has no declared internal differential")
-        if element.space != self.space:
-            raise ValueError("element lives over a different space than this context")
-        space = self.space
-        letter_diff = self.letter_diff
-
-        def letter_images(letter):
-            return [(c, (target,)) for c, target in letter_diff.get(letter, ())]
-
-        def word_images(word):
-            parities = [space.parities[letter] for letter in word]
-            return [
-                (c, (new_word,))
-                for c, new_word in _odd_derivation(word, parities, letter_images)
-            ]
-
-        return self._derivation(element, word_images)
+        return self.bracket(self._minus_q[element.flavor], element)
 
     def bracket(self, left: Element, right: Element) -> Element:
         """Flavor-appropriate odd bracket."""
@@ -266,6 +241,6 @@ class OperatorContext:
         master equation at this level.  d is the declared internal
         differential when present, zero otherwise."""
         half_sq = self.bracket(element, element).scale(Scalar(1, 2))
-        if self.letter_diff is None:
+        if self._minus_q is None:
             return half_sq
         return self.internal_differential(element) + half_sq

@@ -439,9 +439,8 @@ def chain_map_check(cases: int = 60, seed: int = 139, size: int = 2) -> CheckRep
     space = sigma_a_space()
     ctx = sigma_a_context()
     ext = MatrixExtension(space, size)
-    ctx_mat = OperatorContext(
-        ext.space, letter_diff=letter_differential(matrix_ainfinity(A, size), ext.space)
-    )
+    ctx_mat = OperatorContext(ext.space,
+                              letter_differential(matrix_ainfinity(A, size), ext.space))
 
     def push(el):
         return sigma(ext.inflate(el))

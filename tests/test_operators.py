@@ -193,6 +193,20 @@ def test_missing_differential_rejected():
         plain.internal_differential(word("x"))
 
 
+@pytest.mark.parametrize("quadratic, message", [
+    (word(["x", "x", "x"]), "two-letter words"),
+    (word("x") * word("x"), "two-letter words"),
+    (nu() * word(["x", "x"]), "two-letter words"),
+    (word(["x", "xi"]), "even"),
+    (poly(["x", "x"]), "cyclic element over this space"),
+    (Element.cyclic_word(random_space(random.Random(5)), [0, 0]),
+     "cyclic element over this space"),
+])
+def test_context_rejects_a_bad_quadratic_part(quadratic, message):
+    with pytest.raises(ValueError, match=message):
+        OperatorContext(SPACE, quadratic)
+
+
 def stepwise_rotation_signs(space, word):
     """sign[i] of rotating ``word`` so position i comes first, one letter
     at a time: an odd letter passing a rest of odd parity flips the sign."""
@@ -297,7 +311,7 @@ def reference_differential(table, element):
 
 
 def context_with(space, q):
-    return OperatorContext(space, reference_letter_table(q))
+    return OperatorContext(space, q)
 
 
 def random_even_quadratic(rng, space):

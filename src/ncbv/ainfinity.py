@@ -1,8 +1,8 @@
 """Cyclic homotopy-associative algebras and their cyclic-word encodings.
 
 A ``CyclicAInfinity`` is a finite graded basis, a symmetric odd pairing
-and a finite family of structure maps ``m_k`` given as dense coefficient
-tables.  Construction checks that the associated multilinear forms
+and a finite family of structure maps ``m_k`` given as sparse maps
+``{args: {out: coefficient}}``.  Construction checks that the associated multilinear forms
 
     tau_k(a_0, ..., a_k) = <m_k(a_0, ..., a_{k-1}), a_k>
 
@@ -17,33 +17,35 @@ invariance.
 (-1)^{k(k+1)/2 + sum (k-j)|a_j|}) and divides by the tensor length,
 realizing the invariant-to-coinvariant normalization 1/k.  The encoded
 element satisfies {m, m} = 0 exactly when the homotopy relations hold,
-and minus its adjoint action reproduces the dual differential on words
-(for the two-dimensional algebra: d* xi = -x, d* x = 0).
+and minus the adjoint action of its quadratic part q (``letter_differential``)
+is the dual differential on words (for the two-dimensional algebra:
+q = (x x)/2, d* xi = -x, d* x = 0).
 """
 
 import math
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, add_to, div, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
 from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales, dense
 
 
 class CyclicAInfinity:
-    """Cyclic homotopy algebra given by dense structure tables.
+    """Cyclic homotopy algebra given by sparse structure maps.
 
     ``ops[k]`` maps an argument tuple of basis indices to a dict
-    ``{output index: coefficient}``.  ``unit`` is an optional coefficient
+    ``{output index: nonzero coefficient}``; absent arguments map to zero.
+    Degrees and the arities k are checked to be integers.  ``unit`` is an optional coefficient
     vector marking a strict unit.
     """
 
     def __init__(self, basis, degrees, pairing, ops, unit=None):
         self.basis = tuple(basis)
-        self.degrees = tuple(degrees)
+        self.degrees = tuple(as_int(d, "basis degree") for d in degrees)
         # symmetric, of odd degree and nondegenerate; the inverse is not kept
         self.pairing, _ = _checked_pairing(pairing, self.basis, 1, self.degrees)
         self.ops = {
-            int(k): {
+            as_int(k, "structure map arity"): {
                 tuple(args): {out: Scalar(c) for out, c in images.items() if c}
                 for args, images in table.items()
             }
@@ -132,10 +134,10 @@ class CyclicAInfinity:
     @classmethod
     def from_json(cls, data: dict) -> "CyclicAInfinity":
         basis = tuple(item["name"] for item in data["basis"])
-        degrees = tuple(int(item["degree"]) for item in data["basis"])
+        degrees = tuple(item["degree"] for item in data["basis"])
         pairing = tuple(tuple(parse_scalar(c) for c in row) for row in data["pairing"])
         ops = {
-            int(k): {
+            k: {
                 tuple(entry["args"]): {
                     int(o): parse_scalar(c) for o, c in entry["out"].items()
                 }

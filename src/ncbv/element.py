@@ -14,7 +14,7 @@ product; the operators module enforces which operations make sense on
 which flavor.
 """
 
-from .scalar import Scalar, add_to, format_scalar, parse_scalar
+from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
 from .words import Monomial, canonicalize_monomial, word_parity
 
 CYCLIC = "cyclic"
@@ -32,7 +32,8 @@ class Element:
         self.terms: dict[Monomial, Scalar] = {}
         if terms:
             for (gamma, nu, words), coeff in terms.items():
-                self._accumulate(gamma, nu, words, Scalar(coeff))
+                self._accumulate(as_int(gamma, "gamma power"), as_int(nu, "nu power"),
+                                 words, Scalar(coeff))
 
     # -- construction -------------------------------------------------
 
@@ -46,7 +47,8 @@ class Element:
         each as the constructor does its {monomial: coeff} entries."""
         out = cls(space, flavor)
         for gamma, nu, raw_words, coeff in raw_terms:
-            out._accumulate(gamma, nu, raw_words, Scalar(coeff))
+            out._accumulate(as_int(gamma, "gamma power"), as_int(nu, "nu power"),
+                            raw_words, Scalar(coeff))
         return out
 
     @classmethod

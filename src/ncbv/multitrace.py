@@ -9,13 +9,13 @@ numerically and nu = N (the trace of the empty word).
 import numpy as np
 
 from .element import CYCLIC, Element
-from .scalar import Scalar, add_to, format_scalar, parse_scalar
+from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
 
 
 def _key(nu_power, traces) -> tuple[int, tuple[int, ...]]:
     """The canonical term key (nu_power, sorted trace powers), checked
     before any entry is summed into it."""
-    key = (int(nu_power), tuple(sorted(int(t) for t in traces)))
+    key = (as_int(nu_power, "nu power"), tuple(sorted(as_int(t, "trace power") for t in traces)))
     if key[0] < 0:
         raise ValueError("nu exponents are nonnegative")
     if any(t < 1 for t in key[1]):
@@ -35,7 +35,7 @@ class MultiTraceFunctional:
     @classmethod
     def from_multi_index(cls, idx) -> "MultiTraceFunctional":
         """The observable prod_j Tr(X^{i_j}); zero entries become nu."""
-        idx = [int(i) for i in idx]
+        idx = [as_int(i, "multi-index entry") for i in idx]
         if any(i < 0 for i in idx):
             raise ValueError("multi-index entries are nonnegative")
         zeros = sum(1 for i in idx if i == 0)

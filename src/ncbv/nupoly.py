@@ -1,11 +1,11 @@
 """Polynomials in the formal variable nu with exact coefficients."""
 
-from .scalar import Scalar, add_to, format_scalar, parse_scalar
+from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
 
 
 def _exponent(exp) -> int:
     """The one check on an exponent from outside, made before it is summed."""
-    exp = int(exp)
+    exp = as_int(exp, "nu exponent")
     if exp < 0:
         raise ValueError("nu exponents are nonnegative")
     return exp
@@ -147,5 +147,5 @@ class NuPolynomial:
         out = cls()
         for line in lines[1:]:
             exp, num, den = line.split(",")
-            add_to(out.coeffs, _exponent(exp), Scalar(int(num), int(den)))
+            add_to(out.coeffs, _exponent(exp), parse_scalar(f"{num}/{den}"))
         return out

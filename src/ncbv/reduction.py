@@ -42,7 +42,7 @@ from .algebras import sigma_a_context, sigma_a_space
 from .element import Element
 from .multitrace import MultiTraceFunctional
 from .nupoly import NuPolynomial
-from .scalar import Scalar, add_to
+from .scalar import Scalar, add_to, as_int
 
 PIVOT_STRATEGIES = ("leftmost", "largest", "random")
 
@@ -51,7 +51,7 @@ X, XI = 0, 1  # letter indices in the suspended space
 
 def canonical_index(idx) -> tuple[int, ...]:
     """Sorted multi-index; the represented observable is order-free."""
-    parts = tuple(sorted(int(i) for i in idx))
+    parts = tuple(sorted(as_int(i, "multi-index entry") for i in idx))
     if parts and parts[0] < 0:
         raise ValueError("multi-index entries are nonnegative")
     return parts

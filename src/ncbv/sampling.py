@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scalar import as_int
+
 DEFAULT_CHUNK = 65536
 
 
@@ -129,7 +131,7 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(as_int(i, "multi-index entry") for i in idx)
     if any(i < 0 for i in idx):
         raise ValueError("multi-index entries are nonnegative")
     if chunk < 1:

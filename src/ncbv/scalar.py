@@ -64,12 +64,34 @@ def add_to(terms: dict, key, value) -> None:
 
 
 def parse_scalar(text: str):
-    """Parse ``"3/4"`` or ``"-2"`` into a scalar."""
+    """Parse ``"3/4"`` or ``"-2"`` into a scalar; a zero denominator
+    raises ``ValueError`` naming the text."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Scalar(int(num), int(den))
+        den = int(den)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Scalar(int(num), den)
     return int(text)
+
+
+def as_int(value, what: str) -> int:
+    """The one check on an exponent, degree or index from outside input:
+    ints, integral numbers and decimal-integer strings (``"01"`` is 1)
+    read as ``int`` reads them; a boolean or a non-integral value raises
+    ``ValueError`` naming ``what``."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            out = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or out == value:
+                return out
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def format_scalar(value) -> str:

@@ -28,7 +28,7 @@ over nonzero entries only, whether B was supplied or solved for.
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .scalar import ONE, ZERO, Scalar, add_to, div, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Form = tuple[dict[int, Scalar], ...]  # row i is {column j: nonzero entry}
@@ -172,7 +172,9 @@ class GradedSymplecticSpace:
 
     def __post_init__(self):
         n = len(self.letters)
-        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
+        degrees = tuple(as_int(d, "letter degree") for d in self.degrees)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "parities", tuple(d % 2 for d in degrees))
         pairing, inverse = _checked_pairing(self.pairing, self.letters, -1, self.degrees,
                                             self.inverse)
         object.__setattr__(self, "pairing", pairing)
@@ -200,7 +202,7 @@ class GradedSymplecticSpace:
     @classmethod
     def from_json(cls, data: dict) -> "GradedSymplecticSpace":
         letters = tuple(item["name"] for item in data["letters"])
-        degrees = tuple(int(item["degree"]) for item in data["letters"])
+        degrees = tuple(item["degree"] for item in data["letters"])
         pairing = tuple(tuple(parse_scalar(entry) for entry in row) for row in data["pairing"])
         return cls(letters, degrees, pairing)
 

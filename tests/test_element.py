@@ -113,3 +113,24 @@ def test_raw_constructor_canonicalizes_like_from_terms():
         Element(SPACE, CYCLIC, {Monomial(0, -3, ()): 1})
     with pytest.raises(ValueError, match="nonnegative"):
         Element.nu_power(SPACE, -1)
+
+
+@pytest.mark.parametrize("gamma, nu, match", [
+    (1.5, 0, "gamma power must be an integer"),
+    (0, 1.5, "nu power must be an integer"),
+    (True, 0, "gamma power must be an integer"),
+    (0, "1", None),
+])
+def test_non_integral_gamma_and_nu_rejected(gamma, nu, match):
+    readers = [
+        lambda: Element.from_terms(SPACE, CYCLIC, [(gamma, nu, [[0]], 1)]),
+        lambda: Element(SPACE, CYCLIC, {(gamma, nu, ((0,),)): 1}),
+        lambda: Element.from_json(SPACE, CYCLIC, [
+            {"gamma": gamma, "nu": nu, "words": [["x"]], "coeff": "1"}]),
+    ]
+    for read in readers:
+        if match is None:
+            assert read() == Element.nu_power(SPACE) * Element.cyclic_word(SPACE, "x")
+        else:
+            with pytest.raises(ValueError, match=match):
+                read()

@@ -245,3 +245,18 @@ def test_unit_validation():
             ops=good.ops,
             unit=(0, 1),  # e is square-zero, not a unit
         )
+
+
+@pytest.mark.parametrize("degree", [1.5, "1.5", True])
+def test_cyclic_algebra_rejects_non_integral_degree(degree):
+    data = A.to_json()
+    data["basis"][0]["degree"] = degree
+    with pytest.raises(ValueError, match="basis degree must be an integer"):
+        CyclicAInfinity.from_json(data)
+    with pytest.raises(ValueError, match="basis degree must be an integer"):
+        CyclicAInfinity(A.basis, (degree, 2), ((0, 1), (1, 0)), A.ops)
+
+
+def test_cyclic_algebra_rejects_non_integral_arity():
+    with pytest.raises(ValueError, match="structure map arity must be an integer"):
+        CyclicAInfinity(A.basis, A.degrees, ((0, 1), (1, 0)), {1.5: A.ops[1]})

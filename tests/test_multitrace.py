@@ -88,3 +88,24 @@ def test_negative_nu_power_rejected():
         MultiTraceFunctional.from_json(zero_traces)
     with pytest.raises(ValueError, match="nu exponents are nonnegative"):
         MultiTraceFunctional({(-1, ()): 0})
+
+
+@pytest.mark.parametrize("nu_power, traces, match", [
+    (1.5, [2], "nu power must be an integer"),
+    (1, [2.7], "trace power must be an integer"),
+    (True, [2], "nu power must be an integer"),
+    (0, [2, False], "trace power must be an integer"),
+])
+def test_non_integral_powers_rejected(nu_power, traces, match):
+    data = {"terms": [{"nu_power": nu_power, "traces": traces, "coeff": "1"}]}
+    with pytest.raises(ValueError, match=match):
+        MultiTraceFunctional.from_json(data)
+    with pytest.raises(ValueError, match=match):
+        MultiTraceFunctional({(nu_power, tuple(traces)): 1})
+
+
+def test_non_integral_multi_index_rejected():
+    with pytest.raises(ValueError, match="multi-index entry must be an integer"):
+        MultiTraceFunctional.from_multi_index([2, 1.5])
+    assert MultiTraceFunctional.from_multi_index(["2", 0]) == MultiTraceFunctional(
+        {(1, (2,)): 1})

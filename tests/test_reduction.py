@@ -82,6 +82,14 @@ def test_index_canonicalization():
         canonical_index((-1, 2))
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "x"])
+def test_canonical_index_rejects_non_integral_entries(entry):
+    with pytest.raises(ValueError, match="multi-index entry must be an integer"):
+        canonical_index((2, entry))
+    with pytest.raises(ValueError, match="multi-index entry must be an integer"):
+        reduce_to_polynomial((2, entry))
+
+
 def test_pivot_strategies_agree():
     for idx in [(6,), (2, 4), (1, 1, 2, 2), (8,), (2, 2, 2)]:
         results = {

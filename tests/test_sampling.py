@@ -54,6 +54,8 @@ def test_monte_carlo_validates_inputs():
         monte_carlo_moment((2,), 2, 1, seed=0)
     with pytest.raises(ValueError, match="nonnegative"):
         monte_carlo_moment((-2,), 2, 100, seed=0)
+    with pytest.raises(ValueError, match="multi-index entry must be an integer"):
+        monte_carlo_moment((2.5,), 2, 100, seed=0)
 
 
 def test_monte_carlo_rejects_nonpositive_chunk():

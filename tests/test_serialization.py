@@ -84,3 +84,29 @@ def test_csv_sums_duplicate_exponents():
 def test_json_sums_keys_naming_one_exponent():
     data = {"coeffs": {"1": "1", "01": "2", "2": "1/2", "02": "-1/2"}}
     assert NuPolynomial.from_json(data) == NuPolynomial({1: Scalar(3)})
+
+
+@pytest.mark.parametrize("exp", [1.5, "1.5", True, False, None])
+def test_non_integral_exponent_rejected(exp):
+    with pytest.raises(ValueError, match="nu exponent must be an integer"):
+        NuPolynomial({exp: Scalar(1)})
+    with pytest.raises(ValueError, match="nu exponent must be an integer"):
+        NuPolynomial.from_json({"coeffs": {exp: "1"}})
+
+
+def test_integral_exponents_read_as_ints():
+    assert NuPolynomial({2.0: 1, "3": 1}) == NuPolynomial({2: 1, 3: 1})
+    with pytest.raises(ValueError, match="nu exponent must be an integer"):
+        NuPolynomial.from_csv("exponent,numerator,denominator\n1.5,1,1\n")
+
+
+def test_zero_denominator_is_a_value_error():
+    from ncbv.scalar import parse_scalar
+
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_scalar("1/0")
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        NuPolynomial.from_csv("exponent,numerator,denominator\n1,1,0\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        NuPolynomial.from_json({"coeffs": {"0": "3/00"}})
+    assert parse_scalar(" -6/4 ") == Scalar(-3, 2)

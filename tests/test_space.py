@@ -344,3 +344,19 @@ def test_mapping_row_column_out_of_range_rejected(column):
     with pytest.raises(ValueError, match=r"inverse pairing row has column -?\d outside 0\.\.1"):
         GradedSymplecticSpace(("a", "b"), (0, 1), ({1: 1}, {0: -1}),
                               inverse=({1: 1, column: 1}, {0: 1}))
+
+
+@pytest.mark.parametrize("degree", [0.5, "0.5", True, None])
+def test_non_integral_degree_rejected(degree):
+    data = sigma_a_space().to_json()
+    data["letters"][0]["degree"] = degree
+    with pytest.raises(ValueError, match="letter degree must be an integer"):
+        GradedSymplecticSpace.from_json(data)
+
+
+def test_non_integral_degrees_rejected_by_the_constructor():
+    with pytest.raises(ValueError, match="letter degree must be an integer, got 0.5"):
+        GradedSymplecticSpace(("a", "b"), (0.5, 1.5), ((0, 1), (-1, 0)))
+    data = sigma_a_space().to_json()
+    data["letters"][1]["degree"] = "-1"
+    assert GradedSymplecticSpace.from_json(data) == sigma_a_space()

@@ -2,7 +2,8 @@
 
 A ``CyclicAInfinity`` is a finite graded basis, a symmetric odd pairing
 and a finite family of structure maps ``m_k`` given as sparse maps
-``{args: {out: coefficient}}``.  Construction checks that the associated multilinear forms
+``{args: {out: coefficient}}``.  Construction checks that the
+associated multilinear forms
 
     tau_k(a_0, ..., a_k) = <m_k(a_0, ..., a_{k-1}), a_k>
 
@@ -17,9 +18,9 @@ invariance.
 (-1)^{k(k+1)/2 + sum (k-j)|a_j|}) and divides by the tensor length,
 realizing the invariant-to-coinvariant normalization 1/k.  The encoded
 element satisfies {m, m} = 0 exactly when the homotopy relations hold,
-and minus the adjoint action of its quadratic part q (``letter_differential``)
-is the dual differential on words (for the two-dimensional algebra:
-q = (x x)/2, d* xi = -x, d* x = 0).
+and minus the adjoint action of its quadratic part q
+(``letter_differential``) is the dual differential on words (for the
+two-dimensional algebra: q = (x x)/2, d* xi = -x, d* x = 0).
 """
 
 import math
@@ -35,8 +36,8 @@ class CyclicAInfinity:
 
     ``ops[k]`` maps an argument tuple of basis indices to a dict
     ``{output index: nonzero coefficient}``; absent arguments map to zero.
-    Degrees and the arities k are checked to be integers.  ``unit`` is an optional coefficient
-    vector marking a strict unit.
+    Degrees and the arities k are checked to be integers.  ``unit`` is
+    an optional coefficient vector marking a strict unit.
     """
 
     def __init__(self, basis, degrees, pairing, ops, unit=None):

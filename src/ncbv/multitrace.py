@@ -15,7 +15,8 @@ from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
 def _key(nu_power, traces) -> tuple[int, tuple[int, ...]]:
     """The canonical term key (nu_power, sorted trace powers), checked
     before any entry is summed into it."""
-    key = (as_int(nu_power, "nu power"), tuple(sorted(as_int(t, "trace power") for t in traces)))
+    key = (as_int(nu_power, "nu power"),
+           tuple(sorted(as_int(t, "trace power") for t in traces)))
     if key[0] < 0:
         raise ValueError("nu exponents are nonnegative")
     if any(t < 1 for t in key[1]):

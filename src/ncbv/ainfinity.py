@@ -26,36 +26,36 @@ two-dimensional algebra: q = (x x)/2, d* xi = -x, d* x = 0).
 import math
 
 from .element import COMMUTATIVE, CYCLIC, Element
-from .morita import MatrixExtension, decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
-from .space import GradedSymplecticSpace, _checked_pairing, _dual_scales, dense
+from .morita import MatrixExtension, decorate, decorate_map, decorate_unit
+from .scalar import ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
+from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _sized,
+                    _structure_map, dense)
 
 
 class CyclicAInfinity:
     """Cyclic homotopy algebra given by sparse structure maps.
 
-    ``ops[k]`` maps an argument tuple of basis indices to a dict
-    ``{output index: nonzero coefficient}``; absent arguments map to zero.
-    Degrees and the arities k are checked to be integers.  ``unit`` is
-    an optional coefficient vector marking a strict unit.
+    ``ops[k]`` is m_k as a map {args: {out: c}} from k-tuples of basis
+    indices, the format of ``FrobeniusAlgebra.mult``, checked by
+    ``space._structure_map`` and kept with nonzero entries only; absent
+    arguments map to zero.  ``unit`` is an optional coefficient vector
+    marking a strict unit.
     """
 
     def __init__(self, basis, degrees, pairing, ops, unit=None):
         self.basis = tuple(basis)
+        n = len(self.basis)
         self.degrees = tuple(as_int(d, "basis degree") for d in degrees)
         # symmetric, of odd degree and nondegenerate; the inverse is not kept
         self.pairing, _ = _checked_pairing(pairing, self.basis, 1, self.degrees)
-        self.ops = {
-            as_int(k, "structure map arity"): {
-                tuple(args): {out: Scalar(c) for out, c in images.items() if c}
-                for args, images in table.items()
-            }
-            for k, table in ops.items()
-        }
-        self.unit = None if unit is None else tuple(Scalar(c) for c in unit)
+        self.ops = {}
+        for k, table in ops.items():
+            k = as_int(k, "structure map arity")
+            self.ops[k] = _structure_map(table, n, k, f"structure map m_{k}")
+        self.unit = None if unit is None else tuple(map(Scalar, _sized(unit, n, "the unit")))
         self.check_cyclic()
         if self.unit is not None:
-            self._check_unital()
+            _check_unit(self.ops, {i: c for i, c in enumerate(self.unit) if c}, n)
 
     @property
     def dim(self) -> int:
@@ -81,37 +81,6 @@ class CyclicAInfinity:
                 if tensor.get(rotated, ZERO) != sign * value:
                     names = ",".join(self.basis[i] for i in key)
                     raise ValueError(f"structure tensor m_{k} is not cyclic at ({names})")
-
-    def _check_unital(self) -> None:
-        unit = self.unit
-        # m_k (k != 2) vanishes whenever any argument is the unit
-        for k, table in self.ops.items():
-            if k == 2:
-                continue
-            partial = {}
-            for args, images in table.items():
-                for pos in range(len(args)):
-                    weight = unit[args[pos]]
-                    if not weight:
-                        continue
-                    slot = (args[:pos] + args[pos + 1 :], pos)
-                    acc = partial.setdefault(slot, {})
-                    for out, c in images.items():
-                        add_to(acc, out, weight * c)
-            if any(partial.values()):
-                raise ValueError(f"declared unit fails: m_{k} does not vanish on it")
-        # m2(1,a) = a = m2(a,1)
-        for a in range(self.dim):
-            for side in (0, 1):
-                result = {}
-                for u, coeff_u in enumerate(unit):
-                    if not coeff_u:
-                        continue
-                    args = (u, a) if side == 0 else (a, u)
-                    for out, c in self.ops.get(2, {}).get(args, {}).items():
-                        add_to(result, out, coeff_u * c)
-                if result != {a: ONE}:
-                    raise ValueError("declared unit fails m2(1,a) = a = m2(a,1)")
 
     def to_json(self) -> dict:
         return {
@@ -139,9 +108,7 @@ class CyclicAInfinity:
         pairing = tuple(tuple(parse_scalar(c) for c in row) for row in data["pairing"])
         ops = {
             k: {
-                tuple(entry["args"]): {
-                    int(o): parse_scalar(c) for o, c in entry["out"].items()
-                }
+                tuple(entry["args"]): {o: parse_scalar(c) for o, c in entry["out"].items()}
                 for entry in entries
             }
             for k, entries in data["ops"].items()
@@ -154,30 +121,11 @@ class CyclicAInfinity:
 
 def matrix_ainfinity(algebra: CyclicAInfinity, size: int) -> CyclicAInfinity:
     """Matrix extension: structure maps tensored with the product of
-    elementary matrices, pairing tensored with the trace form."""
+    elementary matrices, pairing with the trace form, unit with the
+    identity."""
     basis, degrees, pairing = decorate(algebra.basis, algebra.degrees, algebra.pairing, size)
-    ops = {}
-    for k, table in algebra.ops.items():
-        new_table = {}
-        for args, images in table.items():
-            for chain in index_chains(size, k + 1):
-                new_args = tuple(
-                    matrix_index(base, chain[t], chain[t + 1], size)
-                    for t, base in enumerate(args)
-                )
-                new_table[new_args] = {
-                    matrix_index(out, chain[0], chain[k], size): coeff
-                    for out, coeff in images.items()
-                }
-        ops[k] = new_table
-
-    unit = None
-    if algebra.unit is not None:
-        unit = [Scalar(0)] * len(basis)
-        for i, c in enumerate(algebra.unit):
-            for p in range(size):
-                unit[matrix_index(i, p, p, size)] = c
-
+    ops = {k: decorate_map(table, size) for k, table in algebra.ops.items()}
+    unit = None if algebra.unit is None else decorate_unit(algebra.unit, size)
     return CyclicAInfinity(basis, degrees, pairing, ops, unit=unit)
 
 
@@ -236,8 +184,6 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
     scales = space.dual_scales
     raw = []
     for k in (1, 2):
-        if k not in algebra.ops:
-            continue
         tensor = {}
         if k == 1:
             tensor = algebra.structure_tensor(1)

@@ -27,52 +27,25 @@ collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m), which
 ``matrix_trace_product`` evaluates directly.
 """
 
-from collections.abc import Mapping
 from functools import reduce
 
-from .morita import decorate, index_chains, matrix_index
-from .scalar import ONE, ZERO, Scalar, add_to, format_scalar, parse_scalar
-from .space import _checked_pairing, dense
+from .morita import decorate, decorate_map, decorate_unit
+from .scalar import ONE, ZERO, Scalar, add_to, as_int, format_scalar, parse_scalar
+from .space import _check_unit, _checked_pairing, _sized, _structure_map, dense
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
-
-
-def _sized(values, n: int, what: str) -> tuple:
-    values = tuple(values)
-    if len(values) != n:
-        raise ValueError(f"{what} has {len(values)} entries; the algebra has dimension {n}")
-    return values
 
 
 def _sparse(values) -> Sparse:
     return {k: c for k, c in enumerate(map(Scalar, values)) if c}
 
 
-def _products(mult, n: int) -> dict:
-    """The nonzero products {(i, j): ((k, c), ...)} of a dense table
-    ``mult[i][j]`` or of a mapping {(i, j): {k: c}}."""
-    if not isinstance(mult, Mapping):
-        mult = {
-            (i, j): dict(enumerate(_sized(cell, n, f"the product e_{i} e_{j}")))
-            for i, row in enumerate(_sized(mult, n, "mult"))
-            for j, cell in enumerate(_sized(row, n, f"row {i} of mult"))
-        }
-    table = {}
-    for (i, j), cell in mult.items():
-        cell = {k: Scalar(c) for k, c in dict(cell).items()}
-        if not all(0 <= t < n for t in (i, j, *cell)):
-            raise ValueError(f"the product e_{i} e_{j} leaves the basis indices 0..{n - 1}")
-        if any(cell.values()):
-            table[i, j] = tuple((k, c) for k, c in sorted(cell.items()) if c)
-    return table
-
-
 class FrobeniusAlgebra:
-    """``mult[i][j]`` is the coefficient vector of e_i e_j, or a mapping
-    {(i, j): {k: c}} gives the nonzero products alone; those are kept as
-    ``self.mult[i, j] = ((k, c), ...)``.  The unit, the counit, H and G are
-    sparse vectors, built here."""
+    """``mult`` is the product as a map {(i, j): {k: c}}, the format of
+    ``CyclicAInfinity.ops[2]``, checked by ``space._structure_map`` and
+    kept with nonzero entries only.  The unit is given as a coefficient
+    vector; it, the counit, H and G are kept as sparse vectors."""
 
     def __init__(self, basis, mult, pairing, unit):
         self.basis = tuple(basis)
@@ -81,10 +54,10 @@ class FrobeniusAlgebra:
         for i, name in enumerate(self.basis):
             if self._index.setdefault(name, i) != i:
                 raise ValueError(f"duplicate basis name {name!r}")
-        self.mult = _products(mult, n)
-        self._by_left = {}
+        self.mult = _structure_map(mult, n, 2, "the product")
+        self._by_left = {}  # the kernel's index, cells as (k, c) pairs: faster than dict views
         for (i, j), cell in self.mult.items():
-            self._by_left.setdefault(i, []).append((j, cell))
+            self._by_left.setdefault(i, []).append((j, tuple(cell.items())))
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
         self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
@@ -99,12 +72,7 @@ class FrobeniusAlgebra:
         return len(self.basis)
 
     def _check(self) -> None:
-        for i in range(self.dim):
-            vec = {i: ONE}
-            if self._mul(self.unit, vec) != vec:
-                raise ValueError("declared unit fails 1.a = a")
-            if self._mul(vec, self.unit) != vec:
-                raise ValueError("declared unit fails a.1 = a")
+        _check_unit({2: self.mult}, self.unit, self.dim)
         # The associator (e_i e_j) e_k - e_i (e_j e_k) and the invariance
         # defect <e_i e_j, e_k> - <e_i, e_j e_k> as sparse tensors over the
         # nonzero products e_a e_b = sum c e_l, taken once as the left
@@ -112,10 +80,10 @@ class FrobeniusAlgebra:
         # <e_i, e_l> = <e_l, e_i> by the symmetry checked on construction.
         by_right = {}
         for (i, j), cell in self.mult.items():
-            by_right.setdefault(j, []).append((i, cell))
+            by_right.setdefault(j, []).append((i, tuple(cell.items())))
         associator, defect = {}, {}
         for (a, b), cell in self.mult.items():
-            for l, c in cell:
+            for l, c in cell.items():
                 for k, product in self._by_left.get(l, ()):
                     for out, d in product:
                         add_to(associator, (a, b, k, out), c * d)
@@ -136,6 +104,7 @@ class FrobeniusAlgebra:
     def coerce(self, value) -> Sparse:
         """A basis index, a basis name or a coefficient vector, as a sparse vector."""
         if isinstance(value, int):
+            value = as_int(value, "basis index")  # rejects a boolean
             if not 0 <= value < self.dim:
                 raise ValueError(f"basis index {value} is out of range for dimension {self.dim}")
             return {value: ONE}
@@ -199,7 +168,7 @@ class FrobeniusAlgebra:
 
         return {
             "basis": list(self.basis),
-            "mult": [[listed(dict(self.mult.get((i, j), ()))) for j in range(self.dim)]
+            "mult": [[listed(self.mult.get((i, j), {})) for j in range(self.dim)]
                      for i in range(self.dim)],
             "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
             "unit": listed(self.unit),
@@ -207,7 +176,13 @@ class FrobeniusAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusAlgebra":
-        mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
+        """Reads the dense layout of ``to_json``: ``mult[i][j]`` is e_i e_j."""
+        n = len(data["basis"])
+        mult = {
+            (i, j): dict(enumerate(map(parse_scalar, _sized(cell, n, f"the product e_{i} e_{j}"))))
+            for i, row in enumerate(_sized(data["mult"], n, "mult"))
+            for j, cell in enumerate(_sized(row, n, f"row {i} of mult"))
+        }
         pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
         unit = [parse_scalar(c) for c in data["unit"]]
         return cls(tuple(data["basis"]), mult, pairing, unit)
@@ -244,16 +219,11 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
 def matrix_frobenius(size: int) -> FrobeniusAlgebra:
     """Square matrices with the trace pairing; basis E_pq row-major.
 
-    The basis and pairing are the Mat_N decoration of the line ((1,),);
-    the N^3 nonzero products are E_pq E_qs = E_ps."""
+    The Mat_N decoration of the line E with E E = E: its N^3 nonzero
+    products are E_pq E_qs = E_ps and its unit is the identity."""
     basis, _, pairing = decorate(("E",), (0,), ({0: ONE},), size)
-    mult = {
-        (matrix_index(0, p, q, size), matrix_index(0, q, s, size)):
-            {matrix_index(0, p, s, size): ONE}
-        for p, q, s in index_chains(size, 3)
-    }
-    unit = [int(p == q) for p, q in index_chains(size, 2)]
-    return FrobeniusAlgebra(basis, mult, pairing, unit)
+    mult = decorate_map({(0, 0): {0: ONE}}, size)
+    return FrobeniusAlgebra(basis, mult, pairing, decorate_unit((ONE,), size))
 
 
 def matrix_trace_product(size: int, free_boundaries: int, matrices):
@@ -284,7 +254,7 @@ def matrix_trace_product(size: int, free_boundaries: int, matrices):
 
 def ground_field() -> FrobeniusAlgebra:
     """The trivial Frobenius line with <1,1> = 1."""
-    return FrobeniusAlgebra(("1",), (((ONE,),),), ((ONE,),), (ONE,))
+    return FrobeniusAlgebra(("1",), {(0, 0): {0: ONE}}, ((ONE,),), (ONE,))
 
 
 def truncated_polynomials(depth: int, trace_values) -> FrobeniusAlgebra:

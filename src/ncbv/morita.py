@@ -4,8 +4,9 @@ This module is the one place that decorates letters with matrix
 indices: ``decorate`` tensors a graded pairing with the trace form of
 Mat_N, so letter (i, p, q) sits at index (i N + p) N + q, is named
 ``name[p,q]`` and pairs with (j, q, p) through <i,j>: each nonzero of
-the base Form gives exactly N^2 nonzeros.  The matrix extensions of
-A-infinity and Frobenius algebras are built from it.
+the base Form gives exactly N^2 nonzeros.  ``decorate_map`` tensors a
+structure map with products of elementary matrices and ``decorate_unit``
+a unit with the identity: both matrix algebras are built from these.
 
 ``MatrixExtension`` packages the odd symplectic space of matrix-valued
 letters (letter, row, col), the inflation map M that tensors a cyclic
@@ -23,7 +24,7 @@ weight h^0: it is a single empty word).
 import itertools
 
 from .element import COMMUTATIVE, CYCLIC, Element
-from .scalar import Scalar
+from .scalar import ZERO, Scalar, add_to
 from .space import Form, GradedSymplecticSpace
 from .words import Monomial
 
@@ -63,6 +64,28 @@ def decorate(names, degrees, pairing: Form, size: int):
         tuple(degree for degree in degrees for _ in cells),
         trace_tensor(pairing, size),
     )
+
+
+def decorate_map(table: dict, size: int) -> dict:
+    """The structure map {args: {out: c}} of V tensored with the product
+    of elementary matrices: along each chain p_0 ... p_k, argument t is
+    decorated (p_t, p_{t+1}) and each output (p_0, p_k), so a nullary
+    map (a curvature m_0) becomes itself times the identity."""
+    out = {}
+    for args, images in table.items():
+        k = len(args)
+        for chain in index_chains(size, k + 1):
+            cell = out.setdefault(tuple(matrix_index(base, chain[t], chain[t + 1], size)
+                                        for t, base in enumerate(args)), {})
+            for o, c in images.items():
+                add_to(cell, matrix_index(o, chain[0], chain[k], size), c)
+    return out
+
+
+def decorate_unit(unit, size: int) -> tuple:
+    """The coefficient vector ``unit`` tensored with the identity of Mat_N."""
+    cells = list(index_chains(size, 2))
+    return tuple(c if p == q else ZERO for c in unit for p, q in cells)
 
 
 class MatrixExtension:

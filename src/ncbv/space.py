@@ -4,10 +4,12 @@ A space is a finite ordered basis with integer degrees together with the
 odd symplectic form on it.  Every form is held as a ``Form``, row i the
 dict {j: nonzero entry}; ``_form`` normalizes rows given as n entries or
 as such dicts, and ``dense`` is the one n x n table of a form.  The
-inverse form lives on the
-dual basis (the "letters" out of which cyclic words and polynomials are
-built) and is the single source of truth for every bracket, cobracket
-and Laplacian in the package.
+inverse form lives on the dual basis (the "letters" out of which cyclic
+words and polynomials are built) and is the single source of truth for
+every bracket, cobracket and Laplacian in the package.  The structure
+maps of cyclic A-infinity and Frobenius algebras are held alike, as
+{args: {out: nonzero c}}: ``_structure_map`` is their one checker and
+normalizer, and ``_check_unit`` their one unit law.
 
 Sign conventions.  The pairing is supported on pairs of basis vectors
 whose degrees sum to an odd number and is plainly antisymmetric there.
@@ -137,6 +139,64 @@ def _checked_pairing(rows, names, sign, degrees=None, inverse=None):
         if product != {i: -1 if parities[i] else 1}:
             raise ValueError(f"inverse pairing is not the inverse of the pairing at {names[i]!r}")
     return pairing, inverse
+
+
+def _sized(values, n: int, what: str) -> tuple:
+    """``values`` as a tuple of n entries; another length raises naming ``what``."""
+    values = tuple(values)
+    if len(values) != n:
+        raise ValueError(f"{what} has {len(values)} entries; the algebra has dimension {n}")
+    return values
+
+
+def _structure_map(table, n: int, arity: int, what: str) -> dict:
+    """``table`` {args: {out: c}} as a structure map on n basis vectors:
+    each index read through ``as_int`` and checked to lie in 0..n-1, each
+    args tuple checked to have ``arity`` entries, coefficients summed
+    through ``Scalar``, zeros and empty images dropped.  ``what`` names
+    the map in each error."""
+
+    def index(value):
+        i = as_int(value, f"{what} index")
+        if not 0 <= i < n:
+            raise ValueError(f"{what} has index {i}, which leaves the basis indices 0..{n - 1}")
+        return i
+
+    if not isinstance(table, Mapping):
+        raise ValueError(f"{what} must be a mapping {{args: {{out: coefficient}}}}")
+    out = {}
+    for args, images in table.items():
+        args = tuple(map(index, args))
+        if len(args) != arity:
+            raise ValueError(f"{what} takes {arity} arguments, got {len(args)}: {args}")
+        cell = out.setdefault(args, {})
+        for o, c in images.items():
+            add_to(cell, index(o), Scalar(c))
+        if not cell:
+            del out[args]
+    return out
+
+
+def _check_unit(ops: dict, unit: dict, n: int) -> None:
+    """The unit law for the sparse vector ``unit`` and the structure maps
+    ``ops`` {k: m_k}: 1.a = a = a.1 under m_2 for every basis vector a,
+    and m_k for k != 2 vanishes whenever an argument is the unit."""
+    for k in sorted({*ops, 2}, key=lambda k: k == 2):  # m_2 last; a unit needs one
+        slots = [{} for _ in range(k)]  # the unit in slot t: {other args: {out: c}}
+        for args, images in ops.get(k, {}).items():
+            for t, u in enumerate(args):
+                if u in unit:
+                    cell = slots[t].setdefault(args[:t] + args[t + 1 :], {})
+                    for out, c in images.items():
+                        add_to(cell, out, unit[u] * c)
+        if k == 2:
+            for a in range(n):
+                if slots[0].get((a,)) != {a: ONE}:
+                    raise ValueError("declared unit fails 1.a = a")
+                if slots[1].get((a,)) != {a: ONE}:
+                    raise ValueError("declared unit fails a.1 = a")
+        elif any(cell for slot in slots for cell in slot.values()):
+            raise ValueError(f"declared unit fails: m_{k} does not vanish on it")
 
 
 def _dual_scales(scales, n: int) -> tuple[Scalar, ...]:

@@ -5,14 +5,25 @@ chain loop ``matrix_ainfinity`` and the E_pq E_qs = E_ps comprehension
 import pytest
 
 from ncbv import (
+    CyclicAInfinity,
     FrobeniusAlgebra,
+    MatrixExtension,
+    encode_ainfinity,
     ground_field,
     matrix_ainfinity,
     matrix_frobenius,
+    suspend,
     truncated_polynomials,
 )
 from ncbv.algebras import algebra_a, exterior_line
-from ncbv.morita import decorate, index_chains, matrix_index, matrix_name
+from ncbv.morita import (
+    decorate,
+    decorate_map,
+    decorate_unit,
+    index_chains,
+    matrix_index,
+    matrix_name,
+)
 from ncbv.scalar import ONE, Scalar
 
 SIZES = (1, 2, 3, 4)
@@ -121,3 +132,35 @@ def test_chain_loop_decorates_frobenius_algebras(name, size):
         assert mult == reference_matrix_mult(size)
         line = matrix_frobenius(size)
         assert (mat.pairing, mat.inverse, mat.H) == (line.pairing, line.inverse, line.H)
+
+
+ALGEBRAS = {**A_INFINITY, **FROBENIUS}
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_morita_decoration_matches_the_references(name, size):
+    """``decorate_map`` and ``decorate_unit``, the one decoration behind
+    both matrix builders, on the maps and units of all five algebras."""
+    algebra = ALGEBRAS[name]()
+    if isinstance(algebra, FrobeniusAlgebra):
+        ops, unit = {2: algebra.mult}, dense_unit(algebra)
+    else:
+        ops, unit = algebra.ops, algebra.unit
+    reference = reference_ops(ops, size)
+    for k, table in ops.items():
+        assert nonempty(decorate_map(table, size)) == nonempty(reference[k])
+    if unit is not None:
+        assert decorate_unit(unit, size) == reference_unit(unit, size)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_curvature_decorates_to_the_identity(size):
+    """m_0 tensored with the identity: every diagonal cell, which is what
+    inflating the curvature's one-letter word gives."""
+    curved = CyclicAInfinity(("a", "b"), (1, 2), ((0, 1), (1, 0)), {0: {(): {1: 1}}})
+    mat = matrix_ainfinity(curved, size)
+    assert mat.ops[0] == {(): {matrix_index(1, p, p, size): 1 for p in range(size)}}
+    base = suspend(curved)
+    ext = MatrixExtension(base, size)
+    assert ext.inflate(encode_ainfinity(curved, base)) == encode_ainfinity(mat, ext.space)

@@ -112,10 +112,7 @@ def test_frobenius_validation():
     one = Scalar(1)
     zero = Scalar(0)
     # non-symmetric pairing on a two-dimensional commutative algebra
-    mult = (
-        (( one, zero), (zero, one)),
-        ((zero, one), (zero, zero)),
-    )
+    mult = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
     with pytest.raises(ValueError, match="symmetric"):
         FrobeniusAlgebra(("1", "t"), mult, ((zero, one), (Scalar(2), zero)), (one, zero))
     # K[t]/t^2 with the unit declared as t
@@ -399,21 +396,30 @@ def test_coerce_names_the_bad_value():
         frob.coerce("F[0,0]")
 
 
+LINE = {(0, 0): {0: ONE}}
+
+
 @pytest.mark.parametrize(
     "basis,mult,pairing,unit,match",
     [
-        (("1",), (((ONE, ZERO),),), ((ONE,),), (ONE,), "product e_0 e_0 has 2 entries"),
-        (("1",), (((ONE,), (ONE,)),), ((ONE,),), (ONE,), "row 0 of mult has 2 entries"),
-        (("1",), ((), ()), ((ONE,),), (ONE,), "mult has 2 entries"),
-        (("1",), (((ONE,),),), ((ONE, ONE),), (ONE,), "pairing row has 2 entries"),
-        (("1",), (((ONE,),),), ((ONE,), (ONE,)), (ONE,), "the pairing has 2 entries"),
-        (("1",), (((ONE,),),), ((ONE,),), (ONE, ZERO), "the unit has 2 entries"),
+        (("1",), [[["1", "0"]]], [["1"]], ["1"], "product e_0 e_0 has 2 entries"),
+        (("1",), [[["1"], ["1"]]], [["1"]], ["1"], "row 0 of mult has 2 entries"),
+        (("1",), [[], []], [["1"]], ["1"], "mult has 2 entries"),
+        (("1",), LINE, ((ONE, ONE),), (ONE,), "pairing row has 2 entries"),
+        (("1",), LINE, ((ONE,), (ONE,)), (ONE,), "the pairing has 2 entries"),
+        (("1",), LINE, ((ONE,),), (ONE, ZERO), "the unit has 2 entries"),
         (("1",), {(0, 1): {0: ONE}}, ((ONE,),), (ONE,), "leaves the basis indices"),
     ],
 )
 def test_constructor_rejects_ragged_tables(basis, mult, pairing, unit, match):
+    """A product map goes to the constructor; a dense product table, the
+    JSON layout, goes through ``from_json``, which alone reads it."""
     with pytest.raises(ValueError, match=match):
-        FrobeniusAlgebra(basis, mult, pairing, unit)
+        if isinstance(mult, dict):
+            FrobeniusAlgebra(basis, mult, pairing, unit)
+        else:
+            FrobeniusAlgebra.from_json(
+                {"basis": list(basis), "mult": mult, "pairing": pairing, "unit": unit})
 
 
 def test_from_json_rejects_bad_shapes_and_duplicate_names():

@@ -20,3 +20,11 @@ def test_module_table_has_one_row_per_module():
     modules = [f"ncbv.{path.stem}" for path in (ROOT / "src" / "ncbv").glob("*.py")
                if path.stem != "__init__"]
     assert sorted(rows) == sorted(modules)
+
+
+def test_public_names_resolve():
+    """Every name ``ncbv.__all__`` exports exists, once."""
+    import ncbv
+
+    assert [name for name in ncbv.__all__ if not hasattr(ncbv, name)] == []
+    assert len(set(ncbv.__all__)) == len(ncbv.__all__)

@@ -1,6 +1,6 @@
 """One structure-map format for cyclic A-infinity and Frobenius algebras:
-the index and arity checks, the unit law and the unit's length, read
-through both constructors and both JSON readers."""
+the index and arity checks, the unit law and the unit's length, through
+both constructors and the JSON readers."""
 
 import pytest
 

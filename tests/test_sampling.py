@@ -106,3 +106,31 @@ def test_covariance_structure():
                     mean = float(np.mean(draws[:, a, b] * draws[:, c, d]).real)
                     expected = 1.0 if (a == d and b == c) else 0.0
                     assert abs(mean - expected) < 0.05
+
+
+# Seeded estimates as float.hex() (estimate, std_error), pinned so that any
+# change to the draw, the per-matrix values or the summation order shows.
+# Odd N makes N^2 odd, so a Box-Muller pair straddles two matrices; every
+# sample count leaves a short last chunk.  The first four are small enough
+# to rerun at any block size.
+PINNED = [
+    ((2,), 3, 101, 1, 1, ("0x1.213b4662cc885p+3", "0x1.94d7ee584db94p-2")),
+    ((3, 1), 1, 1001, 2, 3, ("0x1.cb4aaa28c50f9p+1", "0x1.a4b44f2cc9f62p-2")),
+    ((1, 3), 5, 1000, 9, 3, ("0x1.2e60d8c7e832ep+6", "0x1.e999d355d917cp+1")),
+    ((0, 2), 3, 1001, 4, 97, ("0x1.ac05ad406512cp+4", "0x1.91e3ec4d66261p-2")),
+    ((0, 2), 3, 10_001, 4, 4097, ("0x1.b0cf8cc81f514p+4", "0x1.07294f3cf2bb8p-3")),
+    ((4,), 7, 9_999, 0, 4097, ("0x1.5ae5a1509ca04p+9", "0x1.7df33ff262770p+1")),
+    ((4,), 8, 10_001, 0, 8193, ("0x1.02059cf3d1ce5p+10", "0x1.f576f970ee0bbp+1")),
+    ((2, 2), 2, 70_001, 5, 65536, ("0x1.7ddfff936e517p+4", "0x1.1acfcd5ba789fp-3")),
+]
+
+
+def _pinned_bits(idx, size, samples, seed, chunk, threads):
+    result = monte_carlo_moment(idx, size, samples, seed=seed, chunk=chunk, threads=threads)
+    return result.estimate.hex(), result.std_error.hex()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("idx,size,samples,seed,chunk,bits", PINNED)
+def test_seeded_estimates_are_pinned(idx, size, samples, seed, chunk, bits, threads):
+    assert _pinned_bits(idx, size, samples, seed, chunk, threads) == bits

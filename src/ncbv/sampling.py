@@ -11,18 +11,32 @@ Per matrix the draw order is: N diagonal normals, then the N(N-1)/2
 upper-triangle entries row by row, real part before imaginary, each
 normal scaled by 1/sqrt(2).  This makes E[X_ab X_cd] = delta_ad
 delta_bc, the covariance the Wick oracle assumes.
+
+A chunk's normals come from one Box-Muller draw: all of its u1
+uniforms, then all of its u2.  The chunk is sampled in blocks of at
+most ``block_size(N)`` matrices, one pool task each, so memory is
+bounded by a few blocks whatever the chunk.  A block rebuilds the
+chunk's generator and reaches its own share of u1 and of u2 through
+``bit_generator.advance`` (one PCG64 output per double); blocks hold an
+even number of matrices, so each starts on a Box-Muller pair.  A block
+yields its matrices' values, the observable is summed over the whole
+chunk's values in one ``np.sum``, and chunks are added in index order,
+so estimates do not depend on the block size or the thread count.
 """
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .scalar import as_int
 
 DEFAULT_CHUNK = 65536
+BLOCK = 4096  # matrices per pool task at N <= 8; see block_size
 
 
 def thread_count() -> int:
@@ -43,9 +57,16 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(workers: int, chunks: int) -> int:
-    """Worker threads to start: at most one per chunk and per usable CPU."""
-    return max(1, min(workers, chunks, usable_cpus()))
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker threads to start: at most one per task and per usable CPU."""
+    return max(1, min(workers, tasks, usable_cpus()))
+
+
+def block_size(size: int) -> int:
+    """Matrices per block: BLOCK, or fewer when N > 8, so that a block's
+    stack holds at most BLOCK * 64 complex entries (4 MiB); always even
+    and at least 2."""
+    return max(2, min(BLOCK, BLOCK * 64 // (size * size)) // 2 * 2)
 
 
 def gue_rng(seed: int, chunk: int | None = None) -> np.random.Generator:
@@ -56,25 +77,46 @@ def gue_rng(seed: int, chunk: int | None = None) -> np.random.Generator:
     )
 
 
-def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller on uniform pairs; draws 2*ceil(count/2) uniforms."""
-    pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
+def standard_normals(rng: np.random.Generator, count: int,
+                     start: int = 0, total: int | None = None) -> np.ndarray:
+    """Normals start..start+count of a Box-Muller draw of ``total`` normals
+    (default: the first ``count``).
+
+    The draw takes ceil(total/2) uniforms u1, then as many u2; normals 2k
+    and 2k+1 come from the pair (u1[k], u2[k]).  ``start`` must be even,
+    so that the slice begins on a pair; the uniforms before it are
+    skipped with ``bit_generator.advance``.
+    """
+    total = count if total is None else total
+    if start % 2 or start < 0 or count < 0 or start + count > total:
+        raise ValueError(f"normals {start}..{start + count} are not an even-aligned "
+                         f"slice of a draw of {total}")
+    pairs = (total + 1) // 2
+    first, last = start // 2, (start + count + 1) // 2
+    if first:
+        rng.bit_generator.advance(first)
+    u1 = rng.random(last - first)
+    if pairs - last + first:
+        rng.bit_generator.advance(pairs - last + first)
+    u2 = rng.random(last - first)
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * math.pi * u2
-    out = np.empty(2 * pairs)
+    out = np.empty(2 * (last - first))
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
     return out[:count]
 
 
-def sample_gue_batch(size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Hermitian matrices with density ~ exp(-Tr(X^2)/2)."""
+def sample_gue_batch(size: int, count: int, rng: np.random.Generator,
+                     start: int = 0, total: int | None = None) -> np.ndarray:
+    """``count`` Hermitian matrices with density ~ exp(-Tr(X^2)/2): matrices
+    start..start+count of a draw of ``total`` (default: the first ``count``)."""
     if size < 1:
         raise ValueError("matrix size must be at least 1")
-    normals = standard_normals(rng, count * size * size)
-    normals = normals.reshape(count, size * size)
+    total = count if total is None else total
+    square = size * size
+    normals = standard_normals(rng, count * square, start * square, total * square)
+    normals = normals.reshape(count, square)
     out = np.zeros((count, size, size), dtype=complex)
     diag = normals[:, :size]
     for a in range(size):
@@ -96,18 +138,52 @@ def sample_gue(size: int, rng: np.random.Generator) -> np.ndarray:
     return sample_gue_batch(size, 1, rng)[0]
 
 
-def _chunk_sums(idx, size, count, seed, chunk_index):
-    """(sum, sum of squares) of the observable over one seeded chunk."""
+def _block_values(idx, size, seed, chunk_index, count, start, take):
+    """The observable on matrices start..start+take of a seeded chunk of
+    ``count``, one value per matrix."""
     rng = gue_rng(seed, chunk_index)
-    matrices = sample_gue_batch(size, count, rng)
+    matrices = sample_gue_batch(size, take, rng, start, count)
     eigenvalues = np.linalg.eigvalsh(matrices)
-    values = np.ones(count)
+    values = np.ones(take)
     for power in idx:
         if power == 0:
             values = values * size
         else:
             values = values * np.sum(eigenvalues**power, axis=1)
+    return values
+
+
+def _chunk_sums(blocks):
+    """(sum, sum of squares) of the observable over one chunk, given its
+    blocks' values in order."""
+    values = np.concatenate(blocks)
     return float(np.sum(values)), float(np.sum(values * values))
+
+
+def _blocks(samples, chunk, block):
+    """(chunk index, chunk size, start, take) of every block, in order."""
+    for chunk_index, first in enumerate(range(0, samples, chunk)):
+        count = min(chunk, samples - first)
+        for start in range(0, count, block):
+            yield chunk_index, count, start, min(block, count - start)
+
+
+def _block_results(work, tasks, workers):
+    """(task, work(*task)) for each task in order, on ``workers`` threads
+    with at most two tasks per worker in flight."""
+    if workers == 1:
+        for task in tasks:
+            yield task, work(*task)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for task in tasks:
+            pending.append((task, pool.submit(work, *task)))
+            if len(pending) == 2 * workers:
+                task, future = pending.popleft()
+                yield task, future.result()
+        for task, future in pending:
+            yield task, future.result()
 
 
 @dataclass
@@ -127,7 +203,7 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
 
     Deterministic given (idx, size, samples, seed, chunk): chunks are
     seeded independently and accumulated in index order regardless of
-    the worker count.
+    the worker count and the block size.
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -138,28 +214,25 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         raise ValueError("chunk must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    plan = []
-    remaining, chunk_index = samples, 0
-    while remaining > 0:
-        take = min(chunk, remaining)
-        plan.append((chunk_index, take))
-        remaining -= take
-        chunk_index += 1
-
-    workers = pool_size(threads if threads is not None else thread_count(), len(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda item: _chunk_sums(idx, size, item[1], seed, item[0]), plan)
-            )
-    else:
-        results = [_chunk_sums(idx, size, count, seed, index) for index, count in plan]
+    if size < 1:
+        raise ValueError("matrix size must be at least 1")
+    block = block_size(size)
+    full, rest = divmod(samples, chunk)
+    blocks = full * -(-chunk // block) + -(-rest // block)
+    workers = pool_size(threads if threads is not None else thread_count(), blocks)
 
     total = 0.0
     total_sq = 0.0
-    for part, part_sq in results:  # fixed order: deterministic accumulation
-        total += part
-        total_sq += part_sq
+    parts = []
+    work = partial(_block_values, idx, size, seed)
+    tasks = _blocks(samples, chunk, block)
+    for (_, count, start, take), values in _block_results(work, tasks, workers):
+        parts.append(values)
+        if start + take == count:  # chunks in index order: deterministic accumulation
+            part, part_sq = _chunk_sums(parts)
+            total += part
+            total_sq += part_sq
+            parts = []
     mean = total / samples
     variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     return McResult(mean, math.sqrt(variance / samples))

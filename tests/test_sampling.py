@@ -1,5 +1,7 @@
 """Seeded GUE sampling and Monte Carlo estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,64 @@ def _pinned_bits(idx, size, samples, seed, chunk, threads):
 @pytest.mark.parametrize("idx,size,samples,seed,chunk,bits", PINNED)
 def test_seeded_estimates_are_pinned(idx, size, samples, seed, chunk, bits, threads):
     assert _pinned_bits(idx, size, samples, seed, chunk, threads) == bits
+
+
+@pytest.mark.parametrize("block", [2, 6, 10**9])
+@pytest.mark.parametrize("idx,size,samples,seed,chunk,bits", PINNED[:4])
+def test_estimates_do_not_depend_on_block_size(monkeypatch, block, idx, size, samples, seed,
+                                               chunk, bits):
+    from ncbv import sampling
+
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    for threads in (1, 2):
+        assert _pinned_bits(idx, size, samples, seed, chunk, threads) == bits
+
+
+def test_block_size_is_even_and_bounded_in_bytes():
+    from ncbv.sampling import BLOCK, block_size
+
+    assert [block_size(n) for n in (1, 8, 9, 20, 1000)] == [BLOCK, BLOCK, 3236, 654, 2]
+    for n in range(1, 70):
+        assert block_size(n) % 2 == 0
+        assert block_size(n) * n * n <= BLOCK * 64 or block_size(n) == 2
+
+
+def test_chunk_memory_is_one_block():
+    """A default 65,536-matrix chunk at N = 8 is drawn in blocks: numpy's
+    buffers peak under 16 MiB, where one whole-chunk draw takes over 100."""
+    tracemalloc.start()
+    try:
+        monte_carlo_moment((4,), 8, 65_536, seed=0, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_blocks_in_flight_are_capped(monkeypatch):
+    from ncbv import sampling
+
+    outstanding = []
+    state = {"submitted": 0, "read": 0}
+
+    class Counted:
+        def __init__(self, future):
+            self._future = future
+
+        def result(self):
+            state["read"] += 1
+            return self._future.result()
+
+    class Recorder(sampling.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            state["submitted"] += 1
+            outstanding.append(state["submitted"] - state["read"])
+            return Counted(super().submit(*args, **kwargs))
+
+    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(sampling, "BLOCK", 2)
+    result = monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=2)
+    assert state == {"submitted": 151, "read": 151}
+    assert max(outstanding) == 4
+    assert result == monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=1)

@@ -51,7 +51,7 @@ def _form(rows, n: int, what: str) -> Form:
         if isinstance(row, Mapping):
             items = [(j, Scalar(entry)) for j, entry in row.items()]
             for j, _ in items:
-                if not (isinstance(j, int) and 0 <= j < n):
+                if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < n):
                     raise ValueError(f"{what} row has column {j!r} outside 0..{n - 1}")
         else:
             items = list(enumerate(map(Scalar, row)))

@@ -176,20 +176,19 @@ def encode_ainfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> 
 
 def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
     """Symmetric-word encoding of the commutator homotopy Lie structure,
-    with the 1/(tensor length)! weight.  Only differentials and binary
-    products are supported; that covers every algebra used here."""
+    with the 1/(tensor length)! weight.  Only a curvature (l_0 = m_0),
+    differentials and binary products are supported; that covers every
+    algebra used here."""
     for k in algebra.ops:
         if k > 2 and algebra.ops[k]:
-            raise ValueError("commutator encoding implemented for m_1, m_2 only")
+            raise ValueError("commutator encoding implemented for m_0, m_1, m_2 only")
     scales = space.dual_scales
     raw = []
-    for k in (1, 2):
-        tensor = {}
-        if k == 1:
-            tensor = algebra.structure_tensor(1)
-        else:
+    for k in (0, 1, 2):
+        tensor = algebra.structure_tensor(k)
+        if k == 2:
             # l_2(u, v) = m_2(u, v) - (-1)^{|u||v|} m_2(v, u)
-            base = algebra.structure_tensor(2)
+            base, tensor = tensor, {}
             for (i, j, l), value in base.items():
                 add_to(tensor, (i, j, l), value)
                 sign = -1 if (algebra.degrees[i] * algebra.degrees[j]) % 2 else 1

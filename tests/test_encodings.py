@@ -206,6 +206,18 @@ def test_sigma_of_encoding_is_commutator_encoding():
     assert sigma(encode_ainfinity(mat, mat_space)) == encode_commutator_linfinity(mat, mat_space)
 
 
+def test_commutator_encoding_keeps_the_curvature():
+    curved = CyclicAInfinity(("a", "b"), (1, 2), ((0, 1), (1, 0)), {0: {(): {1: 1}}})
+    space = suspend(curved)
+    encoded = encode_commutator_linfinity(curved, space)
+    assert sigma(encode_ainfinity(curved, space)) == encoded
+    assert encoded == Element.from_terms(space, COMMUTATIVE, [(0, 0, [[0]], 1)])  # the letter a
+    for size in (1, 2):
+        mat = matrix_ainfinity(curved, size)
+        mat_space = suspend_matrix(curved, size)
+        assert sigma(encode_ainfinity(mat, mat_space)) == encode_commutator_linfinity(mat, mat_space)
+
+
 def test_exterior_line_encoding_satisfies_master_equation():
     ext_line = exterior_line()
     space = suspend(ext_line, names=("u", "e"))

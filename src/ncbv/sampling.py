@@ -14,8 +14,9 @@ delta_bc, the covariance the Wick oracle assumes.
 
 A chunk's normals come from one Box-Muller draw: all of its u1
 uniforms, then all of its u2.  The chunk is sampled in blocks of at
-most ``block_size(N)`` matrices, one pool task each, so memory is
-bounded by a few blocks whatever the chunk.  A block rebuilds the
+most ``block_size(N)`` matrices, one pool task each, at most two per
+worker in flight, so memory is a few blocks plus one chunk's values
+(8 bytes a sample), whatever the sample count.  A block rebuilds the
 chunk's generator and reaches its own share of u1 and of u2 through
 ``bit_generator.advance`` (one PCG64 output per double); blocks hold an
 even number of matrices, so each starts on a Box-Muller pair.  A block
@@ -180,10 +181,10 @@ def _block_results(work, tasks, workers):
         for task in tasks:
             pending.append((task, pool.submit(work, *task)))
             if len(pending) == 2 * workers:
-                task, future = pending.popleft()
-                yield task, future.result()
-        for task, future in pending:
-            yield task, future.result()
+                done, future = pending.popleft()
+                yield done, future.result()
+        for done, future in pending:
+            yield done, future.result()
 
 
 @dataclass

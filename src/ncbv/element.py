@@ -12,6 +12,14 @@ tagged with the space it lives over and a flavor:
 Both flavors share the same canonicalization, addition and graded
 product; the operators module enforces which operations make sense on
 which flavor.
+
+Raw terms are summed per call, and each distinct raw monomial is
+canonicalized once: every operation that produces raw terms (the
+constructors after coercing their input, ``sym_product``, the operators
+and the Morita maps) collects them in one map {(gamma, nu, raw_words):
+coeff} and hands it to ``_add_raw``, which sends each key once through
+``_accumulate``.  Canonicalization is a function of the raw key, so
+summing first gives the same Element.
 """
 
 from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
@@ -19,6 +27,21 @@ from .words import Monomial, canonicalize_monomial, word_parity
 
 CYCLIC = "cyclic"
 COMMUTATIVE = "commutative"
+
+
+def _coerced(raw_terms) -> dict:
+    """Outside ``(gamma, nu, raw_words, coeff)`` items as raw terms: powers
+    and coefficients coerced, zero items dropped, items summed per raw
+    monomial.  A monomial whose items cancel keeps a zero entry, so it is
+    still checked."""
+    raw = {}
+    for gamma, nu, raw_words, coeff in raw_terms:
+        gamma, nu = as_int(gamma, "gamma power"), as_int(nu, "nu power")
+        coeff = Scalar(coeff)
+        if coeff:
+            key = (gamma, nu, tuple(map(tuple, raw_words)))
+            raw[key] = raw.get(key, 0) + coeff
+    return raw
 
 
 class Element:
@@ -31,9 +54,8 @@ class Element:
         self.flavor = flavor
         self.terms: dict[Monomial, Scalar] = {}
         if terms:
-            for (gamma, nu, words), coeff in terms.items():
-                self._accumulate(as_int(gamma, "gamma power"), as_int(nu, "nu power"),
-                                 words, Scalar(coeff))
+            self._add_raw(_coerced((gamma, nu, words, coeff)
+                                   for (gamma, nu, words), coeff in terms.items()))
 
     # -- construction -------------------------------------------------
 
@@ -45,10 +67,12 @@ class Element:
     def from_terms(cls, space, flavor, raw_terms) -> "Element":
         """Build from ``(gamma, nu, raw_words, coeff)`` items, canonicalizing
         each as the constructor does its {monomial: coeff} entries."""
+        return cls._from_raw(space, flavor, _coerced(raw_terms))
+
+    @classmethod
+    def _from_raw(cls, space, flavor, raw) -> "Element":
         out = cls(space, flavor)
-        for gamma, nu, raw_words, coeff in raw_terms:
-            out._accumulate(as_int(gamma, "gamma power"), as_int(nu, "nu power"),
-                            raw_words, Scalar(coeff))
+        out._add_raw(raw)
         return out
 
     @classmethod
@@ -79,9 +103,15 @@ class Element:
         names = [space.index(l) if isinstance(l, str) else l for l in letters]
         return cls.from_terms(space, COMMUTATIVE, [(0, 0, [[n] for n in names], coeff)])
 
+    def _add_raw(self, raw) -> None:
+        """Add the raw terms {(gamma, nu, raw_words): coeff}, canonicalizing
+        each distinct raw monomial once."""
+        for (gamma, nu, raw_words), coeff in raw.items():
+            self._accumulate(gamma, nu, raw_words, coeff)
+
     def _accumulate(self, gamma, nu, raw_words, coeff) -> None:
-        if not coeff:
-            return
+        """Add coeff times the class of one raw monomial; a zero ``coeff``
+        adds nothing but still checks the monomial."""
         canon = canonicalize_monomial(self.space, gamma, nu, raw_words)
         if canon is None:
             return
@@ -138,13 +168,11 @@ class Element:
     def sym_product(self, other: "Element") -> "Element":
         """Graded-commutative product, Koszul signs via renormalization."""
         self._require_same(other)
-        out = Element(self.space, self.flavor)
+        raw = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out._accumulate(
-                    m1.gamma + m2.gamma, m1.nu + m2.nu, m1.words + m2.words, c1 * c2
-                )
-        return out
+                add_to(raw, (m1.gamma + m2.gamma, m1.nu + m2.nu, m1.words + m2.words), c1 * c2)
+        return Element._from_raw(self.space, self.flavor, raw)
 
     # -- queries --------------------------------------------------------
 

@@ -113,14 +113,14 @@ class MatrixExtension:
     def inflate_word(self, word) -> Element:
         """Sum over matrix decorations weighted by the trace of the
         product: letter t gets indices (p_t, p_{t+1}), cyclically."""
-        out = Element.zero(self.space, CYCLIC)
+        raw = {}
         for chain in index_chains(self.size, len(word)):
             decorated = tuple(
                 self.encode(letter, chain[t], chain[(t + 1) % len(word)])
                 for t, letter in enumerate(word)
             )
-            out._accumulate(0, 0, (decorated,), Scalar(1))
-        return out
+            add_to(raw, (0, 0, (decorated,)), 1)
+        return Element._from_raw(self.space, CYCLIC, raw)
 
     def inflate(self, element: Element) -> Element:
         """The map M on S(NCHam): multiplicative over factors, nu -> N nu."""
@@ -150,7 +150,7 @@ class MatrixExtension:
             raise ValueError("element does not live over the matrix space")
         if element.flavor != CYCLIC:
             raise ValueError("R is defined on cyclic-side elements")
-        out = Element.zero(self.base, CYCLIC)
+        raw = {}
         for monomial, coeff in element.terms.items():
             words = []
             dead = False
@@ -164,23 +164,27 @@ class MatrixExtension:
                     stripped.append(letter)
                 if dead:
                     break
-                words.append(stripped)
+                words.append(tuple(stripped))
             if not dead:
-                out._accumulate(monomial.gamma, monomial.nu, words, coeff)
-        return out
+                add_to(raw, (monomial.gamma, monomial.nu, tuple(words)), coeff)
+        return Element._from_raw(self.base, CYCLIC, raw)
 
 
 def sigma(element: Element) -> Element:
     """Quotient to the commutative side: flatten words, nu -> 1."""
     if element.flavor != CYCLIC:
         raise ValueError("sigma takes cyclic-side elements")
-    out = Element.zero(element.space, COMMUTATIVE)
+    raw = {}
     for monomial, coeff in element.terms.items():
         if monomial.gamma:
             raise ValueError("sigma is not defined on genus-weighted monomials")
-        letters = [letter for word in monomial.words for letter in word]
-        out._accumulate(0, 0, [[l] for l in letters], coeff)
-    return out
+        add_to(raw, (0, 0, _letter_words(monomial)), coeff)
+    return Element._from_raw(element.space, COMMUTATIVE, raw)
+
+
+def _letter_words(monomial: Monomial) -> tuple:
+    """The letters of a monomial's words, each as a one-letter word."""
+    return tuple((letter,) for word in monomial.words for letter in word)
 
 
 def sigma_K(element: Element) -> dict[int, Element]:
@@ -191,13 +195,13 @@ def sigma_K(element: Element) -> dict[int, Element]:
     """
     if element.flavor != CYCLIC:
         raise ValueError("sigma_K takes cyclic-side elements")
-    graded: dict[int, Element] = {}
+    graded: dict[int, dict] = {}
     for monomial, coeff in element.terms.items():
         n = len(monomial.words)
         if monomial.nu + n == 0:
             raise ValueError("sigma_K needs at least one word or nu factor")
         weight = 2 * monomial.gamma + monomial.nu + n - 1
-        letters = [letter for word in monomial.words for letter in word]
-        bucket = graded.setdefault(weight, Element.zero(element.space, COMMUTATIVE))
-        bucket._accumulate(0, 0, [[l] for l in letters], coeff)
-    return {power: el for power, el in graded.items() if not el.is_zero()}
+        add_to(graded.setdefault(weight, {}), (0, 0, _letter_words(monomial)), coeff)
+    out = {power: Element._from_raw(element.space, COMMUTATIVE, raw)
+           for power, raw in graded.items()}
+    return {power: el for power, el in out.items() if not el.is_zero()}

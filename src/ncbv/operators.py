@@ -31,11 +31,18 @@ tests check.  The internal differential is a bracket too: d = -{q, -}
 with q the quadratic part of the encoded structure, and -{sigma(q), -}
 on polynomials.  The cobracket is the one odd derivation, replacing
 each word in place with sign (-1)^{parity of the words before it}.
+
+Raw terms are summed per call, and each distinct raw monomial is
+canonicalized once: each operator call collects its raw terms in one map
+{(gamma, nu, raw_words): coeff} (``_pairs`` and ``_cobracket`` write
+into their caller's map, so delta_K's gamma-raised pairs share the
+cobracket's) and builds its result through ``Element._from_raw``.  All m
+splices of {x^{l-1} xi, x^m}, for instance, are one raw word.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import sigma
-from .scalar import Scalar
+from .scalar import Scalar, add_to
 from .words import prefix_parities, rotation_sign, word_parity
 
 
@@ -129,8 +136,8 @@ class OperatorContext:
 
     # -- kernels: one transport sign each ----------------------------------
 
-    def _pairs(self, out, gamma, nu, words, coeff, contract, split=None):
-        """Add to ``out`` the contraction of each pair i < j of ``words``
+    def _pairs(self, raw, gamma, nu, words, coeff, contract, split=None):
+        """Add to the raw terms ``raw`` the contraction of each pair i < j of ``words``
         (only the cross pairs i < split <= j when ``split`` is given),
         both factors moved to the front."""
         pars = _word_parities(self.space, words)
@@ -149,24 +156,37 @@ class OperatorContext:
                     sign = -sign
                 rest = words[:i] + words[i + 1 : j] + words[j + 1 :]
                 for c, merged in pairs:
-                    out._accumulate(gamma, nu, merged + rest, sign * c * coeff)
+                    add_to(raw, (gamma, nu, merged + rest), sign * c * coeff)
 
     def _biderivation(self, left, right, contract):
         """Contract every factor of ``left`` with every factor of ``right``:
         the cross pairs of the product (Leibniz in each argument)."""
-        out = Element.zero(self.space, left.flavor)
+        raw = {}
         for m1, c1 in left.terms.items():
             for m2, c2 in right.terms.items():
-                self._pairs(out, m1.gamma + m2.gamma, m1.nu + m2.nu, m1.words + m2.words,
+                self._pairs(raw, m1.gamma + m2.gamma, m1.nu + m2.nu, m1.words + m2.words,
                             c1 * c2, contract, split=len(m1.words))
-        return out
+        return Element._from_raw(self.space, left.flavor, raw)
 
     def _second_order(self, element, contract):
         """Contract each pair i < j of factors, moving both to the front."""
-        out = Element.zero(self.space, element.flavor)
+        raw = {}
         for m, c in element.terms.items():
-            self._pairs(out, m.gamma, m.nu, m.words, c, contract)
-        return out
+            self._pairs(raw, m.gamma, m.nu, m.words, c, contract)
+        return Element._from_raw(self.space, element.flavor, raw)
+
+    def _cobracket(self, raw, element):
+        """Add to the raw terms ``raw`` the cobracket of ``element``."""
+        space = self.space
+        for monomial, coeff in element.terms.items():
+            words = monomial.words
+            before = 0
+            for i, word in enumerate(words):
+                for c, arc1, arc2 in cobracket_word(space, word):
+                    add_to(raw, (monomial.gamma, monomial.nu,
+                                 words[:i] + (arc1, arc2) + words[i + 1 :]),
+                           -c * coeff if before else c * coeff)
+                before ^= word_parity(space, word)
 
     # -- cyclic side ----------------------------------------------------
 
@@ -181,18 +201,9 @@ class OperatorContext:
         the two arcs replace word i in place, with sign (-1)^{parity of
         the words before i}."""
         self._require(element, CYCLIC)
-        space = self.space
-        out = Element.zero(space, CYCLIC)
-        for monomial, coeff in element.terms.items():
-            words = monomial.words
-            before = 0
-            for i, word in enumerate(words):
-                for c, arc1, arc2 in cobracket_word(space, word):
-                    out._accumulate(monomial.gamma, monomial.nu,
-                                    words[:i] + (arc1, arc2) + words[i + 1 :],
-                                    -c * coeff if before else c * coeff)
-                before ^= word_parity(space, word)
-        return out
+        raw = {}
+        self._cobracket(raw, element)
+        return Element._from_raw(self.space, CYCLIC, raw)
 
     def ce_delta(self, element: Element) -> Element:
         """Chevalley-Eilenberg differential: bracket each pair of factors."""
@@ -202,10 +213,12 @@ class OperatorContext:
     def delta_K(self, element: Element) -> Element:
         """The combined differential: cobracket plus genus-weighted delta,
         the delta pairs added into the cobracket with gamma raised by one."""
-        out = self.nc_cobracket(element)
+        self._require(element, CYCLIC)
+        raw = {}
+        self._cobracket(raw, element)
         for m, c in element.terms.items():
-            self._pairs(out, m.gamma + 1, m.nu, m.words, c, self._splice_words)
-        return out
+            self._pairs(raw, m.gamma + 1, m.nu, m.words, c, self._splice_words)
+        return Element._from_raw(self.space, CYCLIC, raw)
 
     # -- commutative side ------------------------------------------------
 

@@ -29,7 +29,10 @@ Each reducer computes them once per l and per (l, m) through its
 ``MultiTraceFunctional.from_element`` (the trace-map image) as sparse
 maps {(nu power, sorted trace powers): coefficient}, so a state is a
 memoized sorted tuple of word lengths and its successors are built
-without any Element.
+without any Element.  Equal lengths in a state share one table read,
+scaled by their multiplicity, and the states are driven from an explicit
+work stack, so the depth of a reduction is not bounded by Python's
+recursion limit.
 
 Three pivot choices are available; their agreement (confluence) is a
 tested property of the engine, not an assumption.
@@ -76,9 +79,39 @@ class GueReducer:
         parts = canonical_index(idx)
         zeros = sum(1 for i in parts if i == 0)
         state = tuple(i for i in parts if i > 0)
-        return self._reduce_state(state).shift(zeros)
+        return self._resolve(state).shift(zeros)
 
-    def _reduce_state(self, state: tuple[int, ...]) -> NuPolynomial:
+    def _resolve(self, root: tuple[int, ...]) -> NuPolynomial:
+        """The polynomial of ``root``, every new state below it driven from an
+        explicit work stack: as in a depth-first recursion, each successor is
+        looked up, and finished, before the next.  A frame holds a new state,
+        its remaining successors, its partial total and the (nu shift,
+        coefficient) with which its total enters the frame below."""
+        found = self._reduce_state(root)
+        if not isinstance(found, dict):
+            return found
+        stack = [(root, iter(found.items()), NuPolynomial(), 0, 1)]
+        while True:
+            state, successors, total, nu, coeff = stack[-1]
+            for (shift, lengths), c in successors:
+                found = self._reduce_state(lengths)
+                if isinstance(found, dict):
+                    stack.append((lengths, iter(found.items()), NuPolynomial(), shift, c))
+                    break
+                _add_shifted(total, found, shift, c)
+            else:
+                stack.pop()
+                self._cache[state] = total
+                if not stack:
+                    return total
+                _add_shifted(stack[-1][2], total, nu, coeff)
+
+    def _reduce_state(self, state: tuple[int, ...]) -> NuPolynomial | dict:
+        """One state lookup: the cached polynomial of ``state``, or, for a new
+        state, its successors {(nu shift, successor state): coefficient}.
+
+        ``rest`` is sorted, so equal factors are adjacent: each distinct
+        length reads its pair table once, scaled by its multiplicity."""
         cached = self._cache.get(state)
         if cached is not None:
             return cached
@@ -89,15 +122,13 @@ class GueReducer:
         for (nu, lengths), coeff in self._pivot_image(length).items():
             add_to(successors, (nu, tuple(sorted(lengths + rest))), coeff)
         for i, other in enumerate(rest):
+            if i and rest[i - 1] == other:
+                continue
+            count = rest.count(other)
             others = rest[:i] + rest[i + 1 :]
             for (nu, lengths), coeff in self._pair_image(length, other).items():
-                add_to(successors, (nu, tuple(sorted(lengths + others))), coeff)
-        total = NuPolynomial()
-        for (nu, lengths), coeff in successors.items():
-            for exp, c in self._reduce_state(lengths).coeffs.items():
-                add_to(total.coeffs, exp + nu, coeff * c)
-        self._cache[state] = total
-        return total
+                add_to(successors, (nu, tuple(sorted(lengths + others))), count * coeff)
+        return successors
 
     def _choose_pivot(self, state: tuple[int, ...]) -> int:
         if self.pivot == "leftmost":
@@ -125,6 +156,12 @@ class GueReducer:
             image = MultiTraceFunctional.from_element(self.ctx.nc_bracket(pivot, power)).terms
             self._pair_images[key] = image
         return image
+
+
+def _add_shifted(total: NuPolynomial, poly: NuPolynomial, nu: int, coeff) -> None:
+    """Add coeff * nu^nu * poly to ``total`` in place."""
+    for exp, c in poly.coeffs.items():
+        add_to(total.coeffs, exp + nu, coeff * c)
 
 
 def _pivot_word(length: int) -> tuple[int, ...]:

@@ -75,6 +75,83 @@ def test_all_ones(n):
     assert reduce_to_polynomial((1,) * (2 * n)) == expected
 
 
+def _twos_closed_form(n):
+    """Tr X^2 is a sum of N^2 squared unit normals (a chi-square with N^2
+    degrees of freedom), so E (Tr X^2)^n = nu^2 (nu^2 + 2) ... (nu^2 + 2n - 2)."""
+    out = NuPolynomial.constant(1)
+    for k in range(n):
+        out = out * NuPolynomial({2: 1, 0: 2 * k})
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+def test_twos_match_the_chi_square_moments(n):
+    assert GueReducer().reduce((2,) * n) == _twos_closed_form(n)
+
+
+def test_many_ones_match_the_gaussian_moments():
+    """Tr X is N(0, N), so 2n ones give (2n-1)!! nu^n; 2,200 ones are one
+    1,100-state chain."""
+    n = 1100
+    expected = NuPolynomial({n: double_factorial(2 * n - 1)})
+    assert GueReducer().reduce((1,) * (2 * n)) == expected
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_long_chains_need_no_recursion():
+    """300 twos are a 300-state chain; the reducer drives it from its own
+    work stack, so it runs under a recursion limit just above this test's
+    depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        poly = GueReducer().reduce((2,) * 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly == _twos_closed_form(300)
+
+
+def test_equal_factors_share_one_table_read(monkeypatch):
+    """A state with k equal factors reads the pair table once, and weighs
+    its successor by k."""
+    reducer = GueReducer()
+    reads = []
+    table = reducer._pair_image
+    monkeypatch.setattr(reducer, "_pair_image", lambda *key: reads.append(key) or table(*key))
+    successors = reducer._reduce_state((1,) * 6)
+    assert reads == [(1, 1)]
+    assert successors == {(1, (1,) * 4): 5}
+
+
+def test_state_counts_do_not_depend_on_query_order(monkeypatch):
+    """``_reduce_state`` is called once per state lookup, and each new state
+    misses the cache once, whatever order the queries come in."""
+    queries = _partitions_up_to(12) + [(24,)]
+    counts = []
+    for order in (queries, queries[::-1]):
+        reducer = GueReducer()
+        seen = {"lookups": 0, "states": 0}
+        step = reducer._reduce_state
+
+        def counted(state, step=step, reducer=reducer, seen=seen):
+            seen["lookups"] += 1
+            seen["states"] += state not in reducer._cache
+            return step(state)
+
+        monkeypatch.setattr(reducer, "_reduce_state", counted)
+        for idx in order:
+            reducer.reduce(idx)
+        assert seen["states"] == len(reducer._cache) - 1  # the empty state is seeded
+        counts.append(seen)
+    assert counts[0] == counts[1]
+
+
 def test_index_canonicalization():
     assert canonical_index((3, 1, 2)) == (1, 2, 3)
     assert reduce_to_polynomial((3, 1)) == reduce_to_polynomial((1, 3))

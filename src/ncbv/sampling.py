@@ -22,7 +22,8 @@ chunk's generator and reaches its own share of u1 and of u2 through
 even number of matrices, so each starts on a Box-Muller pair.  A block
 yields its matrices' values, the observable is summed over the whole
 chunk's values in one ``np.sum``, and chunks are added in index order,
-so estimates do not depend on the block size or the thread count.
+so estimates do not depend on the block size or the thread count.  A
+chunk holds at most ``MAX_CHUNK`` samples, which bounds those values.
 """
 
 import math
@@ -37,6 +38,7 @@ import numpy as np
 from .scalar import as_int
 
 DEFAULT_CHUNK = 65536
+MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
 BLOCK = 4096  # matrices per pool task at N <= 8; see block_size
 
 
@@ -213,6 +215,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         raise ValueError("multi-index entries are nonnegative")
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
+    if chunk > MAX_CHUNK:
+        raise ValueError(f"--chunk {chunk} exceeds the largest chunk, {MAX_CHUNK} samples")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if size < 1:

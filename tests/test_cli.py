@@ -139,6 +139,15 @@ def test_mc_rejects_nonpositive_chunk(capsys, chunk):
     assert run(capsys, *args, "--chunk", chunk)[0] == 2
 
 
+def test_mc_rejects_a_chunk_over_the_budget(capsys):
+    code = main(["mc", "--idx", "2", "--N", "2", "--samples", "100", "--seed", "0",
+                 "--chunk", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--chunk 1000000000 exceeds the largest chunk" in captured.err
+    assert captured.out == ""
+
+
 def test_mc_rejects_negative_seed(capsys):
     code = main(["mc", "--idx", "2", "--N", "2", "--samples", "10", "--seed", "-1"])
     assert code == 2

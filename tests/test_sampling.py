@@ -66,6 +66,16 @@ def test_monte_carlo_rejects_nonpositive_chunk():
             monte_carlo_moment((2,), 2, 100, seed=0, chunk=chunk)
 
 
+def test_monte_carlo_bounds_the_chunk():
+    """A chunk's values are held whole, so its size has a ceiling."""
+    from ncbv.sampling import MAX_CHUNK
+
+    with pytest.raises(ValueError, match="--chunk 4194305 exceeds the largest chunk"):
+        monte_carlo_moment((2,), 2, 100, seed=0, chunk=MAX_CHUNK + 1)
+    at_most = monte_carlo_moment((2,), 2, 100, seed=0, chunk=MAX_CHUNK, threads=1)
+    assert at_most == monte_carlo_moment((2,), 2, 100, seed=0, chunk=100, threads=1)
+
+
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     from ncbv import sampling
 

@@ -165,13 +165,13 @@ def encode_ainfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> 
     """The cyclic-word element representing the structure, with the
     1/(tensor length) invariant-to-coinvariant weight."""
     scales = space.dual_scales
-    raw = []
+    raw = {}
     for k in algebra.ops:
         tensor = algebra.structure_tensor(k)
         weight = Scalar(1, k + 1)
         for key, value in tensor.items():
-            raw.append((0, 0, [key], _encoded_coeff(algebra, scales, key, value, weight)))
-    return Element.from_terms(space, CYCLIC, raw)
+            add_to(raw, (0, 0, (key,)), _encoded_coeff(algebra, scales, key, value, weight))
+    return Element._from_raw(space, CYCLIC, raw)
 
 
 def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
@@ -183,7 +183,7 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
         if k > 2 and algebra.ops[k]:
             raise ValueError("commutator encoding implemented for m_0, m_1, m_2 only")
     scales = space.dual_scales
-    raw = []
+    raw = {}
     for k in (0, 1, 2):
         tensor = algebra.structure_tensor(k)
         if k == 2:
@@ -195,15 +195,15 @@ def encode_commutator_linfinity(algebra: CyclicAInfinity, space: GradedSymplecti
                 add_to(tensor, (j, i, l), -sign * value)
         weight = Scalar(1, math.factorial(k + 1))
         for key, value in tensor.items():
-            coeff = _encoded_coeff(algebra, scales, key, value, weight)
-            raw.append((0, 0, [[idx] for idx in key], coeff))
-    return Element.from_terms(space, COMMUTATIVE, raw)
+            add_to(raw, (0, 0, tuple((idx,) for idx in key)),
+                   _encoded_coeff(algebra, scales, key, value, weight))
+    return Element._from_raw(space, COMMUTATIVE, raw)
 
 
 def letter_differential(algebra: CyclicAInfinity, space: GradedSymplecticSpace) -> Element:
     """The quadratic part q of the encoded structure (the two-letter words
     m_1 contributes), for ``OperatorContext``: d = -{q, -} is the dual
     differential on words."""
-    encoded = encode_ainfinity(algebra, space)
-    return Element(space, CYCLIC, {m: c for m, c in encoded.terms.items()
-                                   if len(m.words[0]) == 2})
+    q = encode_ainfinity(algebra, space)
+    q.terms = {m: c for m, c in q.terms.items() if len(m.words[0]) == 2}
+    return q

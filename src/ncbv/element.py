@@ -13,34 +13,44 @@ Both flavors share the same canonicalization, addition and graded
 product; the operators module enforces which operations make sense on
 which flavor.
 
-Raw terms are summed per call, and each distinct raw monomial is
-canonicalized once: every operation that produces raw terms (the
-constructors after coercing their input, ``sym_product``, the operators
-and the Morita maps) collects them in one map {(gamma, nu, raw_words):
-coeff} and hands it to ``_add_raw``, which sends each key once through
-``_accumulate``.  Canonicalization is a function of the raw key, so
-summing first gives the same Element.
+There are two ways in.  Outside terms (the constructor's and
+``from_terms``') are coerced and checked once, by ``_coerced``.
+Internal results (``sym_product``, the operators, the Morita maps, the
+encodings) are trusted: they sum their raw terms in one map
+{(gamma, nu, raw_words): coeff} and call ``_from_raw``, which
+canonicalizes each distinct raw monomial once, or they filter the
+canonical terms of an Element.  Canonicalization is a function of the
+raw key, so summing first gives the same Element.
 """
 
 from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
-from .words import Monomial, canonicalize_monomial, word_parity
+from .words import Monomial, canonicalize_monomial, prefix_parities, word_parity
 
 CYCLIC = "cyclic"
 COMMUTATIVE = "commutative"
 
 
-def _coerced(raw_terms) -> dict:
-    """Outside ``(gamma, nu, raw_words, coeff)`` items as raw terms: powers
-    and coefficients coerced, zero items dropped, items summed per raw
-    monomial.  A monomial whose items cancel keeps a zero entry, so it is
-    still checked."""
+def _coerced(raw_terms, space, flavor) -> dict:
+    """Outside ``(gamma, nu, raw_words, coeff)`` items as raw terms summed
+    per raw monomial, with every check of outside terms: powers and letters
+    through ``as_int``, each word's letters through ``prefix_parities``, and
+    on the commutative side gamma = nu = 0 and one-letter words.  Every
+    item keeps an entry, at zero if its coefficients cancel, so that
+    canonicalization still rejects negative powers."""
     raw = {}
     for gamma, nu, raw_words, coeff in raw_terms:
         gamma, nu = as_int(gamma, "gamma power"), as_int(nu, "nu power")
-        coeff = Scalar(coeff)
-        if coeff:
-            key = (gamma, nu, tuple(map(tuple, raw_words)))
-            raw[key] = raw.get(key, 0) + coeff
+        words = tuple(tuple(as_int(letter, "letter index") for letter in word)
+                      for word in raw_words)
+        for word in words:
+            prefix_parities(space, word)
+        if flavor == COMMUTATIVE:
+            if gamma or nu:
+                raise ValueError("commutative-flavor monomials carry no gamma/nu powers")
+            if any(len(word) != 1 for word in words):
+                raise ValueError("commutative-flavor monomials are products of letters")
+        key = (gamma, nu, words)
+        raw[key] = raw.get(key, 0) + Scalar(coeff)
     return raw
 
 
@@ -54,8 +64,8 @@ class Element:
         self.flavor = flavor
         self.terms: dict[Monomial, Scalar] = {}
         if terms:
-            self._add_raw(_coerced((gamma, nu, words, coeff)
-                                   for (gamma, nu, words), coeff in terms.items()))
+            self._add_raw(_coerced(((*key, coeff) for key, coeff in terms.items()),
+                                   space, flavor))
 
     # -- construction -------------------------------------------------
 
@@ -67,7 +77,7 @@ class Element:
     def from_terms(cls, space, flavor, raw_terms) -> "Element":
         """Build from ``(gamma, nu, raw_words, coeff)`` items, canonicalizing
         each as the constructor does its {monomial: coeff} entries."""
-        return cls._from_raw(space, flavor, _coerced(raw_terms))
+        return cls._from_raw(space, flavor, _coerced(raw_terms, space, flavor))
 
     @classmethod
     def _from_raw(cls, space, flavor, raw) -> "Element":
@@ -111,17 +121,11 @@ class Element:
 
     def _accumulate(self, gamma, nu, raw_words, coeff) -> None:
         """Add coeff times the class of one raw monomial; a zero ``coeff``
-        adds nothing but still checks the monomial."""
+        adds nothing but still canonicalizes the monomial."""
         canon = canonicalize_monomial(self.space, gamma, nu, raw_words)
-        if canon is None:
-            return
-        monomial, sign = canon
-        if self.flavor == COMMUTATIVE:
-            if monomial.gamma or monomial.nu:
-                raise ValueError("commutative-flavor monomials carry no gamma/nu powers")
-            if any(len(word) != 1 for word in monomial.words):
-                raise ValueError("commutative-flavor monomials are products of letters")
-        add_to(self.terms, monomial, coeff if sign > 0 else -coeff)
+        if canon is not None:
+            monomial, sign = canon
+            add_to(self.terms, monomial, coeff if sign > 0 else -coeff)
 
     # -- linear structure ---------------------------------------------
 
@@ -131,8 +135,8 @@ class Element:
         if self.flavor != other.flavor:
             raise ValueError("elements have different flavors")
 
-    # Results of arithmetic on exact terms fill an empty Element in place;
-    # only the constructor and from_terms coerce outside input.
+    # Results of arithmetic on canonical terms fill an empty Element in
+    # place; only the constructor and from_terms coerce outside input.
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same(other)

@@ -11,7 +11,9 @@ a unit with the identity: both matrix algebras are built from these.
 ``MatrixExtension`` packages the odd symplectic space of matrix-valued
 letters (letter, row, col), the inflation map M that tensors a cyclic
 word with the trace of a product of elementary matrices (and sends nu
-to N nu), and the restriction map R to the top-left corner.
+to N nu), and the restriction map R to the top-left corner.  Like the
+quotients below, M and R sum their raw terms in one map per call for
+``Element._from_raw``.
 
 ``sigma`` is the quotient from cyclic words to polynomials: a word
 flattens to the product of its letters, nu goes to 1, and the map is
@@ -24,7 +26,7 @@ weight h^0: it is a single empty word).
 import itertools
 
 from .element import COMMUTATIVE, CYCLIC, Element
-from .scalar import ZERO, Scalar, add_to
+from .scalar import ZERO, add_to
 from .space import Form, GradedSymplecticSpace
 from .words import Monomial
 
@@ -123,23 +125,22 @@ class MatrixExtension:
         return Element._from_raw(self.space, CYCLIC, raw)
 
     def inflate(self, element: Element) -> Element:
-        """The map M on S(NCHam): multiplicative over factors, nu -> N nu."""
+        """The map M on S(NCHam): multiplicative over factors, nu -> N nu;
+        the words' decorated classes are multiplied as raw terms."""
         if element.space != self.base:
             raise ValueError("element does not live over the base space")
         if element.flavor != CYCLIC:
             raise ValueError("M is defined on cyclic-side elements")
-        out = Element.zero(self.space, CYCLIC)
+        raw = {}
         for monomial, coeff in element.terms.items():
-            piece = Element(
-                self.space,
-                CYCLIC,
-                {Monomial(monomial.gamma, monomial.nu, ()): coeff
-                 * Scalar(self.size) ** monomial.nu},
-            )
+            products = {(): coeff * self.size ** monomial.nu}
             for word in monomial.words:
-                piece = piece.sym_product(self.inflate_word(word))
-            out = out + piece
-        return out
+                classes = self.inflate_word(word).terms
+                products = {words + m.words: c * d
+                            for words, c in products.items() for m, d in classes.items()}
+            for words, c in products.items():
+                add_to(raw, (monomial.gamma, monomial.nu, words), c)
+        return Element._from_raw(self.space, CYCLIC, raw)
 
     # -- the restriction map R ----------------------------------------
 
@@ -152,21 +153,11 @@ class MatrixExtension:
             raise ValueError("R is defined on cyclic-side elements")
         raw = {}
         for monomial, coeff in element.terms.items():
-            words = []
-            dead = False
-            for word in monomial.words:
-                stripped = []
-                for index in word:
-                    letter, row, col = self.decode(index)
-                    if row or col:
-                        dead = True
-                        break
-                    stripped.append(letter)
-                if dead:
-                    break
-                words.append(tuple(stripped))
-            if not dead:
-                add_to(raw, (monomial.gamma, monomial.nu, tuple(words)), coeff)
+            decoded = [[self.decode(index) for index in word] for word in monomial.words]
+            if not any(row or col for word in decoded for _, row, col in word):
+                add_to(raw, (monomial.gamma, monomial.nu,
+                             tuple(tuple(letter for letter, _, _ in word) for word in decoded)),
+                       coeff)
         return Element._from_raw(self.base, CYCLIC, raw)
 
 

@@ -395,19 +395,17 @@ def _encode_failures():
         yield "algebra A: mc_defect(m~) != 0"
     if sigma(m_tilde) != encode_commutator_linfinity(A, space):
         yield "algebra A: sigma(m~) is not the commutator encoding"
-    for size in (2,):
-        stage = f"Mat_{size}(A)"
-        mat = matrix_ainfinity(A, size)
-        ext = MatrixExtension(space, size)
-        m_mat = encode_ainfinity(mat, ext.space)
-        if not OperatorContext(ext.space).mc_defect(m_mat).is_zero():
-            yield f"{stage}: mc_defect(m~_Mat) != 0"
-        if ext.inflate(m_tilde) != m_mat:
-            yield f"{stage}: M(m~) != m~_Mat"
-        if ext.restrict(m_mat) != m_tilde:
-            yield f"{stage}: R(m~_Mat) != m~"
-        if sigma(m_mat) != encode_commutator_linfinity(mat, ext.space):
-            yield f"{stage}: sigma(m~_Mat) is not the commutator encoding"
+    mat = matrix_ainfinity(A, 2)
+    ext = MatrixExtension(space, 2)
+    m_mat = encode_ainfinity(mat, ext.space)
+    if not OperatorContext(ext.space).mc_defect(m_mat).is_zero():
+        yield "Mat_2(A): mc_defect(m~_Mat) != 0"
+    if ext.inflate(m_tilde) != m_mat:
+        yield "Mat_2(A): M(m~) != m~_Mat"
+    if ext.restrict(m_mat) != m_tilde:
+        yield "Mat_2(A): R(m~_Mat) != m~"
+    if sigma(m_mat) != encode_commutator_linfinity(mat, ext.space):
+        yield "Mat_2(A): sigma(m~_Mat) is not the commutator encoding"
     try:
         CyclicAInfinity(
             basis=("a", "b"), degrees=(1, 2), pairing=((0, 1), (1, 0)),

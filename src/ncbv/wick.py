@@ -5,8 +5,8 @@ expands over perfect matchings pi of the T = sum i_j letter positions:
 each matching contributes N^{#cycles(gamma.pi)}, where gamma is the
 permutation whose cycles are the consecutive index blocks.  The oracle
 visits every fixed-point-free involution exactly once and tallies cycle
-counts; it shares no code with the cohomological reduction it
-cross-checks.
+counts; of the cohomological reduction it cross-checks it shares only
+the index reader ``canonical_index``.
 
 The enumeration has two stages.  A prefix walk in Python pairs the
 smallest unmatched point with each later free point until at most
@@ -170,8 +170,6 @@ def wick_oracle(idx, cap: int = DEFAULT_CAP) -> NuPolynomial:
             f"total degree {total} exceeds the oracle cap {cap}: "
             f"{total - 1}!! matchings is past the configured budget"
         )
-    if not blocks:
-        return NuPolynomial.constant(1).shift(zeros)
     histogram = cycle_counts_by_matching(blocks)
     poly = NuPolynomial({cycles: Scalar(count) for cycles, count in histogram.items()})
     return poly.shift(zeros)

@@ -47,6 +47,9 @@ def test_commutative_flavor_guards():
         Element.from_terms(SPACE, COMMUTATIVE, [(0, 1, [[0]], 1)])
     with pytest.raises(ValueError, match="products of letters"):
         Element.from_terms(SPACE, COMMUTATIVE, [(0, 0, [[0, 0]], 1)])
+    # xi xi has the zero cyclic class: the shape is checked on the raw item
+    with pytest.raises(ValueError, match="products of letters"):
+        Element.from_terms(SPACE, COMMUTATIVE, [(0, 0, [[1, 1]], 1)])
 
 
 def test_sym_product_graded_commutative_and_associative():
@@ -86,9 +89,21 @@ def test_out_of_range_letter_is_rejected(letter):
         Element.cyclic_word(SPACE, [0, letter])
     with pytest.raises(ValueError, match="out of range"):
         Element.poly_letters(SPACE, [0, letter])
-    for flavor, words in ((CYCLIC, [[letter, 0]]), (COMMUTATIVE, [[0], [letter]])):
+    # the zero class of xi xi does not hide the letter in the next word
+    for flavor, words in ((CYCLIC, [[letter, 0]]), (COMMUTATIVE, [[0], [letter]]),
+                          (CYCLIC, [[1, 1], [letter]])):
         with pytest.raises(ValueError, match="out of range"):
             Element.from_terms(SPACE, flavor, [(0, 0, words, 1)])
+
+
+@pytest.mark.parametrize("words, match", [
+    ([[True]], "letter index must be an integer, got True"),
+    ([["x"]], "letter index must be an integer, got 'x'"),
+    (["ab"], "letter index must be an integer, got 'a'"),
+])
+def test_non_integral_letters_rejected(words, match):
+    with pytest.raises(ValueError, match=match):
+        Element.from_terms(SPACE, CYCLIC, [(0, 0, words, 1)])
 
 
 @pytest.mark.parametrize("letter", [-1, SPACE.dim, SPACE.dim + 5])
@@ -97,8 +112,9 @@ def test_raw_constructor_rejects_out_of_range_letter(letter):
     for flavor, words in ((CYCLIC, ((0, letter),)), (COMMUTATIVE, ((0,), (letter,)))):
         with pytest.raises(ValueError, match="out of range"):
             Element(SPACE, flavor, {Monomial(0, 0, words): 1})
-    # a zero coefficient drops the monomial before any check
-    assert Element(SPACE, CYCLIC, {Monomial(0, 0, ((letter,),)): 0}).is_zero()
+    # a zero coefficient still has its letters checked
+    with pytest.raises(ValueError, match="out of range"):
+        Element(SPACE, CYCLIC, {Monomial(0, 0, ((letter,),)): 0})
 
 
 def test_raw_constructor_canonicalizes_like_from_terms():

@@ -1,15 +1,24 @@
 """Raw terms are summed per call, and each distinct raw monomial is
-canonicalized once: the operators and the graded product against
-references that canonicalize every raw term on its own."""
+canonicalized once: the operators, the graded product and the Morita
+maps against references that canonicalize every raw term on its own or
+build one Element per monomial; no internal result goes through the
+check of outside terms."""
+
+import random
 
 import pytest
 
 from ncbv import GueReducer, element
+from ncbv.ainfinity import (encode_ainfinity, encode_commutator_linfinity, letter_differential,
+                            matrix_ainfinity)
+from ncbv.algebras import algebra_a, exterior_line, sigma_a_context, sigma_a_space
 from ncbv.element import COMMUTATIVE, CYCLIC, Element
-from ncbv.operators import bracket_words, cobracket_word
+from ncbv.morita import MatrixExtension, sigma, sigma_K
+from ncbv.operators import OperatorContext, bracket_words, cobracket_word
 from ncbv.reduction import XI, X
+from ncbv.scalar import Scalar
 from ncbv.verify import _random_cases, random_commutative_element, random_cyclic_element
-from ncbv.words import word_parity
+from ncbv.words import Monomial, word_parity
 
 
 def test_equal_splices_are_canonicalized_once(monkeypatch):
@@ -32,11 +41,13 @@ def test_equal_splices_are_canonicalized_once(monkeypatch):
 @pytest.mark.parametrize("gamma, letter", [(-1, 0), (0, 7)])
 def test_cancelling_items_are_still_checked(gamma, letter):
     """Outside items are summed per raw monomial before it is canonicalized;
-    a monomial whose items cancel is checked all the same."""
+    a monomial whose items cancel, or whose one item is zero, is checked
+    all the same."""
     space = GueReducer().space
-    items = [(gamma, 0, [[letter]], 1), (gamma, 0, [[letter]], -1)]
-    with pytest.raises(ValueError):
-        Element.from_terms(space, CYCLIC, items)
+    for items in ([(gamma, 0, [[letter]], 1), (gamma, 0, [[letter]], -1)],
+                  [(gamma, 0, [[letter]], 0)]):
+        with pytest.raises(ValueError):
+            Element.from_terms(space, CYCLIC, items)
     with pytest.raises(ValueError):  # "0" and 0 read as the same nu power
         Element(space, CYCLIC, {(gamma, 0, ((letter,),)): 1, (gamma, "0", ((letter,),)): -1})
 
@@ -140,3 +151,112 @@ def test_operator_equals_its_term_by_term_reference(name):
         assert got == term_by_term(space, flavor, terms(a, b)), (a, b)
         nonzero += not got.is_zero()
     assert nonzero >= 20
+
+
+# -- the Morita maps against the formulas they replace -----------------------
+
+
+def inflate_reference(ext, e):
+    """M as a chain of graded products, one Element per monomial."""
+    out = Element.zero(ext.space, CYCLIC)
+    for monomial, coeff in e.terms.items():
+        piece = Element(ext.space, CYCLIC, {Monomial(monomial.gamma, monomial.nu, ()):
+                                            coeff * Scalar(ext.size) ** monomial.nu})
+        for word in monomial.words:
+            piece = piece.sym_product(ext.inflate_word(word))
+        out = out + piece
+    return out
+
+
+def restrict_reference(ext, e):
+    """R as a loop that flags a monomial dead at its first off-corner letter."""
+    raw = []
+    for monomial, coeff in e.terms.items():
+        words = []
+        dead = False
+        for word in monomial.words:
+            stripped = []
+            for index in word:
+                letter, row, col = ext.decode(index)
+                if row or col:
+                    dead = True
+                    break
+                stripped.append(letter)
+            if dead:
+                break
+            words.append(stripped)
+        if not dead:
+            raw.append((monomial.gamma, monomial.nu, words, coeff))
+    return Element.from_terms(ext.base, CYCLIC, raw)
+
+
+def corner(ext, e):
+    """``e`` with every letter moved to the (0, 0) corner."""
+    return Element.from_terms(ext.space, CYCLIC, [
+        (m.gamma, m.nu, [[ext.encode(l, 0, 0) for l in w] for w in m.words], c)
+        for m, c in e.terms.items()])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_inflate_and_restrict_equal_their_references(size):
+    nonzero = 0
+    for _, rng, space, _ in _random_cases(16, seed=size):
+        ext = MatrixExtension(space, size)
+        e = random_cyclic_element(rng, space, max_words=3, allow_gamma=True)
+        inflated = ext.inflate(e)
+        assert inflated == inflate_reference(ext, e), e
+        nonzero += not inflated.is_zero()
+        stray = random_cyclic_element(rng, ext.space, max_words=3, allow_gamma=True)
+        for upstairs in (inflated, stray, corner(ext, e), corner(ext, e) + stray):
+            restricted = ext.restrict(upstairs)
+            assert restricted == restrict_reference(ext, upstairs), upstairs
+            nonzero += not restricted.is_zero()
+    assert nonzero >= 24
+
+
+# -- internal results never coerce --------------------------------------------
+
+
+def test_internal_producers_run_without_the_outside_check(monkeypatch):
+    space = sigma_a_space()
+    ext = MatrixExtension(space, 2)
+    mat = matrix_ainfinity(algebra_a(), 2)
+    line = exterior_line()
+    ctx = sigma_a_context()
+    rng = random.Random(3)
+    a, b = (random_cyclic_element(rng, space, max_words=3, allow_gamma=True) for _ in range(2))
+    c = random_cyclic_element(rng, space, max_terms=3, max_words=3)
+    p, r = (random_commutative_element(rng, space, max_terms=3) for _ in range(2))
+    upstairs = random_cyclic_element(rng, ext.space, max_words=2) + ext.inflate(a)
+    runs = {
+        "inflate": lambda: ext.inflate(a),
+        "restrict": lambda: ext.restrict(upstairs),
+        "sigma": lambda: sigma(c),
+        "sigma_K": lambda: sigma_K(b),
+        "letter_differential": lambda: letter_differential(mat, ext.space),
+        "encode_ainfinity": lambda: encode_ainfinity(line, space),
+        "encode_commutator_linfinity": lambda: encode_commutator_linfinity(line, space),
+        "context": lambda: OperatorContext(space, letter_differential(algebra_a(), space))
+        .mc_defect(a),
+        "nc_bracket": lambda: ctx.nc_bracket(a, b),
+        "nc_cobracket": lambda: ctx.nc_cobracket(a),
+        "ce_delta": lambda: ctx.ce_delta(a),
+        "delta_K": lambda: ctx.delta_K(a),
+        "com_poisson": lambda: ctx.com_poisson(p, r),
+        "bv_laplacian": lambda: ctx.bv_laplacian(p),
+        "internal_differential": lambda: (ctx.internal_differential(a),
+                                          ctx.internal_differential(p)),
+        "bracket": lambda: (ctx.bracket(a, b), ctx.bracket(p, r)),
+        "mc_defect": lambda: (ctx.mc_defect(a), ctx.mc_defect(p)),
+        "arithmetic": lambda: (a * b - b.scale(3), -p + r),
+    }
+    expected = {name: run() for name, run in runs.items()}
+
+    def outside_check(*args):
+        raise AssertionError("an internal result was coerced as outside input")
+
+    monkeypatch.setattr(element, "_coerced", outside_check)
+    with pytest.raises(AssertionError):
+        Element.cyclic_word(space, "x")
+    for name, run in runs.items():
+        assert run() == expected[name], name

@@ -42,7 +42,7 @@ import random
 import threading
 
 from .algebras import sigma_a_context, sigma_a_space
-from .element import Element
+from .element import CYCLIC, Element
 from .multitrace import MultiTraceFunctional
 from .nupoly import NuPolynomial
 from .scalar import Scalar, add_to, as_int
@@ -141,7 +141,7 @@ class GueReducer:
         """cobracket(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
         image = self._pivot_images.get(length)
         if image is None:
-            pivot = Element.cyclic_word(self.space, _pivot_word(length))
+            pivot = _word(self.space, _pivot_word(length))
             image = MultiTraceFunctional.from_element(self.ctx.nc_cobracket(pivot)).terms
             self._pivot_images[length] = image
         return image
@@ -151,8 +151,8 @@ class GueReducer:
         key = (length, other)
         image = self._pair_images.get(key)
         if image is None:
-            pivot = Element.cyclic_word(self.space, _pivot_word(length))
-            power = Element.cyclic_word(self.space, (X,) * other)
+            pivot = _word(self.space, _pivot_word(length))
+            power = _word(self.space, (X,) * other)
             image = MultiTraceFunctional.from_element(self.ctx.nc_bracket(pivot, power)).terms
             self._pair_images[key] = image
         return image
@@ -162,6 +162,11 @@ def _add_shifted(total: NuPolynomial, poly: NuPolynomial, nu: int, coeff) -> Non
     """Add coeff * nu^nu * poly to ``total`` in place."""
     for exp, c in poly.coeffs.items():
         add_to(total.coeffs, exp + nu, coeff * c)
+
+
+def _word(space, word) -> Element:
+    """One word of the engine's own letters, an internal result."""
+    return Element._from_raw(space, CYCLIC, {(0, 0, (word,)): 1})
 
 
 def _pivot_word(length: int) -> tuple[int, ...]:

@@ -249,6 +249,7 @@ def test_internal_producers_run_without_the_outside_check(monkeypatch):
         "bracket": lambda: (ctx.bracket(a, b), ctx.bracket(p, r)),
         "mc_defect": lambda: (ctx.mc_defect(a), ctx.mc_defect(p)),
         "arithmetic": lambda: (a * b - b.scale(3), -p + r),
+        "reduce": lambda: GueReducer().reduce((5, 3, 2)),
     }
     expected = {name: run() for name, run in runs.items()}
 

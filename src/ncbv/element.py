@@ -35,7 +35,7 @@ def _coerced(raw_terms, space, flavor) -> dict:
     per raw monomial, with every check of outside terms: powers and letters
     through ``as_int``, each word's letters through ``prefix_parities``, and
     on the commutative side gamma = nu = 0 and one-letter words.  Every
-    item keeps an entry, at zero if its coefficients cancel, so that
+    item keeps an entry, at zero if its coefficients sum to zero, so that
     canonicalization still rejects negative powers."""
     raw = {}
     for gamma, nu, raw_words, coeff in raw_terms:

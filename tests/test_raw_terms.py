@@ -50,6 +50,8 @@ def test_cancelling_items_are_still_checked(gamma, letter):
             Element.from_terms(space, CYCLIC, items)
     with pytest.raises(ValueError):  # "0" and 0 read as the same nu power
         Element(space, CYCLIC, {(gamma, 0, ((letter,),)): 1, (gamma, "0", ((letter,),)): -1})
+    with pytest.raises(ValueError):
+        Element(space, CYCLIC, {(gamma, 0, ((letter,),)): 0})
 
 
 # -- term-by-term references ------------------------------------------------

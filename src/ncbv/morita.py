@@ -11,7 +11,9 @@ a unit with the identity: both matrix algebras are built from these.
 ``MatrixExtension`` packages the odd symplectic space of matrix-valued
 letters (letter, row, col), the inflation map M that tensors a cyclic
 word with the trace of a product of elementary matrices (and sends nu
-to N nu), and the restriction map R to the top-left corner.  Like the
+to N nu), and the restriction map R to the top-left corner.  Its
+inverse form is the base inverse decorated by ``trace_tensor``, which
+the space checks instead of solving the N^2-fold pairing.  Like the
 quotients below, M and R sum their raw terms in one map per call for
 ``Element._from_raw``.
 
@@ -98,7 +100,7 @@ class MatrixExtension:
         self.base = base
         self.size = size
         self.space = GradedSymplecticSpace(
-            letters, degrees, pairing,
+            letters, degrees, pairing, inverse=trace_tensor(base.inverse, size),
             dual_scales=tuple(s for s in base.dual_scales for _ in range(size * size)),
         )
 

@@ -38,6 +38,13 @@ canonicalized once: each operator call collects its raw terms in one map
 into their caller's map, so delta_K's gamma-raised pairs share the
 cobracket's) and builds its result through ``Element._from_raw``.  All m
 splices of {x^{l-1} xi, x^m}, for instance, are one raw word.
+
+Each context memoizes the contraction of cyclic words: ``_splice_words``
+stores ``bracket_words(space, u, v)`` per pair (u, v), summed per
+spliced word (those m splices are one entry), and the parities the
+kernels need are read from the space's word memo through
+``words.word_parity``.  Both memos hold pure functions of their keys,
+so threads sharing a context at worst store an equal value twice.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
@@ -100,14 +107,16 @@ def _word_parities(space, words):
 
 
 class OperatorContext:
-    """Shared read-only state: the space and, optionally, the quadratic
-    part q of an encoded structure (an even sum of single two-letter
-    cyclic words over the space, without gamma or nu), which declares the
-    internal differential d = -{q, -}; on polynomials d is -{sigma(q), -}.
-    -q and -sigma(q) are built once, here."""
+    """Shared state: the space and, optionally, the quadratic part q of
+    an encoded structure (an even sum of single two-letter cyclic words
+    over the space, without gamma or nu), which declares the internal
+    differential d = -{q, -}; on polynomials d is -{sigma(q), -}.
+    -q and -sigma(q) are built once, here.  ``_splices`` memoizes the
+    summed splices of each pair of cyclic words (``_splice_words``)."""
 
     def __init__(self, space, quadratic=None):
         self.space = space
+        self._splices = {}
         self._minus_q = None
         if quadratic is not None:
             if quadratic.space != space or quadratic.flavor != CYCLIC:
@@ -128,7 +137,15 @@ class OperatorContext:
     # -- contractions: two factors -> [(coeff, words replacing the pair)] --
 
     def _splice_words(self, u, v):
-        return [(c, (splice,)) for c, splice in bracket_words(self.space, u, v)]
+        """bracket_words(u, v) summed per spliced word, memoized per (u, v)."""
+        key = (u, v)
+        pairs = self._splices.get(key)
+        if pairs is None:
+            summed = {}
+            for c, splice in bracket_words(self.space, u, v):
+                add_to(summed, splice, c)
+            pairs = self._splices[key] = [(c, (splice,)) for splice, c in summed.items()]
+        return pairs
 
     def _pair_letters(self, u, v):
         c = self.space.inverse[u[0]].get(v[0])

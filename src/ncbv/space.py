@@ -48,7 +48,7 @@ def _form(rows, n: int, what: str) -> Form:
     {column: entry} (a Form's own rows); a new dict is built either way."""
     form = []
     for row in rows:
-        if isinstance(row, Mapping):
+        if type(row) is dict or isinstance(row, Mapping):
             items = [(j, Scalar(entry)) for j, entry in row.items()]
             for j, _ in items:
                 if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < n):
@@ -221,6 +221,8 @@ class GradedSymplecticSpace:
     enter a sign.  ``inverse`` is solved by Gauss-Jordan unless given;
     a given inverse is checked, not trusted.  Spaces compare by letters,
     degrees and pairing and hash by letters and degrees alone.
+    ``_words`` is the space's memo of canonical cyclic words, filled by
+    ``words.canonicalize_cyclic``; it is not compared, hashed or shown.
     """
 
     letters: tuple[str, ...]
@@ -229,9 +231,11 @@ class GradedSymplecticSpace:
     inverse: Form = field(compare=False, default=None)
     dual_scales: tuple[Scalar, ...] = field(compare=False, default=None)
     parities: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _words: dict = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         n = len(self.letters)
+        object.__setattr__(self, "_words", {})
         degrees = tuple(as_int(d, "letter degree") for d in self.degrees)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "parities", tuple(d % 2 for d in degrees))

@@ -22,11 +22,22 @@ sort is (-1)^{number of pairs of odd words that sorting reverses}.  A
 repeated word of odd parity makes the monomial zero.  The formal
 variables nu (the empty cyclic word) and gamma (the genus weight) are
 even and central.
+
+Each space memoizes its words: ``canonicalize_cyclic`` stores, in the
+space's private dict ``_words``, every raw word it canonicalizes as
+((canonical word, rotation sign), parity), or ``None`` for a zero class,
+and every canonical word under itself with sign +1.  The entry is a pure
+function of the word and the space, so ``sort_words``, ``word_parity``
+and the operators read a canonical word's parity from it instead of
+walking its letters again.  A word is stored only after its letters
+passed ``prefix_parities``; one with a letter out of range raises and
+is never stored.
 """
 
 from typing import NamedTuple, Optional
 
 Word = tuple[int, ...]
+_UNSEEN = object()  # marks a word absent from a space's memo
 
 
 class Monomial(NamedTuple):
@@ -36,6 +47,11 @@ class Monomial(NamedTuple):
 
 
 def word_parity(space, word: Word) -> int:
+    """Parity of ``word``: its memoized entry's (every canonical word has
+    one), else the sum of its letters' parities."""
+    entry = space._words.get(word)
+    if entry is not None:
+        return entry[1]
     return sum(map(space.parities.__getitem__, word)) % 2
 
 
@@ -66,9 +82,13 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
 
     Returns ``(word, sign)`` or ``None`` when the rotation class is zero
     (the rotation by the smallest period fixes the sequence with Koszul
-    sign -1).
+    sign -1).  The answer is memoized in ``space._words``.
     """
     word = tuple(letters)
+    memo = space._words
+    entry = memo.get(word, _UNSEEN)
+    if entry is not _UNSEEN:
+        return None if entry is None else entry[0]
     if not word:
         raise ValueError("cyclic words are nonempty; the empty word is the nu variable")
     prefix = prefix_parities(space, word)
@@ -78,11 +98,16 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
         if rotated == word:
             # i is the smallest period; later rotations repeat the first i
             if rotation_sign(prefix, i) < 0:
+                memo[word] = None
                 return None
             break
         if rotated < best_word:
             best_word, best_i = rotated, i
-    return best_word, rotation_sign(prefix, best_i)
+    canon = (best_word, rotation_sign(prefix, best_i))
+    memo[word] = (canon, prefix[-1])
+    if best_i:
+        memo[best_word] = ((best_word, 1), prefix[-1])
+    return canon
 
 
 def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:

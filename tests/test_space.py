@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, matrix_frobenius
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
-from ncbv.space import Matrix, dense
+from ncbv.space import Matrix, _solve, dense
 from ncbv.verify import random_space
 from test_exact_scalars import is_exact
 
@@ -160,13 +161,22 @@ def test_block_pairing_inverse_combines_trace_inverse():
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_decorated_inverse_matches_gauss_jordan(size):
-    """The extension's inverse is solved over the nonzero entries of the
-    decorated pairing; dense Gauss-Jordan on the full pairing is the
-    reference."""
+    """The extension's inverse, the decorated base inverse, against dense
+    Gauss-Jordan on the full decorated pairing."""
     rng = random.Random(59 + size)
     for base in [sigma_a_space()] + [random_space(rng) for _ in range(4)]:
         space = MatrixExtension(base, size).space
         assert dense(space.inverse) == inverse_pairing(dense(space.pairing), space.degrees)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_decorated_inverse_matches_the_sparse_solve(size):
+    """The supplied trace_tensor of the base inverse is the inverse the
+    space would have solved for itself."""
+    rng = random.Random(61 + size)
+    for base in [sigma_a_space()] + [random_space(rng) for _ in range(8)]:
+        space = MatrixExtension(base, size).space
+        assert space.inverse == _solve(space.pairing, space.parities)
 
 
 def test_singular_pairing_rejected():
@@ -345,6 +355,26 @@ def test_mapping_row_column_out_of_range_rejected(column):
     with pytest.raises(ValueError, match="inverse " + message):
         GradedSymplecticSpace(("a", "b"), (0, 1), ({1: 1}, {0: -1}),
                               inverse=({column: 1}, {0: 1}))
+
+
+def test_mapping_proxy_rows_are_accepted():
+    rows = (MappingProxyType({1: 1}), MappingProxyType({0: -1}))
+    inverse = (MappingProxyType({1: 1}), MappingProxyType({0: 1}))
+    space = GradedSymplecticSpace(("a", "b"), (0, 1), rows, inverse=inverse)
+    assert space == GradedSymplecticSpace(("a", "b"), (0, 1), ((0, 1), (-1, 0)))
+    assert space.pairing == ({1: 1}, {0: -1}) and space.inverse == ({1: 1}, {0: 1})
+    assert all(type(row) is dict for row in space.pairing + space.inverse)
+
+
+@pytest.mark.parametrize("column", [-1, 2, True])
+def test_mapping_proxy_row_column_out_of_range_rejected(column):
+    message = rf"pairing row has column {column!r} outside 0\.\.1"
+    with pytest.raises(ValueError, match=message):
+        GradedSymplecticSpace(("a", "b"), (0, 1),
+                              ({1: 1}, MappingProxyType({0: -1, column: 1})))
+    with pytest.raises(ValueError, match="inverse " + message):
+        GradedSymplecticSpace(("a", "b"), (0, 1), ({1: 1}, {0: -1}),
+                              inverse=(MappingProxyType({column: 1}), {0: 1}))
 
 
 @pytest.mark.parametrize("degree", [0.5, "0.5", True, None])

@@ -30,8 +30,9 @@ and every canonical word under itself with sign +1.  The entry is a pure
 function of the word and the space, so ``sort_words``, ``word_parity``
 and the operators read a canonical word's parity from it instead of
 walking its letters again.  A word is stored only after its letters
-passed ``prefix_parities``; one with a letter out of range raises and
-is never stored.
+passed ``prefix_parities``, and only when they are ints (``True`` and
+``1.0`` would otherwise share the entry of 1); one with a letter out of
+range raises and is never stored.
 """
 
 from typing import NamedTuple, Optional
@@ -87,8 +88,20 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
     word = tuple(letters)
     memo = space._words
     entry = memo.get(word, _UNSEEN)
-    if entry is not _UNSEEN:
-        return None if entry is None else entry[0]
+    if entry is _UNSEEN:
+        entry = _class_entry(space, word)
+        # True and 1.0 equal 1 as keys, so only words of ints are stored
+        if all(type(letter) is int for letter in word):
+            memo[word] = entry
+            if entry is not None:
+                canonical = entry[0][0]
+                memo[canonical] = ((canonical, 1), entry[1])
+    return None if entry is None else entry[0]
+
+
+def _class_entry(space, word) -> Optional[tuple[tuple[Word, int], int]]:
+    """((canonical word, rotation sign), parity) of a raw word, or ``None``
+    for a zero class; the letters are checked by ``prefix_parities``."""
     if not word:
         raise ValueError("cyclic words are nonempty; the empty word is the nu variable")
     prefix = prefix_parities(space, word)
@@ -98,16 +111,11 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
         if rotated == word:
             # i is the smallest period; later rotations repeat the first i
             if rotation_sign(prefix, i) < 0:
-                memo[word] = None
                 return None
             break
         if rotated < best_word:
             best_word, best_i = rotated, i
-    canon = (best_word, rotation_sign(prefix, best_i))
-    memo[word] = (canon, prefix[-1])
-    if best_i:
-        memo[best_word] = ((best_word, 1), prefix[-1])
-    return canon
+    return (best_word, rotation_sign(prefix, best_i)), prefix[-1]
 
 
 def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:

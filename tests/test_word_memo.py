@@ -14,7 +14,7 @@ from ncbv.algebras import sigma_a_space
 from ncbv.element import CYCLIC, Element
 from ncbv.operators import OperatorContext, bracket_words
 from ncbv.reduction import XI, X
-from ncbv.space import hyperbolic_space
+from ncbv.space import GradedSymplecticSpace, hyperbolic_space
 from ncbv.verify import _random_cases, random_cyclic_element
 from ncbv.words import canonicalize_cyclic, prefix_parities, rotation_sign, word_parity
 
@@ -86,6 +86,17 @@ def test_an_out_of_range_letter_raises_on_every_call():
                 assert tuple(bad) not in space._words
                 assert ((0,), tuple(bad)) not in ctx._splices
         assert len(space._words) == stored
+
+
+def test_letters_equal_to_ints_are_not_stored():
+    space = sigma_a_space()
+    space._words.clear()
+    assert canonicalize_cyclic([True, 0], space) == reference_canonical([True, 0], space)
+    assert space._words == {}
+    canon = canonicalize_cyclic([1, 0], space)
+    assert canon == ((0, 1), 1) and all(type(letter) is int for letter in canon[0])
+    with pytest.raises(TypeError):
+        canonicalize_cyclic([0.5, 0], space)
 
 
 def test_spaces_with_other_degrees_keep_their_own_entries():
@@ -162,10 +173,8 @@ def test_threads_sharing_one_space_and_context_match_a_serial_run():
     with a short switch interval, and get the serial run's results."""
     for _, rng, space, _ in _random_cases(6, 229):
         seeds = [rng.randrange(1 << 30) for _ in range(4)]
-        serial_space = hyperbolic_space(
-            [((space.letters[i], space.degrees[i]), (space.letters[i + 1], space.degrees[i + 1]),
-              space.pairing[i][i + 1]) for i in range(0, space.dim, 2)])
-        assert serial_space == space
+        serial_space = GradedSymplecticSpace(space.letters, space.degrees, space.pairing)
+        assert serial_space == space and serial_space._words is not space._words
         serial_ctx = OperatorContext(serial_space)
         expected = [_operator_results(serial_space, serial_ctx, seed) for seed in seeds]
         shared_ctx = OperatorContext(space)

@@ -369,10 +369,10 @@ def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport
             where = f"case {case} (N={size})"
             u = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
             v = random_cyclic_element(rng, space, max_terms=1, max_words=2, max_len=2)
-            big_u = ext.inflate(u)
-            if ext.inflate(ctx.nc_bracket(u, v)) != ctx_mat.nc_bracket(big_u, ext.inflate(v)):
+            u_mat = ext.inflate(u)
+            if ext.inflate(ctx.nc_bracket(u, v)) != ctx_mat.nc_bracket(u_mat, ext.inflate(v)):
                 yield f"bracket homomorphism, {where}: u={u} v={v}"
-            if ext.inflate(ctx.nc_cobracket(u)) != ctx_mat.nc_cobracket(big_u):
+            if ext.inflate(ctx.nc_cobracket(u)) != ctx_mat.nc_cobracket(u_mat):
                 yield f"cobracket intertwining, {where}: u={u}"
             # R o M = id on word monomials (M rescales nu by N, R is nu-linear)
             word = random_cyclic_element(rng, space, max_terms=2, max_words=2, max_len=2,

@@ -48,8 +48,8 @@ class Monomial(NamedTuple):
 
 
 def word_parity(space, word: Word) -> int:
-    """Parity of ``word``: its memoized entry's (every canonical word has
-    one), else the sum of its letters' parities."""
+    """Parity of ``word``: read from its memo entry (every word canonicalized
+    over this space has one), else summed from its letters."""
     entry = space._words.get(word)
     if entry is not None:
         return entry[1]

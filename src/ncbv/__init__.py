@@ -37,10 +37,10 @@ from .harer_zagier import (
     multitrace_sum_check,
 )
 from .morita import MatrixExtension, sigma, sigma_K
-from .multitrace import MultiTraceFunctional
+from .multitrace import MultiTraceFunctional, canonical_index
 from .nupoly import NuPolynomial
 from .operators import OperatorContext
-from .reduction import GueReducer, canonical_index, default_reducer, reduce_to_polynomial
+from .reduction import GueReducer, default_reducer, reduce_to_polynomial
 from .report import CheckReport
 from .sampling import McResult, gue_rng, monte_carlo_moment, sample_gue, sample_gue_batch
 from .scalar import Scalar, format_scalar, parse_scalar

@@ -17,7 +17,8 @@ from .harer_zagier import (
     hz_closed_form_check,
     hz_recurrence_check,
 )
-from .reduction import canonical_index, default_reducer
+from .multitrace import canonical_index
+from .reduction import default_reducer
 from .sampling import DEFAULT_CHUNK, monte_carlo_moment
 from .scalar import format_scalar
 from .wick import DEFAULT_CAP, wick_oracle

@@ -41,18 +41,17 @@ def harer_zagier_closed(k: int, size) -> Scalar:
     size = Scalar(size)
     prefactor = Scalar(factorial(2 * k), 2**k * factorial(k))
     total = 0
+    binom = size  # C(N, m+1), carried from one m to the next
     for m in range(k + 1):
-        binom_n = 1
-        for t in range(m + 1):  # C(N, m+1) as a polynomial in N
-            binom_n = div(binom_n * (size - t), t + 1)
-        total += 2**m * comb(k, m) * binom_n
+        total += 2**m * comb(k, m) * binom
+        binom = div(binom * (size - m - 1), m + 2)
     return Scalar(prefactor * total)
 
 
 def single_trace_polynomials(k_max: int, reducer: GueReducer | None = None):
     """[p_0, p_2, ..., p_{2 k_max}] with p_0 = nu."""
     reducer = reducer or default_reducer()
-    return [reducer.reduce((2 * k,)) if k else NuPolynomial.nu() for k in range(k_max + 1)]
+    return [reducer.reduce((2 * k,)) for k in range(k_max + 1)]
 
 
 def hz_recurrence_check(k_max: int, reducer: GueReducer | None = None) -> CheckReport:

@@ -1,15 +1,34 @@
-"""Multi-trace functionals: images of cyclic-side elements under the
-trace map, and their numeric evaluation on explicit matrices.
-
-A functional is a rational combination of terms nu^j Tr(X^{i_1}) ...
-Tr(X^{i_k}); evaluating at an N x N matrix substitutes Tr(X^i)
-numerically and nu = N (the trace of the empty word).
+"""Multi-trace observables: the one reader of a multi-index (i_1, ...,
+i_k), which names prod_j Tr(X^{i_j}) with Tr X^0 = nu, the trace of the
+empty word; and functionals, rational combinations of terms nu^j
+Tr(X^{i_1}) ... Tr(X^{i_k}), read off cyclic-side elements by the trace
+map and evaluated at an N x N matrix with nu = N.
 """
 
 import numpy as np
 
 from .element import CYCLIC, Element
 from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
+
+
+def index_entries(idx) -> tuple[int, ...]:
+    """The entries of a multi-index, checked nonnegative integers, in order."""
+    entries = tuple(as_int(i, "multi-index entry") for i in idx)
+    if any(i < 0 for i in entries):
+        raise ValueError("multi-index entries are nonnegative")
+    return entries
+
+
+def canonical_index(idx) -> tuple[int, ...]:
+    """Sorted multi-index; the represented observable is order-free."""
+    return tuple(sorted(index_entries(idx)))
+
+
+def observable(idx) -> tuple[int, tuple[int, ...]]:
+    """(nu power, sorted positive trace powers); each zero entry is Tr X^0 = nu."""
+    parts = canonical_index(idx)
+    zeros = parts.count(0)
+    return zeros, parts[zeros:]
 
 
 def _key(nu_power, traces) -> tuple[int, tuple[int, ...]]:
@@ -36,12 +55,7 @@ class MultiTraceFunctional:
     @classmethod
     def from_multi_index(cls, idx) -> "MultiTraceFunctional":
         """The observable prod_j Tr(X^{i_j}); zero entries become nu."""
-        idx = [as_int(i, "multi-index entry") for i in idx]
-        if any(i < 0 for i in idx):
-            raise ValueError("multi-index entries are nonnegative")
-        zeros = sum(1 for i in idx if i == 0)
-        powers = tuple(sorted(i for i in idx if i > 0))
-        return cls({(zeros, powers): Scalar(1)})
+        return cls({observable(idx): Scalar(1)})
 
     @classmethod
     def from_element(cls, element: Element) -> "MultiTraceFunctional":

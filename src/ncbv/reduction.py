@@ -43,21 +43,13 @@ import threading
 
 from .algebras import sigma_a_context, sigma_a_space
 from .element import CYCLIC, Element
-from .multitrace import MultiTraceFunctional
+from .multitrace import MultiTraceFunctional, observable
 from .nupoly import NuPolynomial
-from .scalar import Scalar, add_to, as_int
+from .scalar import Scalar, add_to
 
 PIVOT_STRATEGIES = ("leftmost", "largest", "random")
 
 X, XI = 0, 1  # letter indices in the suspended space
-
-
-def canonical_index(idx) -> tuple[int, ...]:
-    """Sorted multi-index; the represented observable is order-free."""
-    parts = tuple(sorted(as_int(i, "multi-index entry") for i in idx))
-    if parts and parts[0] < 0:
-        raise ValueError("multi-index entries are nonnegative")
-    return parts
 
 
 class GueReducer:
@@ -76,9 +68,7 @@ class GueReducer:
 
     def reduce(self, idx) -> NuPolynomial:
         """The moment polynomial p_idx; zero exponents contribute nu."""
-        parts = canonical_index(idx)
-        zeros = sum(1 for i in parts if i == 0)
-        state = tuple(i for i in parts if i > 0)
+        zeros, state = observable(idx)
         return self._resolve(state).shift(zeros)
 
     def _resolve(self, root: tuple[int, ...]) -> NuPolynomial:
@@ -187,8 +177,6 @@ def default_reducer() -> GueReducer:
         return _default_reducer
 
 
-def reduce_to_polynomial(idx, pivot: str = "leftmost", seed: int = 0) -> NuPolynomial:
-    """Module-level entry point; the default strategy shares one cache."""
-    if pivot == "leftmost" and seed == 0:
-        return default_reducer().reduce(idx)
-    return GueReducer(pivot, seed).reduce(idx)
+def reduce_to_polynomial(idx) -> NuPolynomial:
+    """The moment polynomial p_idx on the shared default reducer."""
+    return default_reducer().reduce(idx)

@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .scalar import as_int
+from .multitrace import index_entries
 
 DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
@@ -210,9 +210,7 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    idx = tuple(as_int(i, "multi-index entry") for i in idx)
-    if any(i < 0 for i in idx):
-        raise ValueError("multi-index entries are nonnegative")
+    idx = index_entries(idx)  # the caller's order fixes the float product
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
     if chunk > MAX_CHUNK:

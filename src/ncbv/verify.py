@@ -36,6 +36,8 @@ from .scalar import Scalar, format_scalar
 from .space import GradedSymplecticSpace, hyperbolic_space
 from .wick import MAX_CAP, wick_oracle
 
+MATRIX_SIZES = (2, 3)  # N of the Morita and matrix surface-tensor checks
+
 GOLDEN_TABLE = {
     (2,): {2: 1},
     (4,): {3: 2, 1: 1},
@@ -113,20 +115,15 @@ def _random_cases(cases: int, seed: int):
         yield case, rng, space, OperatorContext(space)
 
 
-def homogeneous(rng, make, parity=None) -> Element:
+def homogeneous(rng, make) -> Element:
     """Draw until the element is parity-homogeneous and nonzero."""
     while True:
         candidate = make(rng)
         if candidate.is_zero():
             continue
-        own = candidate.parity()
-        if own is None:
-            target = parity if parity is not None else rng.randint(0, 1)
-            candidate = candidate.parity_part(target)
-            if candidate.is_zero():
-                continue
-            own = target
-        if parity is None or own == parity:
+        if candidate.parity() is None:
+            candidate = candidate.parity_part(rng.randint(0, 1))
+        if not candidate.is_zero():
             return candidate
 
 
@@ -357,13 +354,13 @@ def sigma_homomorphism_check(cases: int = 200, seed: int = 131) -> CheckReport:
     return check_report("sigma-bracket-homomorphism", f"{cases} cases", failures())
 
 
-def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport:
+def morita_check(cases: int = 120, seed: int = 137) -> CheckReport:
     """M is a bracket homomorphism, intertwines the cobracket, and
-    R o M = id, over random small spaces at N in sizes."""
+    R o M = id, over random small spaces at N in MATRIX_SIZES."""
 
     def failures():
         for case, rng, space, ctx in _random_cases(cases, seed):
-            size = sizes[case % len(sizes)]
+            size = MATRIX_SIZES[case % len(MATRIX_SIZES)]
             ext = MatrixExtension(space, size)
             ctx_mat = OperatorContext(ext.space)
             where = f"case {case} (N={size})"
@@ -380,7 +377,7 @@ def morita_check(cases: int = 120, seed: int = 137, sizes=(2, 3)) -> CheckReport
             if ext.restrict(ext.inflate(word)) != word:
                 yield f"restriction identity, {where}: u={word}"
 
-    return check_report("morita-maps", f"{cases} cases, N in {sizes}", failures())
+    return check_report("morita-maps", f"{cases} cases, N in {MATRIX_SIZES}", failures())
 
 
 def _encode_failures():
@@ -429,9 +426,10 @@ def encode_check() -> CheckReport:
                         _encode_failures())
 
 
-def chain_map_check(cases: int = 60, seed: int = 139, size: int = 2) -> CheckReport:
+def chain_map_check(cases: int = 60, seed: int = 139) -> CheckReport:
     """At h = 1 the composite sigma o M intertwines (d* + delta +
-    cobracket) with (d* + Laplacian) over the two-dimensional algebra."""
+    cobracket) with (d* + Laplacian) over Mat_2 of the two-dimensional algebra."""
+    size = 2
     rng = random.Random(seed)
     A = algebra_a()
     space = sigma_a_space()
@@ -495,15 +493,15 @@ def otft_trace_case(rng, size: int, genus: int, free: int, ks, frob=None):
     return boundaries, otft_mu(frob, genus, free, boundaries), expected
 
 
-def otft_matrix_check(cases: int = 60, seed: int = 151, sizes=(2, 3)) -> CheckReport:
-    """mu^{g,b} over the matrix Frobenius algebra equals
+def otft_matrix_check(cases: int = 60, seed: int = 151) -> CheckReport:
+    """mu^{g,b} over the matrix Frobenius algebras of MATRIX_SIZES equals
     N^b prod Tr(boundary products), independent of where beta/gamma act."""
-    frobs = {size: matrix_frobenius(size) for size in sizes}
+    frobs = {size: matrix_frobenius(size) for size in MATRIX_SIZES}
 
     def failures():
         rng = random.Random(seed)
         for case in range(cases):
-            size = sizes[case % len(sizes)]
+            size = MATRIX_SIZES[case % len(MATRIX_SIZES)]
             frob = frobs[size]
             genus, free = rng.randint(0, 2), rng.randint(0, 2)
             m = rng.randint(1, 3)
@@ -516,7 +514,7 @@ def otft_matrix_check(cases: int = 60, seed: int = 151, sizes=(2, 3)) -> CheckRe
             if otft_mu(frob, genus, free, boundaries, apply_at=probe) != value:
                 yield f"case {case}: placement {probe} changed the value"
 
-    return check_report("otft-matrix-simplification", f"{cases} cases, N in {sizes}",
+    return check_report("otft-matrix-simplification", f"{cases} cases, N in {MATRIX_SIZES}",
                         failures())
 
 

@@ -5,8 +5,8 @@ expands over perfect matchings pi of the T = sum i_j letter positions:
 each matching contributes N^{#cycles(gamma.pi)}, where gamma is the
 permutation whose cycles are the consecutive index blocks.  The oracle
 visits every fixed-point-free involution exactly once and tallies cycle
-counts; of the cohomological reduction it cross-checks it shares only
-the index reader ``canonical_index``.
+counts.  It imports nothing from the cohomological reduction it
+cross-checks: both read the observable through ``multitrace.observable``.
 
 The enumeration has two stages.  A prefix walk in Python pairs the
 smallest unmatched point with each later free point until at most
@@ -23,8 +23,8 @@ the smallest label.
 
 import numpy as np
 
+from .multitrace import observable
 from .nupoly import NuPolynomial
-from .reduction import canonical_index
 from .scalar import Scalar
 
 DEFAULT_CAP = 16
@@ -159,9 +159,7 @@ def wick_oracle(idx, cap: int = DEFAULT_CAP) -> NuPolynomial:
     """Exact Gaussian moment as a polynomial in nu = N."""
     if cap > MAX_CAP:
         raise ValueError(f"--cap {cap} exceeds the largest oracle cap {MAX_CAP}")
-    parts = canonical_index(idx)
-    zeros = sum(1 for i in parts if i == 0)
-    blocks = tuple(i for i in parts if i > 0)
+    zeros, blocks = observable(idx)
     total = sum(blocks)
     if total % 2:
         return NuPolynomial.zero()

@@ -125,6 +125,8 @@ def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:
     parity repeats (odd square), which kills the monomial.
     """
     words = tuple(words)
+    if len(words) < 2:
+        return words, 1
     odd = [w for w in words if word_parity(space, w)]
     sign = 1
     for i, u in enumerate(odd):

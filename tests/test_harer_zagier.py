@@ -1,6 +1,7 @@
 """Closed formula, recurrence and the multi-trace sum relation."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -30,6 +31,24 @@ def test_rank_one_gives_double_factorials(k):
 @pytest.mark.parametrize("size", range(1, 6))
 def test_k_two_matches_p4(size):
     assert harer_zagier_closed(2, size) == 2 * size**3 + size
+
+
+def _closed_form_nested(k, size):
+    """The closed form with C(N, m+1) rebuilt as a product for every m."""
+    size = Fraction(size)
+    total = 0
+    for m in range(k + 1):
+        binom = 1
+        for t in range(m + 1):
+            binom = binom * (size - t) / (t + 1)
+        total += 2**m * comb(k, m) * binom
+    return Fraction(factorial(2 * k), 2**k * factorial(k)) * total
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, -4, Fraction(7, 3), Fraction(-1, 2)])
+def test_closed_formula_matches_nested_reference(size):
+    for k in range(61):
+        assert harer_zagier_closed(k, size) == _closed_form_nested(k, size), k
 
 
 def test_closed_formula_is_polynomial_in_n():

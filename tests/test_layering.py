@@ -1,0 +1,43 @@
+"""Import layering: the Wick oracle stays independent of the reduction it
+cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
+both, so each oracle reads the same observable without reaching another."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncbv"
+
+
+def imported_modules(name: str) -> set[str]:
+    """Every module that ``ncbv.<name>`` imports, as absolute names; a
+    relative ``from . import x`` counts as importing ``ncbv.x``."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "ncbv." + module if module else "ncbv"
+            found.add(module)
+            if module == "ncbv":
+                found.update(f"ncbv.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name, reader", [("wick", "ncbv.multitrace"),
+                                          ("reduction", "ncbv.multitrace"),
+                                          ("multitrace", "ncbv.element")])
+def test_parser_sees_package_imports(name, reader):
+    assert reader in imported_modules(name)
+
+
+def test_wick_imports_nothing_from_reduction():
+    assert "ncbv.reduction" not in imported_modules("wick")
+
+
+def test_multitrace_imports_neither_oracle():
+    assert not {"ncbv.reduction", "ncbv.wick"} & imported_modules("multitrace")

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ncbv import Element, MultiTraceFunctional
+from ncbv import (
+    Element,
+    MultiTraceFunctional,
+    monte_carlo_moment,
+    reduce_to_polynomial,
+    wick_oracle,
+)
 from ncbv.algebras import sigma_a_space
 
 SPACE = sigma_a_space()
@@ -109,3 +115,33 @@ def test_non_integral_multi_index_rejected():
         MultiTraceFunctional.from_multi_index([2, 1.5])
     assert MultiTraceFunctional.from_multi_index(["2", 0]) == MultiTraceFunctional(
         {(1, (2,)): 1})
+
+
+# Every consumer of a multi-index, each reading it through ncbv.multitrace.
+READERS = {
+    "reduction": reduce_to_polynomial,
+    "wick": wick_oracle,
+    "from_multi_index": MultiTraceFunctional.from_multi_index,
+    "monte_carlo": lambda idx: monte_carlo_moment(idx, 2, 64, seed=5, threads=1),
+}
+
+
+@pytest.mark.parametrize("raw", [(3, 1, 2), (0, 2, 0), ("2", "0", 1)])
+@pytest.mark.parametrize("name", READERS)
+def test_readers_read_an_index_alike(name, raw):
+    """Unsorted, zero-padded and string entries read as the sorted ints;
+    Monte Carlo keeps the caller's order, which fixes its float product."""
+    entries = tuple(int(i) for i in raw)
+    same = entries if name == "monte_carlo" else tuple(sorted(entries))
+    assert READERS[name](raw) == READERS[name](same)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (-1, "multi-index entries are nonnegative"),
+    (1.5, "multi-index entry must be an integer, got 1.5"),
+    (True, "multi-index entry must be an integer, got True"),
+])
+@pytest.mark.parametrize("name", READERS)
+def test_readers_reject_bad_entries_alike(name, entry, message):
+    with pytest.raises(ValueError, match=message):
+        READERS[name]((2, entry))

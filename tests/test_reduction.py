@@ -15,7 +15,8 @@ from ncbv import (
 )
 from ncbv import reduction
 from ncbv.element import CYCLIC, Element
-from ncbv.reduction import XI, X, canonical_index
+from ncbv.multitrace import canonical_index
+from ncbv.reduction import XI, X
 from ncbv.sampling import usable_cpus
 from ncbv.verify import GOLDEN_TABLE, _partitions_up_to
 

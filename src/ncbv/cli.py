@@ -17,7 +17,7 @@ from .harer_zagier import (
     hz_closed_form_check,
     hz_recurrence_check,
 )
-from .multitrace import canonical_index
+from .multitrace import canonical_index, index_entries
 from .reduction import default_reducer
 from .sampling import DEFAULT_CHUNK, monte_carlo_moment
 from .scalar import format_scalar
@@ -27,14 +27,27 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+def _pieces(text: str) -> list[str]:
+    return [piece for piece in text.split(",") if piece.strip() != ""]
+
+
 def _parse_index(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(piece) for piece in text.split(",") if piece.strip() != "")
+        return index_entries(_pieces(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_boundaries(text: str) -> tuple[int, ...]:
+    """Arguments per marked boundary: one or more positive integers."""
+    try:
+        sizes = tuple(int(piece) for piece in _pieces(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad multi-index {text!r}; expected i1,i2,...")
-    if any(i < 0 for i in parts):
-        raise argparse.ArgumentTypeError("multi-index entries are nonnegative")
-    return parts
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"boundary sizes are positive integers, got {text!r}; expected k1,k2,...")
+    return sizes
 
 
 def _render(args, payload, plain: str, csv: str | None = None) -> None:
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--free", type=int, default=0, help="free boundary components")
-    p.add_argument("--boundaries", type=_parse_index, required=True,
+    p.add_argument("--boundaries", type=_parse_boundaries, required=True,
                    metavar="k1,k2,...", help="arguments per marked boundary")
     p.add_argument("--seed", type=int, default=0, help="seed for the random matrix entries")
     add_output(p)

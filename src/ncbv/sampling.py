@@ -5,7 +5,8 @@ Gaussian variates produced by an explicit Box-Muller transform on the
 generator's 53-bit uniforms.  A run is identified by (seed, chunk
 index); chunk c uses SeedSequence(seed, spawn_key=(c,)), so estimates
 are independent of the chunk schedule and reproducible for a fixed
-seed.  Floating point lives only in this module.
+seed.  Floating point lives here and in the numeric trace evaluation of
+``MultiTraceFunctional.evaluate``.
 
 Per matrix the draw order is: N diagonal normals, then the N(N-1)/2
 upper-triangle entries row by row, real part before imaginary, each
@@ -22,12 +23,22 @@ chunk's generator and reaches its own share of u1 and of u2 through
 even number of matrices, so each starts on a Box-Muller pair.  A block
 yields its matrices' values, the observable is summed over the whole
 chunk's values in one ``np.sum``, and chunks are added in index order,
-so estimates do not depend on the block size or the thread count.  A
+so estimates do not depend on the block size or the worker count.  A
 chunk holds at most ``MAX_CHUNK`` samples, which bounds those values.
+
+A worker is a forked process when the platform can fork and the caller
+runs one Python thread, and a thread otherwise; ``_pool`` lists the
+conditions.  A block
+is a pure function of (idx, N, seed, chunk index, count, start, take), so
+either kind returns the same values.  Forking a process that runs threads
+is deprecated from Python 3.12, so ``mc`` forks before it starts any
+thread, and a threaded caller gets threads.  No worker outlives the call.
 """
 
 import math
 import os
+import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,7 +72,7 @@ def usable_cpus() -> int:
 
 
 def pool_size(workers: int, tasks: int) -> int:
-    """Worker threads to start: at most one per task and per usable CPU."""
+    """Workers to start: at most one per task and per usable CPU."""
     return max(1, min(workers, tasks, usable_cpus()))
 
 
@@ -156,6 +167,11 @@ def _block_values(idx, size, seed, chunk_index, count, start, take):
     return values
 
 
+# What a block runs, as this module defines it; see _pool.
+_BLOCK_CODE = {name: globals()[name] for name in
+               ("np", "gue_rng", "standard_normals", "sample_gue_batch", "_block_values")}
+
+
 def _chunk_sums(blocks):
     """(sum, sum of squares) of the observable over one chunk, given its
     blocks' values in order."""
@@ -171,14 +187,39 @@ def _blocks(samples, chunk, block):
             yield chunk_index, count, start, min(block, count - start)
 
 
+def _pool(workers):
+    """An executor of ``workers`` forked processes, or of ``workers`` threads.
+
+    Processes need ``fork``, which runs no import of the caller's main
+    module (``spawn`` and ``forkserver`` re-run an unguarded script), and
+    a caller with one Python thread, since forking a threaded process is
+    deprecated.  Before Python 3.11, ``ProcessPoolExecutor`` may fork a
+    worker after its manager thread has started (CPython gh-90622), so
+    there it gets threads.  A block must also run this module's own code:
+    a caller that replaced what a block calls (a tracer, a test double)
+    keeps the replacement's state in its own process, which only a thread
+    updates.  The imports stay here: ``multiprocessing`` would add to
+    every ``import ncbv``."""
+    own_code = all(globals()[name] is code for name, code in _BLOCK_CODE.items())
+    if sys.version_info >= (3, 11) and threading.active_count() == 1 and own_code:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _block_results(work, tasks, workers):
-    """(task, work(*task)) for each task in order, on ``workers`` threads
-    with at most two tasks per worker in flight."""
+    """(task, work(*task)) for each task in order, on ``workers`` workers
+    with at most two tasks per worker in flight; every worker is joined
+    before the iteration ends."""
     if workers == 1:
         for task in tasks:
             yield task, work(*task)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         pending = deque()
         for task in tasks:
             pending.append((task, pool.submit(work, *task)))

@@ -133,6 +133,28 @@ def test_otft_rejects_size_zero(capsys):
     assert run(capsys, "otft", "--N", "0", "--boundaries", "2")[0] == 2
 
 
+@pytest.mark.parametrize("sizes", ["-1,2", "0", "", "2,x"])
+def test_otft_rejects_bad_boundary_sizes(capsys, sizes):
+    """Boundary sizes are argument counts, not a multi-index: at least one,
+    each positive, and the error names the flag and what it holds."""
+    code = main(["otft", "--N", "2", f"--boundaries={sizes}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "argument --boundaries: boundary sizes are positive integers" in captured.err
+    assert captured.out == ""
+
+
+def test_index_entries_are_read_once(capsys):
+    """``--idx`` reads its entries through ``multitrace.index_entries``."""
+    for text, message in (("-1,2", "multi-index entries are nonnegative"),
+                          ("2,x", "multi-index entry must be an integer, got 'x'")):
+        code = main(["moments", f"--idx={text}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"argument --idx: {message}" in captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("chunk", ["0", "-1"])
 def test_mc_rejects_nonpositive_chunk(capsys, chunk):
     args = ("mc", "--idx", "2", "--N", "2", "--samples", "100", "--seed", "0")

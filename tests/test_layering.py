@@ -1,8 +1,13 @@
 """Import layering: the Wick oracle stays independent of the reduction it
 cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
-both, so each oracle reads the same observable without reaching another."""
+both, so each oracle reads the same observable without reaching another.
+Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
+not load ``multiprocessing``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,23 @@ def test_wick_imports_nothing_from_reduction():
 
 def test_multitrace_imports_neither_oracle():
     assert not {"ncbv.reduction", "ncbv.wick"} & imported_modules("multitrace")
+
+
+def test_only_sampling_imports_pools():
+    pools = ("multiprocessing", "concurrent.futures")
+    importers = sorted(path.stem for path in SRC.glob("*.py")
+                       if any(module == pool or module.startswith(pool + ".")
+                              for module in imported_modules(path.stem) for pool in pools))
+    assert importers == ["sampling"]
+
+
+def test_import_leaves_multiprocessing_out():
+    """``ncbv.sampling._pool`` imports ``multiprocessing`` when it first
+    forks; importing it up front would add to every ``import ncbv``."""
+    script = ("import sys, ncbv; "
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,6 +1,13 @@
 """Seeded GUE sampling and Monte Carlo estimates."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,14 +92,14 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     assert sampling.pool_size(1, 50) == 1
     assert sampling.pool_size(0, 50) == 1
     started = []
+    pool = sampling._pool
 
-    class Recorder(sampling.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recorder(workers):
+        started.append(workers)
+        return pool(workers)
 
     monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(sampling, "_pool", recorder)
     big = monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=10**6)
     assert started == [2]
     assert big == monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=1)
@@ -194,16 +201,137 @@ def test_blocks_in_flight_are_capped(monkeypatch):
             state["read"] += 1
             return self._future.result()
 
-    class Recorder(sampling.ThreadPoolExecutor):
+    class Recorder:
+        def __init__(self, pool):
+            self._pool = pool
+
+        def __enter__(self):
+            self._pool.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self._pool.__exit__(*exc)
+
         def submit(self, *args, **kwargs):
             state["submitted"] += 1
             outstanding.append(state["submitted"] - state["read"])
-            return Counted(super().submit(*args, **kwargs))
+            return Counted(self._pool.submit(*args, **kwargs))
 
+    pool = sampling._pool
     monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(sampling, "_pool", lambda workers: Recorder(pool(workers)))
     monkeypatch.setattr(sampling, "BLOCK", 2)
     result = monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=2)
     assert state == {"submitted": 151, "read": 151}
     assert max(outstanding) == 4
     assert result == monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=1)
+
+
+# Worker pools.  usable_cpus is fixed at 2 so that the pinned run below
+# (18 blocks) starts a two-worker pool on any host.
+POOLED = PINNED[-1]
+FORKS = sys.version_info >= (3, 11) and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _pool_kinds(monkeypatch):
+    """Record the executor class of each pool that ``_pool`` makes."""
+    from ncbv import sampling
+
+    kinds = []
+    pool = sampling._pool
+
+    def recorder(workers):
+        made = pool(workers)
+        kinds.append(type(made).__name__)
+        return made
+
+    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sampling, "_pool", recorder)
+    return kinds
+
+
+def _pooled_bits():
+    idx, size, samples, seed, chunk, _ = POOLED
+    return _pinned_bits(idx, size, samples, seed, chunk, threads=2)
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+def test_a_single_threaded_caller_forks_its_workers(monkeypatch):
+    kinds = _pool_kinds(monkeypatch)
+    assert threading.active_count() == 1
+    assert _pooled_bits() == POOLED[-1]
+    assert kinds == ["ProcessPoolExecutor"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+def test_workers_are_joined_after_a_worker_raises(monkeypatch):
+    from ncbv import sampling
+
+    kinds = _pool_kinds(monkeypatch)
+    results = sampling._block_results(partial(divmod, 7), [(1,), (2,), (0,), (3,)], 2)
+    assert next(results) == ((1,), (7, 0))
+    with pytest.raises(ZeroDivisionError):
+        list(results)
+    assert kinds == ["ProcessPoolExecutor"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_replaced_block_function_runs_on_threads(monkeypatch):
+    """A wrapper's state (a tracer's counters) lives in the caller's
+    process, so wrapped blocks never run in a forked one."""
+    from ncbv import sampling
+
+    kinds = _pool_kinds(monkeypatch)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return sample_gue_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sample_gue_batch", counted)
+    assert _pooled_bits() == POOLED[-1]
+    assert kinds == ["ThreadPoolExecutor"]
+    assert sum(calls) == POOLED[2]
+
+
+def test_a_threaded_caller_gets_thread_workers(monkeypatch):
+    kinds = _pool_kinds(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _pooled_bits() == POOLED[-1]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert kinds == ["ThreadPoolExecutor"]
+
+
+def test_without_fork_workers_are_threads(monkeypatch):
+    kinds = _pool_kinds(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _pooled_bits() == POOLED[-1]
+    assert kinds == ["ThreadPoolExecutor"]
+
+
+def test_an_unguarded_script_runs_pooled(tmp_path):
+    """``spawn`` and ``forkserver`` re-import the caller's main module, so a
+    script that samples at top level, with no ``__main__`` guard, would
+    die with ``BrokenProcessPool``.  A ``python -c`` script has no main
+    module file to re-import, so the script is a file."""
+    idx, size, samples, seed, chunk, bits = POOLED
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from ncbv import monte_carlo_moment\n"
+        f"r = monte_carlo_moment({idx!r}, {size}, {samples}, seed={seed}, chunk={chunk}, "
+        "threads=2)\n"
+        "print(r.estimate.hex(), r.std_error.hex())\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "NCBV_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(bits)

@@ -38,6 +38,13 @@ def _parse_index(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_count(text: str) -> int:
+    """A count that may be zero: a nonnegative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_boundaries(text: str) -> tuple[int, ...]:
     """Arguments per marked boundary: one or more positive integers."""
     try:
@@ -104,12 +111,7 @@ def _emit_reports(args, reports, **fields) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _emit_reports(args, verify_mod.run_all(
-        degree_cap=args.degree_cap,
-        cases=args.cases,
-        hz_k=args.hz_k,
-        include_confluence=not args.skip_confluence,
-    ))
+    return _emit_reports(args, verify_mod.run_all(args.degree_cap, args.cases, args.hz_k))
 
 
 def cmd_mc(args) -> int:
@@ -199,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=int, default=12, dest="degree_cap")
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--hz-k", type=int, default=15, dest="hz_k")
-    p.add_argument("--skip-confluence", action="store_true")
     add_output(p)
     p.set_defaults(func=cmd_verify)
 
@@ -221,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("otft", help="evaluate a surface tensor over matrices")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--free", type=int, default=0, help="free boundary components")
+    p.add_argument("--genus", type=_parse_count, default=0)
+    p.add_argument("--free", type=_parse_count, default=0, help="free boundary components")
     p.add_argument("--boundaries", type=_parse_boundaries, required=True,
                    metavar="k1,k2,...", help="arguments per marked boundary")
     p.add_argument("--seed", type=int, default=0, help="seed for the random matrix entries")

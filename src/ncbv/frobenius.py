@@ -55,9 +55,11 @@ class FrobeniusAlgebra:
             if self._index.setdefault(name, i) != i:
                 raise ValueError(f"duplicate basis name {name!r}")
         self.mult = _structure_map(mult, n, 2, "the product")
-        self._by_left = {}  # the kernel's index, cells as (k, c) pairs: faster than dict views
+        self._by_left, self._by_right = {}, {}  # cells as (k, c) pairs: faster than dict views
         for (i, j), cell in self.mult.items():
-            self._by_left.setdefault(i, []).append((j, tuple(cell.items())))
+            cell = tuple(cell.items())
+            self._by_left.setdefault(i, []).append((j, cell))
+            self._by_right.setdefault(j, []).append((i, cell))
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
         self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
@@ -78,16 +80,13 @@ class FrobeniusAlgebra:
         # nonzero products e_a e_b = sum c e_l, taken once as the left
         # factor (a, b) = (i, j) and once as the right one (a, b) = (j, k);
         # <e_i, e_l> = <e_l, e_i> by the symmetry checked on construction.
-        by_right = {}
-        for (i, j), cell in self.mult.items():
-            by_right.setdefault(j, []).append((i, tuple(cell.items())))
         associator, defect = {}, {}
         for (a, b), cell in self.mult.items():
             for l, c in cell.items():
                 for k, product in self._by_left.get(l, ()):
                     for out, d in product:
                         add_to(associator, (a, b, k, out), c * d)
-                for i, product in by_right.get(l, ()):
+                for i, product in self._by_right.get(l, ()):
                     for out, d in product:
                         add_to(associator, (i, a, b, out), -c * d)
                 for t, g in self.pairing[l].items():
@@ -128,10 +127,12 @@ class FrobeniusAlgebra:
         return out
 
     def _conjugate(self, vec: Sparse) -> Sparse:
-        """The Casimir map C(a) = x_i a y^i over the handles (e_i, ``inverse[i]``)."""
+        """The Casimir map C(a) = x_i a y^i over the handles (e_i, ``inverse[i]``),
+        summed over the support of a: C(a) = sum_k a_k sum_{i: e_i e_k != 0} (e_i e_k) y^i."""
         out = {}
-        for i, y in enumerate(self.inverse):
-            self._mul(self._mul({i: ONE}, vec), y, out)
+        for k, a in vec.items():
+            for i, cell in self._by_right.get(k, ()):
+                self._mul({l: a * c for l, c in cell}, self.inverse[i], out)
         return out
 
     def _form(self, left: Sparse, right: Sparse) -> Scalar:

@@ -24,15 +24,15 @@ which the tests check them, with Tr X^0 = nu:
     cobracket(x^{l-1} xi) = sum_{a+b=l-2} Tr X^a . Tr X^b,
     {x^{l-1} xi, x^m}     = m . Tr X^{l+m-2}.
 
-Each reducer computes them once per l and per (l, m) through its
-``OperatorContext`` and reads them through
-``MultiTraceFunctional.from_element`` (the trace-map image) as sparse
-maps {(nu power, sorted trace powers): coefficient}, so a state is a
-memoized sorted tuple of word lengths and its successors are built
-without any Element.  Equal lengths in a state share one table read,
-scaled by their multiplicity, and the states are driven from an explicit
-work stack, so the depth of a reduction is not bounded by Python's
-recursion limit.
+They depend on the lengths alone: ``_pivot_image(l)`` and
+``_pair_image(l, m)`` are cached once per process, for every reducer,
+and read through ``MultiTraceFunctional.from_element`` (the trace-map
+image) as sparse maps {(nu power, sorted trace powers): coeff}, so a
+state is a memoized sorted tuple of word lengths and its successors
+are built without any Element.  Equal lengths in a state share one
+table read, scaled by their multiplicity, and the states are driven
+from an explicit work stack, so the depth of a reduction is not
+bounded by Python's recursion limit.
 
 Three pivot choices are available; their agreement (confluence) is a
 tested property of the engine, not an assumption.
@@ -40,6 +40,7 @@ tested property of the engine, not an assumption.
 
 import random
 import threading
+from functools import cache
 
 from .algebras import sigma_a_context, sigma_a_space
 from .element import CYCLIC, Element
@@ -60,11 +61,7 @@ class GueReducer:
             raise ValueError(f"unknown pivot strategy {pivot!r}")
         self.pivot = pivot
         self.seed = seed
-        self.space = sigma_a_space()
-        self.ctx = sigma_a_context()
         self._cache: dict[tuple[int, ...], NuPolynomial] = {(): NuPolynomial.constant(1)}
-        self._pivot_images: dict[int, dict] = {}
-        self._pair_images: dict[tuple[int, int], dict] = {}
 
     def reduce(self, idx) -> NuPolynomial:
         """The moment polynomial p_idx; zero exponents contribute nu."""
@@ -109,14 +106,14 @@ class GueReducer:
         length = state[pivot]
         rest = state[:pivot] + state[pivot + 1 :]
         successors: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-        for (nu, lengths), coeff in self._pivot_image(length).items():
+        for (nu, lengths), coeff in _pivot_image(length).items():
             add_to(successors, (nu, tuple(sorted(lengths + rest))), coeff)
         for i, other in enumerate(rest):
             if i and rest[i - 1] == other:
                 continue
             count = rest.count(other)
             others = rest[:i] + rest[i + 1 :]
-            for (nu, lengths), coeff in self._pair_image(length, other).items():
+            for (nu, lengths), coeff in _pair_image(length, other).items():
                 add_to(successors, (nu, tuple(sorted(lengths + others))), count * coeff)
         return successors
 
@@ -127,25 +124,19 @@ class GueReducer:
             return max(range(len(state)), key=lambda t: state[t])
         return random.Random(f"{self.seed}:{state}").randrange(len(state))
 
-    def _pivot_image(self, length: int) -> dict:
-        """cobracket(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
-        image = self._pivot_images.get(length)
-        if image is None:
-            pivot = _word(self.space, _pivot_word(length))
-            image = MultiTraceFunctional.from_element(self.ctx.nc_cobracket(pivot)).terms
-            self._pivot_images[length] = image
-        return image
 
-    def _pair_image(self, length: int, other: int) -> dict:
-        """{P_l, x^m} for (l, m) = (``length``, ``other``), as {(nu, lengths): coeff}."""
-        key = (length, other)
-        image = self._pair_images.get(key)
-        if image is None:
-            pivot = _word(self.space, _pivot_word(length))
-            power = _word(self.space, (X,) * other)
-            image = MultiTraceFunctional.from_element(self.ctx.nc_bracket(pivot, power)).terms
-            self._pair_images[key] = image
-        return image
+@cache
+def _pivot_image(length: int) -> dict:
+    """cobracket(P_l) for l = ``length``, as {(nu, lengths): coeff}."""
+    image = sigma_a_context().nc_cobracket(_word(_pivot_word(length)))
+    return MultiTraceFunctional.from_element(image).terms
+
+
+@cache
+def _pair_image(length: int, other: int) -> dict:
+    """{P_l, x^m} for (l, m) = (``length``, ``other``), as {(nu, lengths): coeff}."""
+    image = sigma_a_context().nc_bracket(_word(_pivot_word(length)), _word((X,) * other))
+    return MultiTraceFunctional.from_element(image).terms
 
 
 def _add_shifted(total: NuPolynomial, poly: NuPolynomial, nu: int, coeff) -> None:
@@ -154,9 +145,9 @@ def _add_shifted(total: NuPolynomial, poly: NuPolynomial, nu: int, coeff) -> Non
         add_to(total.coeffs, exp + nu, coeff * c)
 
 
-def _word(space, word) -> Element:
+def _word(word) -> Element:
     """One word of the engine's own letters, an internal result."""
-    return Element._from_raw(space, CYCLIC, {(0, 0, (word,)): 1})
+    return Element._from_raw(sigma_a_space(), CYCLIC, {(0, 0, (word,)): 1})
 
 
 def _pivot_word(length: int) -> tuple[int, ...]:

@@ -220,7 +220,8 @@ class GradedSymplecticSpace:
     ``parities[i]`` is ``degrees[i] % 2``, the only way letter degrees
     enter a sign.  ``inverse`` is solved by Gauss-Jordan unless given;
     a given inverse is checked, not trusted.  Spaces compare by letters,
-    degrees and pairing and hash by letters and degrees alone.
+    degrees, pairing and scales and hash by letters and degrees alone.
+    ``to_json`` writes the scales when any of them differs from 1.
     ``_words`` is the space's memo of canonical cyclic words, filled by
     ``words.canonicalize_cyclic``; it is not compared, hashed or shown.
     """
@@ -229,7 +230,7 @@ class GradedSymplecticSpace:
     degrees: tuple[int, ...]
     pairing: Form = field(hash=False)
     inverse: Form = field(compare=False, default=None)
-    dual_scales: tuple[Scalar, ...] = field(compare=False, default=None)
+    dual_scales: tuple[Scalar, ...] = field(hash=False, default=None)
     parities: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _words: dict = field(init=False, compare=False, hash=False, repr=False)
 
@@ -256,19 +257,24 @@ class GradedSymplecticSpace:
             raise ValueError(f"unknown letter {name!r}") from None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "letters": [
                 {"name": name, "degree": deg} for name, deg in zip(self.letters, self.degrees)
             ],
             "pairing": [list(map(format_scalar, row)) for row in dense(self.pairing)],
         }
+        if any(scale != ONE for scale in self.dual_scales):
+            out["dual_scales"] = list(map(format_scalar, self.dual_scales))
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedSymplecticSpace":
         letters = tuple(item["name"] for item in data["letters"])
         degrees = tuple(item["degree"] for item in data["letters"])
         pairing = tuple(tuple(parse_scalar(entry) for entry in row) for row in data["pairing"])
-        return cls(letters, degrees, pairing)
+        scales = data.get("dual_scales")
+        return cls(letters, degrees, pairing,
+                   dual_scales=None if scales is None else tuple(map(parse_scalar, scales)))
 
 
 def hyperbolic_space(names_degrees) -> GradedSymplecticSpace:

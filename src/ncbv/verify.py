@@ -548,8 +548,7 @@ def otft_placement_check(cases: int = 40, seed: int = 157) -> CheckReport:
 # -- the full battery ---------------------------------------------------
 
 
-def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15,
-            include_confluence: bool = True) -> list[CheckReport]:
+def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15) -> list[CheckReport]:
     if cases < 1:
         raise ValueError(f"--cases {cases} must be at least 1")
     if degree_cap < 1:
@@ -557,7 +556,7 @@ def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15,
     if hz_k < 2:
         raise ValueError(f"--hz-k {hz_k} must be at least 2")
     reducer = default_reducer()
-    reports = [
+    return [
         golden_table_check(reducer),
         oracle_equivalence_check(degree_cap, reducer),
         hz_recurrence_check(hz_k, reducer),
@@ -580,7 +579,5 @@ def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15,
         sigma_k_check(min(cases, 120)),
         otft_matrix_check(min(cases, 60)),
         otft_placement_check(min(cases, 40)),
+        confluence_check(degree_cap),
     ]
-    if include_confluence:
-        reports.append(confluence_check(degree_cap))
-    return reports

@@ -76,11 +76,40 @@ def test_mc_all_ones(capsys):
 
 def test_verify_quick(capsys):
     code, out = run(capsys, "verify", "--degree-cap", "6", "--cases", "25",
-                    "--hz-k", "6", "--skip-confluence", "--output", "json")
+                    "--hz-k", "6", "--output", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"]
     make_validator("verify").validate(payload)
+
+
+DEFAULT_CHECKS = [
+    "golden-table", "oracle-equivalence", "harer-zagier-recurrence",
+    "harer-zagier-closed-form", "catalan-leading-coefficient", "multitrace-sum-relation",
+    "all-ones-double-factorial", "odd-sum-vanishing", "odd-antisymmetry", "odd-jacobi-cyclic",
+    "odd-jacobi-commutative", "bracket-leibniz", "differentials-square-to-zero", "bv-identity",
+    "lie-bialgebra-compatibility", "sigma-bracket-homomorphism", "morita-maps",
+    "encoded-structures", "quantized-trace-chain-map", "sigma-K-graded-chain-map",
+    "otft-matrix-simplification", "otft-placement-independence", "reduction-confluence",
+]
+
+
+def test_verify_default_battery(capsys):
+    """``ncbv verify`` at its defaults passes all 23 checks, in ``run_all`` order."""
+    code, out = run(capsys, "verify", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"]
+    assert [check["name"] for check in payload["checks"]] == DEFAULT_CHECKS
+
+
+def test_verify_has_no_skip_flag(capsys):
+    """Every battery checks confluence: the flag that skipped it is gone."""
+    code = main(["verify", "--skip-confluence"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unrecognized arguments: --skip-confluence" in captured.err
+    assert captured.out == ""
 
 
 def test_hz_single_value(capsys):
@@ -116,8 +145,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle", ("oracle", "--idx", "6,6")),
     ("otft", ("otft", "--N", "3", "--genus", "2", "--free", "2", "--boundaries", "3,3,3")),
     ("hz", ("hz", "--kmax", "10")),
-    ("verify", ("verify", "--degree-cap", "6", "--cases", "25", "--hz-k", "6",
-                "--skip-confluence")),
+    ("verify", ("verify", "--degree-cap", "6", "--cases", "25", "--hz-k", "6")),
     ("otft-four", ("otft", "--N", "6", "--genus", "2", "--free", "2",
                    "--boundaries", "3,3,3,3")),
 ])
@@ -141,6 +169,24 @@ def test_otft_rejects_bad_boundary_sizes(capsys, sizes):
     captured = capsys.readouterr()
     assert code == 2
     assert "argument --boundaries: boundary sizes are positive integers" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--genus", "-1"), ("--free", "-2"),
+                                         ("--genus", "x")])
+def test_otft_rejects_bad_counts_before_building_the_algebra(capsys, monkeypatch, flag, value):
+    """A negative or non-integral genus or free-boundary count exits 2,
+    naming the flag, before any Frobenius algebra is built."""
+    from ncbv import verify
+
+    def no_algebra(size):
+        raise AssertionError("matrix_frobenius ran before the flags were validated")
+
+    monkeypatch.setattr(verify, "matrix_frobenius", no_algebra)
+    code = main(["otft", "--N", "32", flag, value, "--boundaries", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"argument {flag}: expected a nonnegative integer, got {value!r}" in captured.err
     assert captured.out == ""
 
 

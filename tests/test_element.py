@@ -150,3 +150,14 @@ def test_non_integral_gamma_and_nu_rejected(gamma, nu, match):
         else:
             with pytest.raises(ValueError, match=match):
                 read()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: Element(SPACE, "other"), ValueError, "unknown flavor 'other'",
+                 id="unknown-flavor"),
+    pytest.param(lambda: hash(Element.cyclic_word(SPACE, "x")), TypeError, "not hashable",
+                 id="hash"),
+])
+def test_element_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -272,3 +272,31 @@ def test_cyclic_algebra_rejects_non_integral_degree(degree):
 def test_cyclic_algebra_rejects_non_integral_arity():
     with pytest.raises(ValueError, match="structure map arity must be an integer"):
         CyclicAInfinity(A.basis, A.degrees, ((0, 1), (1, 0)), {1.5: A.ops[1]})
+
+
+# m_3(e, e, e) = 1 on the exterior line's basis: cyclic, but no commutator encoding
+TERNARY = CyclicAInfinity(("1", "e"), (0, 1), ((0, 1), (1, 0)), {3: {(1, 1, 1): {0: 1}}})
+EXT = MatrixExtension(SPACE, 2)
+GAMMA_X = Element.from_terms(SPACE, CYCLIC, [(1, 0, [[0]], 1)])
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: encode_commutator_linfinity(TERNARY, suspend(TERNARY)),
+                 "m_0, m_1, m_2 only", id="commutator-m3"),
+    pytest.param(lambda: EXT.inflate(Element.cyclic_word(EXT.space, [0])),
+                 "does not live over the base space", id="inflate-space"),
+    pytest.param(lambda: EXT.inflate(Element.poly_letters(SPACE, "x")),
+                 "M is defined on cyclic-side elements", id="inflate-flavor"),
+    pytest.param(lambda: EXT.restrict(Element.cyclic_word(SPACE, "x")),
+                 "does not live over the matrix space", id="restrict-space"),
+    pytest.param(lambda: EXT.restrict(Element.poly_letters(EXT.space, [0])),
+                 "R is defined on cyclic-side elements", id="restrict-flavor"),
+    pytest.param(lambda: sigma(Element.poly_letters(SPACE, "x")),
+                 "sigma takes cyclic-side elements", id="sigma-flavor"),
+    pytest.param(lambda: sigma(GAMMA_X), "genus-weighted", id="sigma-gamma"),
+    pytest.param(lambda: sigma_K(Element.poly_letters(SPACE, "x")),
+                 "sigma_K takes cyclic-side elements", id="sigma-K-flavor"),
+])
+def test_encoding_and_morita_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

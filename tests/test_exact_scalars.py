@@ -28,6 +28,7 @@ from ncbv import (
 from ncbv.algebras import algebra_a, exterior_line, sigma_a_space
 from ncbv.frobenius import matrix_trace_product
 from ncbv.morita import MatrixExtension
+from ncbv.reduction import _pair_image, _pivot_image
 from ncbv.scalar import Scalar, add_to, div, parse_scalar
 from ncbv.verify import _partitions_up_to, random_space
 
@@ -47,6 +48,8 @@ def assert_form_exact(form, what):
 
 
 def test_reducer_polynomials_and_tables_are_exact():
+    _pivot_image.cache_clear()
+    _pair_image.cache_clear()
     reducer = GueReducer()
     indices = _partitions_up_to(14)
     assert len(indices) == 507
@@ -54,10 +57,12 @@ def test_reducer_polynomials_and_tables_are_exact():
         assert_exact(reducer.reduce(idx).coeffs.values(), f"p_{idx}")
     for state, poly in reducer._cache.items():
         assert_exact(poly.coeffs.values(), f"cached p_{state}")
-    assert reducer._pivot_images and reducer._pair_images
-    for tables in (reducer._pivot_images, reducer._pair_images):
-        for key, image in tables.items():
-            assert_exact(image.values(), f"table {key}")
+    assert _pivot_image.cache_info().currsize and _pair_image.cache_info().currsize
+    # every table a state of sum <= 14 can read: l <= 14 and l + m <= 14
+    for length in range(1, 15):
+        assert_exact(_pivot_image(length).values(), f"table {length}")
+        for other in range(1, 15 - length):
+            assert_exact(_pair_image(length, other).values(), f"table {(length, other)}")
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

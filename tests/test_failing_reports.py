@@ -107,6 +107,26 @@ def nonzero_defect(self, element):
     return Element.unit(self.space, element.flavor)
 
 
+def zero_defect(self, element):
+    return Element.zero(self.space, element.flavor)
+
+
+def on_matrices(target, attr, change):
+    """Change one result of ``target.attr`` over the Mat_2 space only (more
+    than the two letters of the base space)."""
+
+    def perturb(monkeypatch):
+        inner = getattr(target, attr)
+
+        def changed(*args):
+            out = inner(*args)
+            return change(out) if out.space.dim > 2 else out
+
+        monkeypatch.setattr(target, attr, changed)
+
+    return perturb
+
+
 CASES = [
     # (id, perturbation or None, check)
     ("golden-table", None,
@@ -174,6 +194,17 @@ CASES = [
      verify.encode_check),
     ("encoded-negative-control", patch(ainfinity.CyclicAInfinity, "check_cyclic",
                                        lambda self: None),
+     verify.encode_check),
+    ("encoded-matrix-defect", on_matrices(OperatorContext, "mc_defect",
+                                          lambda out: out + Element.unit(out.space, out.flavor)),
+     verify.encode_check),
+    ("encoded-matrix-inflation", on_matrices(MatrixExtension, "inflate",
+                                             lambda out: out.scale(2)),
+     verify.encode_check),
+    ("encoded-matrix-commutator", on_matrices(verify, "encode_commutator_linfinity",
+                                              lambda out: out.scale(2)),
+     verify.encode_check),
+    ("encoded-perturbed-control", patch(OperatorContext, "mc_defect", zero_defect),
      verify.encode_check),
     ("quantized-trace-chain-map", plus_unit("bv_laplacian"),
      lambda: verify.chain_map_check(20)),
@@ -315,6 +346,22 @@ PINNED = {
     'encoded-negative-control': (
         'encoded-structures', 'A, Mat_2(A), negative controls',
         'negative control: a cyclicity-violating table was accepted',
+    ),
+    'encoded-matrix-defect': (
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'Mat_2(A): mc_defect(m~_Mat) != 0',
+    ),
+    'encoded-matrix-inflation': (
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'Mat_2(A): M(m~) != m~_Mat',
+    ),
+    'encoded-matrix-commutator': (
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'Mat_2(A): sigma(m~_Mat) is not the commutator encoding',
+    ),
+    'encoded-perturbed-control': (
+        'encoded-structures', 'A, Mat_2(A), negative controls',
+        'negative control: a perturbed structure passed the master equation',
     ),
     'quantized-trace-chain-map': (
         'quantized-trace-chain-map', '20 cases, N=2',

@@ -98,3 +98,11 @@ def test_multitrace_sum_k3_paper_values():
 
 def test_multitrace_sum_check_passes():
     assert multitrace_sum_check(4).passed
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: harer_zagier_closed(-1, 3), "k must be nonnegative", id="negative-k"),
+])
+def test_harer_zagier_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncbv import (
+    CYCLIC,
     Element,
     MultiTraceFunctional,
     monte_carlo_moment,
@@ -145,3 +146,16 @@ def test_readers_read_an_index_alike(name, raw):
 def test_readers_reject_bad_entries_alike(name, entry, message):
     with pytest.raises(ValueError, match=message):
         READERS[name]((2, entry))
+
+
+@pytest.mark.parametrize("element, match", [
+    pytest.param(Element.poly_letters(SPACE, "x"), "come from cyclic-side elements",
+                 id="commutative"),
+    pytest.param(Element.from_terms(SPACE, CYCLIC, [(1, 0, [[0, 0]], 1)]),
+                 "genus-weighted monomials", id="gamma-weighted"),
+    pytest.param(Element.cyclic_word(SPACE, ["xi", "xi", "xi"]), "require an even letter",
+                 id="odd-letter"),
+])
+def test_from_element_refusals(element, match):
+    with pytest.raises(ValueError, match=match):
+        MultiTraceFunctional.from_element(element)

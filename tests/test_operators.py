@@ -374,3 +374,14 @@ def test_mc_defect_with_a_differential(element, defect):
     """d(x) + (1/2){x, x} over the two-dimensional algebra, where d is
     declared: pinned values, with both parts nonzero in the first three."""
     assert str(CTX.mc_defect(element)) == defect
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: CTX.nc_bracket(poly(["x"]), poly(["x"])),
+                 "requires cyclic-flavor elements", id="bracket-on-polynomials"),
+    pytest.param(lambda: CTX.bv_laplacian(word("x")),
+                 "requires commutative-flavor elements", id="laplacian-on-words"),
+])
+def test_operator_flavor_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

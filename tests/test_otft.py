@@ -461,3 +461,20 @@ def test_singular_pairing_rejected_with_dense_message():
     with pytest.raises(ValueError) as sparse:
         FrobeniusAlgebra(("1", "t"), mult, pairing, (ONE, ZERO))
     assert str(sparse.value) == str(dense.value) == "singular pairing: matrix is not invertible"
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ground_field().trace_form([]), "at least one argument",
+                 id="empty-trace-form"),
+    pytest.param(lambda: otft_mu(ground_field(), 0, 0, [[0]], apply_at=(0, 1)),
+                 "apply_at is out of range", id="apply-at"),
+    pytest.param(lambda: otft_mu(ground_field(), 0, 0, [[0]], apply_at=(1, 0)),
+                 "apply_at is out of range", id="apply-at-boundary"),
+    pytest.param(lambda: truncated_polynomials(2, [1]), "one trace value per power",
+                 id="trace-value-count"),
+    pytest.param(lambda: truncated_polynomials(2, [1, 0]), "top trace value must be nonzero",
+                 id="zero-top-value"),
+])
+def test_frobenius_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -15,7 +15,7 @@ from ncbv.algebras import algebra_a, exterior_line, sigma_a_context, sigma_a_spa
 from ncbv.element import COMMUTATIVE, CYCLIC, Element
 from ncbv.morita import MatrixExtension, sigma, sigma_K
 from ncbv.operators import OperatorContext, bracket_words, cobracket_word
-from ncbv.reduction import XI, X
+from ncbv.reduction import XI, X, _pair_image, _pivot_image
 from ncbv.scalar import Scalar
 from ncbv.verify import _random_cases, random_commutative_element, random_cyclic_element
 from ncbv.words import Monomial, word_parity
@@ -23,7 +23,8 @@ from ncbv.words import Monomial, word_parity
 
 def test_equal_splices_are_canonicalized_once(monkeypatch):
     """All 20 splices of {x^19 xi, x^20} are the raw word x^38."""
-    reducer = GueReducer()
+    _pivot_image.cache_clear()
+    _pair_image.cache_clear()
     seen = []
     canonicalize = element.canonicalize_monomial
 
@@ -32,7 +33,7 @@ def test_equal_splices_are_canonicalized_once(monkeypatch):
         return canonicalize(space, gamma, nu, raw_words)
 
     monkeypatch.setattr(element, "canonicalize_monomial", counted)
-    image = reducer._pair_image(20, 20)
+    image = _pair_image(20, 20)
     assert image == {(0, (38,)): 20}
     pivot, power, splice = ((X,) * 19 + (XI,),), ((X,) * 20,), ((X,) * 38,)
     assert seen == [pivot, power, splice]
@@ -43,7 +44,7 @@ def test_cancelling_items_are_still_checked(gamma, letter):
     """Outside items are summed per raw monomial before it is canonicalized;
     a monomial whose items cancel, or whose one item is zero, is checked
     all the same."""
-    space = GueReducer().space
+    space = sigma_a_space()
     for items in ([(gamma, 0, [[letter]], 1), (gamma, 0, [[letter]], -1)],
                   [(gamma, 0, [[letter]], 0)]):
         with pytest.raises(ValueError):
@@ -219,6 +220,13 @@ def test_inflate_and_restrict_equal_their_references(size):
 # -- internal results never coerce --------------------------------------------
 
 
+def cold_reduce():
+    """A reduction that builds every table it reads."""
+    _pivot_image.cache_clear()
+    _pair_image.cache_clear()
+    return GueReducer().reduce((5, 3, 2))
+
+
 def test_internal_producers_run_without_the_outside_check(monkeypatch):
     space = sigma_a_space()
     ext = MatrixExtension(space, 2)
@@ -251,7 +259,7 @@ def test_internal_producers_run_without_the_outside_check(monkeypatch):
         "bracket": lambda: (ctx.bracket(a, b), ctx.bracket(p, r)),
         "mc_defect": lambda: (ctx.mc_defect(a), ctx.mc_defect(p)),
         "arithmetic": lambda: (a * b - b.scale(3), -p + r),
-        "reduce": lambda: GueReducer().reduce((5, 3, 2)),
+        "reduce": cold_reduce,
     }
     expected = {name: run() for name, run in runs.items()}
 

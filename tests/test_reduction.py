@@ -14,9 +14,11 @@ from ncbv import (
     reduce_to_polynomial,
 )
 from ncbv import reduction
+from ncbv.algebras import sigma_a_context, sigma_a_space
 from ncbv.element import CYCLIC, Element
 from ncbv.multitrace import canonical_index
-from ncbv.reduction import XI, X
+from ncbv.operators import OperatorContext
+from ncbv.reduction import XI, X, _pair_image, _pivot_image
 from ncbv.sampling import usable_cpus
 from ncbv.verify import GOLDEN_TABLE, _partitions_up_to
 
@@ -32,7 +34,8 @@ class MonomialReducer(GueReducer):
             return cached
         pivot = self._choose_pivot(state)
         element = self._pivot_element(state, pivot)
-        image = self.ctx.ce_delta(element) + self.ctx.nc_cobracket(element)
+        ctx = sigma_a_context()
+        image = ctx.ce_delta(element) + ctx.nc_cobracket(element)
         total = NuPolynomial.zero()
         for monomial, coeff in image.terms.items():
             lengths = tuple(sorted(len(word) for word in monomial.words))
@@ -48,7 +51,7 @@ class MonomialReducer(GueReducer):
                 words.append((X,) * (length - 1) + (XI,))
             else:
                 words.append((X,) * length)
-        return Element.from_terms(self.space, CYCLIC, [(0, 0, words, Scalar(1))])
+        return Element.from_terms(sigma_a_space(), CYCLIC, [(0, 0, words, Scalar(1))])
 
 
 @pytest.mark.parametrize("idx,coeffs", sorted(GOLDEN_TABLE.items()))
@@ -123,8 +126,8 @@ def test_equal_factors_share_one_table_read(monkeypatch):
     its successor by k."""
     reducer = GueReducer()
     reads = []
-    table = reducer._pair_image
-    monkeypatch.setattr(reducer, "_pair_image", lambda *key: reads.append(key) or table(*key))
+    monkeypatch.setattr(reduction, "_pair_image",
+                        lambda *key: reads.append(key) or _pair_image(*key))
     successors = reducer._reduce_state((1,) * 6)
     assert reads == [(1, 1)]
     assert successors == {(1, (1,) * 4): 5}
@@ -203,18 +206,17 @@ def test_tables_are_the_gue_loop_equations():
     """Every pivot and pair table equals its closed form:
     cobracket(x^{l-1} xi) = sum_{a+b=l-2} Tr X^a Tr X^b and
     {x^{l-1} xi, x^m} = m Tr X^{l+m-2}."""
-    reducer = GueReducer()
-    assert reducer._pivot_image(4) == {(1, (2,)): 2, (0, (1, 1)): 1}
-    assert reducer._pair_image(1, 1) == {(1, ()): 1}
+    assert _pivot_image(4) == {(1, (2,)): 2, (0, (1, 1)): 1}
+    assert _pair_image(1, 1) == {(1, ()): 1}
     for length in range(1, 41):
         expected = {}
         for a in range(length - 1):
             key = _traces(a, length - 2 - a)
             expected[key] = expected.get(key, 0) + 1
-        assert reducer._pivot_image(length) == expected, length
+        assert _pivot_image(length) == expected, length
         for other in range(1, 31):
             expected = {_traces(length + other - 2): other}
-            assert reducer._pair_image(length, other) == expected, (length, other)
+            assert _pair_image(length, other) == expected, (length, other)
 
 
 def test_fifty_matches_harer_zagier_closed_form():
@@ -241,6 +243,53 @@ def test_cache_is_shared_per_reducer():
     assert len(reducer._cache) == cached_states
 
 
+def test_a_reducer_holds_only_its_strategy_and_states():
+    assert vars(GueReducer()).keys() == {"pivot", "seed", "_cache"}
+
+
+def test_tables_are_shared_across_reducers(monkeypatch):
+    """A second reducer reads the tables the first one built: reducing the
+    same index again, from an empty state memo, calls neither operator."""
+    expected = GueReducer().reduce((8, 4, 2))
+
+    def no_table(*args):
+        raise AssertionError("a table was built a second time")
+
+    monkeypatch.setattr(OperatorContext, "nc_cobracket", no_table)
+    monkeypatch.setattr(OperatorContext, "nc_bracket", no_table)
+    assert GueReducer().reduce((8, 4, 2)) == expected
+
+
+def test_threads_building_the_shared_tables_match_a_serial_run():
+    """Reducers on more threads than cores fill the emptied table caches at
+    once, with a short switch interval, and get the serial polynomials."""
+    queries = _partitions_up_to(10) + [(16,), (6, 6)]
+    serial = [GueReducer().reduce(idx) for idx in queries]
+    _pivot_image.cache_clear()
+    _pair_image.cache_clear()
+    count = usable_cpus() + 4
+    got = [None] * count
+
+    def run(slot):
+        reducer = GueReducer()
+        order = queries if slot % 2 else queries[::-1]
+        polys = {idx: reducer.reduce(idx) for idx in order}
+        got[slot] = [polys[idx] for idx in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(polys == serial for polys in got)
+
+
 def test_default_reducer_is_one_instance_across_threads(monkeypatch):
     """Threads racing on the first call all get the one shared reducer."""
     monkeypatch.setattr(reduction, "_default_reducer", None)
@@ -265,3 +314,12 @@ def test_default_reducer_is_one_instance_across_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert all(reducer is reduction._default_reducer for reducer in got)
     assert got[0] is not None
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: GueReducer("middle"), "unknown pivot strategy 'middle'",
+                 id="pivot-strategy"),
+])
+def test_reduction_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

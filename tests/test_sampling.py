@@ -1,5 +1,6 @@
 """Seeded GUE sampling and Monte Carlo estimates."""
 
+import math
 import multiprocessing
 import os
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from ncbv import gue_rng, monte_carlo_moment, reduce_to_polynomial, sample_gue, sample_gue_batch
+from ncbv.sampling import McResult, standard_normals
 
 
 def test_samples_are_hermitian():
@@ -335,3 +337,22 @@ def test_an_unguarded_script_runs_pooled(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == list(bits)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: standard_normals(gue_rng(0, 0), 2, start=1, total=4),
+                 "not an even-aligned slice", id="odd-aligned-normals"),
+    pytest.param(lambda: sample_gue_batch(0, 1, gue_rng(0, 0)), "matrix size must be at least 1",
+                 id="batch-size-zero"),
+    pytest.param(lambda: monte_carlo_moment((2,), 0, 100, seed=0),
+                 "matrix size must be at least 1", id="moment-size-zero"),
+])
+def test_sampling_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("estimate, target, z", [(1.0, 2.0, math.inf), (1.0, 1.0, 0.0)])
+def test_z_score_without_spread(estimate, target, z):
+    """With a zero standard error only an exact hit has a finite z-score."""
+    assert McResult(estimate, 0.0).z_score(target) == z

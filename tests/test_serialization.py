@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbv import NuPolynomial, Scalar
+from ncbv.ainfinity import encode_ainfinity, suspend
+from ncbv.algebras import exterior_line
+from ncbv.space import GradedSymplecticSpace
 
 
 def load_schema(name):
@@ -110,3 +113,26 @@ def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         NuPolynomial.from_json({"coeffs": {"0": "3/00"}})
     assert parse_scalar(" -6/4 ") == Scalar(-3, 2)
+
+
+def test_space_json_keeps_the_dual_scales():
+    """The scales fix how structure maps are encoded in a space's letters,
+    so its JSON keeps them and equal spaces have equal scales; a space
+    whose scales are all 1 writes none."""
+    line = exterior_line()
+    scaled = suspend(line, scales=(1, 2))
+    again = GradedSymplecticSpace.from_json(json.loads(json.dumps(scaled.to_json())))
+    assert again == scaled and again.dual_scales == (1, 2)
+    assert encode_ainfinity(line, again) == encode_ainfinity(line, scaled)
+    plain = suspend(line)
+    assert "dual_scales" not in plain.to_json()
+    assert GradedSymplecticSpace.from_json(plain.to_json()) == plain != scaled
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: NuPolynomial.constant(1).shift(-1), "nu exponents are nonnegative",
+                 id="negative-shift"),
+])
+def test_nupoly_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

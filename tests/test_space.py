@@ -328,8 +328,11 @@ def test_dense_and_sparse_rows_build_the_same_space():
     rng = random.Random(101)
     for base in [sigma_a_space()] + [random_space(rng) for _ in range(20)]:
         for space in (base, MatrixExtension(base, 2).space):
-            from_rows = GradedSymplecticSpace(space.letters, space.degrees, dense(space.pairing))
-            from_form = GradedSymplecticSpace(space.letters, space.degrees, space.pairing)
+            scales = space.dual_scales
+            from_rows = GradedSymplecticSpace(space.letters, space.degrees, dense(space.pairing),
+                                              dual_scales=scales)
+            from_form = GradedSymplecticSpace(space.letters, space.degrees, space.pairing,
+                                              dual_scales=scales)
             assert from_rows == from_form == space
             assert hash(from_rows) == hash(from_form) == hash(space)
             assert from_rows.inverse == from_form.inverse == space.inverse
@@ -391,3 +394,14 @@ def test_non_integral_degrees_rejected_by_the_constructor():
     data = sigma_a_space().to_json()
     data["letters"][1]["degree"] = "-1"
     assert GradedSymplecticSpace.from_json(data) == sigma_a_space()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: GradedSymplecticSpace(("a", "b"), (0,), ((0, 1), (-1, 0))),
+                 "basis and degrees sizes disagree", id="degree-count"),
+    pytest.param(lambda: sigma_a_space().index("nope"), "unknown letter 'nope'",
+                 id="unknown-letter"),
+])
+def test_space_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -28,8 +28,8 @@ import math
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, decorate_map, decorate_unit
 from .scalar import ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
-from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _sized,
-                    _structure_map, dense)
+from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _map_json,
+                    _read_map, _sized, _structure_map, dense)
 
 
 class CyclicAInfinity:
@@ -37,9 +37,9 @@ class CyclicAInfinity:
 
     ``ops[k]`` is m_k as a map {args: {out: c}} from k-tuples of basis
     indices, the format of ``FrobeniusAlgebra.mult``, checked by
-    ``space._structure_map`` and kept with nonzero entries only; absent
-    arguments map to zero.  ``unit`` is an optional coefficient vector
-    marking a strict unit.
+    ``space._structure_map``, written to JSON by ``space._map_json`` and
+    kept with nonzero entries only; absent arguments map to zero, and an
+    arity may be given once.  ``unit`` optionally marks a strict unit.
     """
 
     def __init__(self, basis, degrees, pairing, ops, unit=None):
@@ -51,6 +51,8 @@ class CyclicAInfinity:
         self.ops = {}
         for k, table in ops.items():
             k = as_int(k, "structure map arity")
+            if k in self.ops:
+                raise ValueError(f"structure map m_{k} is given twice")
             self.ops[k] = _structure_map(table, n, k, f"structure map m_{k}")
         self.unit = None if unit is None else tuple(map(Scalar, _sized(unit, n, "the unit")))
         self.check_cyclic()
@@ -88,16 +90,7 @@ class CyclicAInfinity:
                 {"name": name, "degree": deg} for name, deg in zip(self.basis, self.degrees)
             ],
             "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
-            "ops": {
-                str(k): [
-                    {
-                        "args": list(args),
-                        "out": {str(o): format_scalar(c) for o, c in images.items()},
-                    }
-                    for args, images in sorted(table.items())
-                ]
-                for k, table in sorted(self.ops.items())
-            },
+            "ops": {str(k): _map_json(table) for k, table in sorted(self.ops.items())},
             "unit": None if self.unit is None else [format_scalar(c) for c in self.unit],
         }
 
@@ -106,17 +99,10 @@ class CyclicAInfinity:
         basis = tuple(item["name"] for item in data["basis"])
         degrees = tuple(item["degree"] for item in data["basis"])
         pairing = tuple(tuple(parse_scalar(c) for c in row) for row in data["pairing"])
-        ops = {
-            k: {
-                tuple(entry["args"]): {o: parse_scalar(c) for o, c in entry["out"].items()}
-                for entry in entries
-            }
-            for k, entries in data["ops"].items()
-        }
+        ops = {k: _read_map(entries, f"structure map m_{k}") for k, entries in data["ops"].items()}
         unit = data.get("unit")
-        if unit is not None:
-            unit = tuple(parse_scalar(c) for c in unit)
-        return cls(basis, degrees, pairing, ops, unit=unit)
+        return cls(basis, degrees, pairing, ops,
+                   unit=None if unit is None else tuple(map(parse_scalar, unit)))
 
 
 def matrix_ainfinity(algebra: CyclicAInfinity, size: int) -> CyclicAInfinity:

@@ -31,7 +31,8 @@ from functools import reduce
 
 from .morita import decorate, decorate_map, decorate_unit
 from .scalar import ONE, ZERO, Scalar, add_to, as_int, format_scalar, parse_scalar
-from .space import _check_unit, _checked_pairing, _sized, _structure_map, dense
+from .space import (_check_unit, _checked_pairing, _map_json, _read_map, _sized, _structure_map,
+                    dense)
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
@@ -44,8 +45,8 @@ def _sparse(values) -> Sparse:
 class FrobeniusAlgebra:
     """``mult`` is the product as a map {(i, j): {k: c}}, the format of
     ``CyclicAInfinity.ops[2]``, checked by ``space._structure_map`` and
-    kept with nonzero entries only.  The unit is given as a coefficient
-    vector; it, the counit, H and G are kept as sparse vectors."""
+    kept with nonzero entries only, in JSON as m_2 is.  The unit is given
+    as a coefficient vector; it, the counit, H and G are sparse vectors."""
 
     def __init__(self, basis, mult, pairing, unit):
         self.basis = tuple(basis)
@@ -164,29 +165,18 @@ class FrobeniusAlgebra:
         return self._dense(self._mul(self.G, self.coerce(vec)))
 
     def to_json(self) -> dict:
-        def listed(vec):
-            return [format_scalar(c) for c in self._dense(vec)]
-
         return {
             "basis": list(self.basis),
-            "mult": [[listed(self.mult.get((i, j), {})) for j in range(self.dim)]
-                     for i in range(self.dim)],
+            "mult": _map_json(self.mult),
             "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
-            "unit": listed(self.unit),
+            "unit": [format_scalar(c) for c in self._dense(self.unit)],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusAlgebra":
-        """Reads the dense layout of ``to_json``: ``mult[i][j]`` is e_i e_j."""
-        n = len(data["basis"])
-        mult = {
-            (i, j): dict(enumerate(map(parse_scalar, _sized(cell, n, f"the product e_{i} e_{j}"))))
-            for i, row in enumerate(_sized(data["mult"], n, "mult"))
-            for j, cell in enumerate(_sized(row, n, f"row {i} of mult"))
-        }
         pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
         unit = [parse_scalar(c) for c in data["unit"]]
-        return cls(tuple(data["basis"]), mult, pairing, unit)
+        return cls(tuple(data["basis"]), _read_map(data["mult"], "the product"), pairing, unit)
 
 
 def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries,

@@ -9,7 +9,7 @@ far cheaper than ``fractions.Fraction``'s, so a scalar is held as an
 an integral ``Fraction`` compare and hash equal, and ``format_scalar``
 prints both the same way, so the representation never shows in output.
 No floating point enters any algebraic module (floats appear only in
-the Monte Carlo sampler).
+the Monte Carlo sampler and ``MultiTraceFunctional.evaluate``).
 
 ``Scalar(value, den=1)`` is the one constructor and normalizer: it
 returns value/den exactly, as an ``int`` when integral.  ``int / int``
@@ -63,17 +63,18 @@ def add_to(terms: dict, key, value) -> None:
         terms[key] = total.numerator
 
 
-def parse_scalar(text: str):
-    """Parse ``"3/4"`` or ``"-2"`` into a scalar; a zero denominator
-    raises ``ValueError`` naming the text."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        den = int(den)
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Scalar(int(num), den)
-    return int(text)
+def parse_scalar(text):
+    """Read ``"3/4"``, ``"-2"`` or a JSON integer (not a ``bool``) as a
+    scalar; another value or a zero denominator raises ``ValueError``."""
+    if type(text) is int:
+        return text
+    if not isinstance(text, str):
+        raise ValueError(f"a scalar must be a string or an integer, got {text!r}")
+    num, slash, den = text.strip().partition("/")
+    den = int(den) if slash else 1
+    if not den:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    return Scalar(int(num), den)
 
 
 def as_int(value, what: str) -> int:

@@ -9,7 +9,8 @@ words and polynomials are built) and is the single source of truth for
 every bracket, cobracket and Laplacian in the package.  The structure
 maps of cyclic A-infinity and Frobenius algebras are held alike, as
 {args: {out: nonzero c}}: ``_structure_map`` is their one checker and
-normalizer, and ``_check_unit`` their one unit law.
+normalizer, ``_check_unit`` their one unit law, ``_map_json`` and
+``_read_map`` their JSON writer and reader.
 
 Sign conventions.  The pairing is supported on pairs of basis vectors
 whose degrees sum to an odd number and is plainly antisymmetric there.
@@ -27,7 +28,7 @@ antisymmetry of P, the symmetry of B and P . B = diag((-1)^{deg e_i})
 over nonzero entries only, whether B was supplied or solved for.
 """
 
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 
 from .scalar import ONE, ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
@@ -175,6 +176,27 @@ def _structure_map(table, n: int, arity: int, what: str) -> dict:
         if not cell:
             del out[args]
     return out
+
+
+def _map_json(table: dict) -> list:
+    """A structure map as JSON: one entry {"args": [...], "out": {...}} per args, sorted."""
+    return [{"args": list(args), "out": {str(o): format_scalar(c) for o, c in images.items()}}
+            for args, images in sorted(table.items())]
+
+
+def _read_map(entries, what: str) -> dict:
+    """The entries of ``_map_json`` as {args: {out: c}} for ``_structure_map``, equal
+    args summed; any other entry raises ``ValueError`` naming the map ``what``."""
+    table = {}
+    for t, entry in enumerate(entries):
+        if not (isinstance(entry, Mapping) and entry.keys() == {"args", "out"}
+                and isinstance(entry["args"], list) and isinstance(entry["out"], Mapping)
+                and all(isinstance(i, Hashable) for i in entry["args"])):
+            raise ValueError(f'{what} entry {t} is not {{"args": [...], "out": {{...}}}}')
+        cell = table.setdefault(tuple(entry["args"]), {})
+        for o, c in entry["out"].items():
+            add_to(cell, o, parse_scalar(c))
+    return table
 
 
 def _check_unit(ops: dict, unit: dict, n: int) -> None:

@@ -2,7 +2,8 @@
 cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
 both, so each oracle reads the same observable without reaching another.
 Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
-not load ``multiprocessing``."""
+not load ``multiprocessing``.  The JSON layout of structure maps is
+written and read in ``ncbv.space`` alone."""
 
 import ast
 import os
@@ -66,3 +67,13 @@ def test_import_leaves_multiprocessing_out():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_only_space_spells_the_structure_map_layout():
+    """The key ``"args"`` of a structure-map JSON entry appears as a string
+    constant in ``ncbv.space`` (``_map_json``, ``_read_map``) and nowhere
+    else in the package: every algebra writes and reads its maps there."""
+    spellers = sorted(path.stem for path in SRC.glob("*.py")
+                      if any(isinstance(node, ast.Constant) and node.value == "args"
+                             for node in ast.walk(ast.parse(path.read_text()))))
+    assert spellers == ["space"]

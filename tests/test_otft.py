@@ -96,9 +96,7 @@ def test_arity_errors():
 
 
 def test_frobenius_json_roundtrip():
-    from ncbv.frobenius import FrobeniusAlgebra
-
-    for frob in (matrix_frobenius(2), ground_field(), truncated_polynomials(3, [1, 0, 2])):
+    for frob in reference_algebras():
         clone = FrobeniusAlgebra.from_json(frob.to_json())
         assert clone.basis == frob.basis
         assert clone.mult == frob.mult
@@ -129,11 +127,23 @@ def test_frobenius_validation():
         FrobeniusAlgebra(("1", "a", "b"), products, identity, (one, zero, zero))
 
 
+def product_table(data):
+    """The n x n x n table of a Frobenius algebra's JSON product, filled
+    from its entries; entries with equal args add up."""
+    n = len(data["basis"])
+    mult = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
+    for entry in data["mult"]:
+        i, j = entry["args"]
+        for k, c in entry["out"].items():
+            mult[i][j][int(k)] += parse_scalar(c)
+    return mult
+
+
 def dense_check(data):
     """The constructor's checks the long way, over every basis triple and
     in the constructor's order: the first failure's message, or None."""
     n = len(data["basis"])
-    mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
+    mult = product_table(data)
     pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
     unit = [parse_scalar(c) for c in data["unit"]]
     e = [[Scalar(int(t == i)) for t in range(n)] for i in range(n)]
@@ -181,8 +191,7 @@ def test_check_matches_dense_triple_check():
             kind = trial % 3
             if kind == 0:
                 i, j, k = (rng.randrange(n) for _ in range(3))
-                cell = data["mult"][i][j]
-                cell[k] = format_scalar(parse_scalar(cell[k]) + parse_scalar(delta))
+                data["mult"].append({"args": [i, j], "out": {str(k): delta}})
             elif kind == 1:
                 i, j = rng.randrange(n), rng.randrange(n)
                 value = format_scalar(parse_scalar(data["pairing"][i][j]) + parse_scalar(delta))
@@ -213,7 +222,7 @@ class DefiningFormulas:
         data = frob.to_json()
         self.basis = tuple(data["basis"])
         self.dim = len(self.basis)
-        self.mult = [[[parse_scalar(c) for c in cell] for cell in row] for row in data["mult"]]
+        self.mult = product_table(data)
         self.pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
         self.unit = tuple(parse_scalar(c) for c in data["unit"])
         inverse = invert_matrix(self.pairing)
@@ -385,6 +394,13 @@ def test_matrix_structure_constants_are_sparse():
         assert all(len(terms) == 1 for terms in frob.mult.values())
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_matrix_product_json_lists_only_nonzero_products(size):
+    """The JSON product holds one entry per nonzero product, N^3 of the
+    N^6 basis pairs and outputs."""
+    assert len(matrix_frobenius(size).to_json()["mult"]) == size**3
+
+
 def test_coerce_names_the_bad_value():
     frob = matrix_frobenius(2)
     for index in (4, 7, -1):
@@ -402,9 +418,9 @@ LINE = {(0, 0): {0: ONE}}
 @pytest.mark.parametrize(
     "basis,mult,pairing,unit,match",
     [
-        (("1",), [[["1", "0"]]], [["1"]], ["1"], "product e_0 e_0 has 2 entries"),
-        (("1",), [[["1"], ["1"]]], [["1"]], ["1"], "row 0 of mult has 2 entries"),
-        (("1",), [[], []], [["1"]], ["1"], "mult has 2 entries"),
+        (("1",), [[["1"]]], [["1"]], ["1"], "the product entry"),
+        (("1",), [{"args": [0, 0]}], [["1"]], ["1"], "the product entry"),
+        (("1",), [{"args": [[0], 0], "out": {"0": "1"}}], [["1"]], ["1"], "the product entry"),
         (("1",), LINE, ((ONE, ONE),), (ONE,), "pairing row has 2 entries"),
         (("1",), LINE, ((ONE,), (ONE,)), (ONE,), "the pairing has 2 entries"),
         (("1",), LINE, ((ONE,),), (ONE, ZERO), "the unit has 2 entries"),
@@ -412,8 +428,9 @@ LINE = {(0, 0): {0: ONE}}
     ],
 )
 def test_constructor_rejects_ragged_tables(basis, mult, pairing, unit, match):
-    """A product map goes to the constructor; a dense product table, the
-    JSON layout, goes through ``from_json``, which alone reads it."""
+    """A product map goes to the constructor, a list of JSON entries
+    through ``from_json``, which refuses the old dense table (mult[i][j]
+    the coefficients of e_i e_j) and any entry but {"args": [...], "out": {...}}."""
     with pytest.raises(ValueError, match=match):
         if isinstance(mult, dict):
             FrobeniusAlgebra(basis, mult, pairing, unit)

@@ -1,15 +1,18 @@
 """JSON and CSV round trips, including validation against the shipped schemas."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbv import NuPolynomial, Scalar
+from ncbv import CyclicAInfinity, FrobeniusAlgebra, NuPolynomial, Scalar, ground_field
 from ncbv.ainfinity import encode_ainfinity, suspend
-from ncbv.algebras import exterior_line
+from ncbv.algebras import algebra_a, exterior_line, sigma_a_space
+from ncbv.element import CYCLIC, Element
+from ncbv.multitrace import MultiTraceFunctional
 from ncbv.space import GradedSymplecticSpace
 
 
@@ -113,6 +116,44 @@ def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         NuPolynomial.from_json({"coeffs": {"0": "3/00"}})
     assert parse_scalar(" -6/4 ") == Scalar(-3, 2)
+
+
+def _with_scalar(data, path, value):
+    """``data`` with the scalar at ``path`` (keys and indices) set to ``value``."""
+    *steps, last = path
+    target = data
+    for step in steps:
+        target = target[step]
+    target[last] = value
+    return data
+
+
+SCALAR_READERS = {
+    "space": lambda v: GradedSymplecticSpace.from_json(
+        _with_scalar(sigma_a_space().to_json(), ("dual_scales", 0), v)),
+    "ainfinity": lambda v: CyclicAInfinity.from_json(
+        _with_scalar(algebra_a().to_json(), ("ops", "1", 0, "out", "1"), v)),
+    "frobenius": lambda v: FrobeniusAlgebra.from_json(
+        _with_scalar(ground_field().to_json(), ("pairing", 0, 0), v)),
+    "element": lambda v: Element.from_json(sigma_a_space(), CYCLIC,
+                                           [{"words": [["x", "x"]], "coeff": v}]),
+    "nupoly": lambda v: NuPolynomial.from_json({"coeffs": {"1": v}}),
+    "multitrace": lambda v: MultiTraceFunctional.from_json(
+        {"terms": [{"nu_power": 0, "traces": [2], "coeff": v}]}),
+}
+
+
+@pytest.mark.parametrize("reader", SCALAR_READERS)
+def test_every_reader_takes_a_json_integer_and_refuses_null(reader):
+    """A scalar may be written as a JSON integer: it reads as its string
+    does.  Any other non-string value is refused with its value named."""
+    read = SCALAR_READERS[reader]
+    assert read(2).to_json() == read("2").to_json()
+    assert read(2).to_json() != read("1").to_json()
+    for bad in (None, True, 1.5, [2]):
+        with pytest.raises(ValueError, match=f"a scalar must be a string or an integer, got "
+                                             f"{re.escape(repr(bad))}"):
+            read(bad)
 
 
 def test_space_json_keeps_the_dual_scales():

@@ -1,6 +1,6 @@
 """One structure-map format for cyclic A-infinity and Frobenius algebras:
 the index and arity checks, the unit law and the unit's length, through
-both constructors and the JSON readers."""
+both constructors and the JSON readers, and one JSON layout for both."""
 
 import pytest
 
@@ -35,14 +35,43 @@ def test_cyclic_algebra_rejects_a_bad_map_entry(case):
 
 @pytest.mark.parametrize("case", BAD_ENTRIES)
 def test_frobenius_algebra_rejects_a_bad_product_entry(case):
-    """The JSON layout of a Frobenius product is dense and names no
-    index, so its only bad entries are the shapes ``from_json`` checks
-    (``test_otft.py::test_constructor_rejects_ragged_tables``)."""
     args, out, match = BAD_ENTRIES[case]
     frob = truncated_polynomials(2, [0, 1])
     mult = {args: {out: ONE}}
     with pytest.raises(ValueError, match=f"the product {match}"):
         FrobeniusAlgebra(frob.basis, mult, frob.pairing, (ONE, 0))
+    data = frob.to_json()
+    data["mult"] = [{"args": list(args), "out": {str(out): "1"}}]
+    with pytest.raises(ValueError, match=f"the product {match}"):
+        FrobeniusAlgebra.from_json(data)
+
+
+def test_a_frobenius_product_is_written_as_m_2():
+    product = truncated_polynomials(2, [0, 1]).to_json()["mult"]
+    assert product == exterior_line().to_json()["ops"]["2"]
+
+
+def test_repeated_entries_are_summed():
+    """As ``NuPolynomial.from_json`` sums a repeated exponent, the map
+    reader sums entries with equal args."""
+    frob = truncated_polynomials(2, [0, 1])
+    data = frob.to_json()
+    data["mult"][1:2] = [{"args": [0, 1], "out": {"1": "1/2"}}] * 2
+    assert FrobeniusAlgebra.from_json(data).mult == frob.mult
+    A = algebra_a()
+    data = A.to_json()
+    data["ops"]["1"] *= 2
+    assert CyclicAInfinity.from_json(data).ops == {1: {(0,): {1: 2}}} != A.ops
+
+
+def test_an_arity_given_twice_is_refused():
+    A = algebra_a()
+    with pytest.raises(ValueError, match="structure map m_1 is given twice"):
+        CyclicAInfinity(A.basis, A.degrees, A.pairing, {1: A.ops[1], "1": A.ops[1]})
+    data = A.to_json()
+    data["ops"]["01"] = data["ops"]["1"]
+    with pytest.raises(ValueError, match="structure map m_1 is given twice"):
+        CyclicAInfinity.from_json(data)
 
 
 def test_a_dense_product_table_is_not_a_map():

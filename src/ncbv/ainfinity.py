@@ -24,12 +24,13 @@ two-dimensional algebra: q = (x x)/2, d* xi = -x, d* x = 0).
 """
 
 import math
+from collections.abc import Mapping
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, decorate_map, decorate_unit
 from .scalar import ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
-from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _map_json,
-                    _read_map, _sized, _structure_map, dense)
+from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _field,
+                    _map_json, _read_basis, _read_map, _sized, _structure_map, dense)
 
 
 class CyclicAInfinity:
@@ -96,10 +97,12 @@ class CyclicAInfinity:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclicAInfinity":
-        basis = tuple(item["name"] for item in data["basis"])
-        degrees = tuple(item["degree"] for item in data["basis"])
-        pairing = tuple(tuple(parse_scalar(c) for c in row) for row in data["pairing"])
-        ops = {k: _read_map(entries, f"structure map m_{k}") for k, entries in data["ops"].items()}
+        what = "the cyclic A-infinity algebra"
+        basis, degrees = _read_basis(_field(data, "basis", what, list), "basis vector")
+        pairing = tuple(tuple(parse_scalar(c) for c in row)
+                        for row in _field(data, "pairing", what, list))
+        ops = {k: _read_map(entries, f"structure map m_{k}")
+               for k, entries in _field(data, "ops", what, Mapping).items()}
         unit = data.get("unit")
         return cls(basis, degrees, pairing, ops,
                    unit=None if unit is None else tuple(map(parse_scalar, unit)))

@@ -31,8 +31,8 @@ from functools import reduce
 
 from .morita import decorate, decorate_map, decorate_unit
 from .scalar import ONE, ZERO, Scalar, add_to, as_int, format_scalar, parse_scalar
-from .space import (_check_unit, _checked_pairing, _map_json, _read_map, _sized, _structure_map,
-                    dense)
+from .space import (_check_unit, _checked_pairing, _field, _map_json, _read_map, _sized,
+                    _structure_map, dense)
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
@@ -174,9 +174,11 @@ class FrobeniusAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusAlgebra":
-        pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
-        unit = [parse_scalar(c) for c in data["unit"]]
-        return cls(tuple(data["basis"]), _read_map(data["mult"], "the product"), pairing, unit)
+        what = "the Frobenius algebra"
+        pairing = [[parse_scalar(c) for c in row] for row in _field(data, "pairing", what, list)]
+        unit = [parse_scalar(c) for c in _field(data, "unit", what, list)]
+        return cls(tuple(_field(data, "basis", what, list)),
+                   _read_map(_field(data, "mult", what), "the product"), pairing, unit)
 
 
 def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries,

@@ -3,12 +3,29 @@ i_k), which names prod_j Tr(X^{i_j}) with Tr X^0 = nu, the trace of the
 empty word; and functionals, rational combinations of terms nu^j
 Tr(X^{i_1}) ... Tr(X^{i_k}), read off cyclic-side elements by the trace
 map and evaluated at an N x N matrix with nu = N.
-"""
 
-import numpy as np
+``np`` is the package's one handle on numpy, shared by ``ncbv.wick`` and
+``ncbv.sampling``: numpy loads on the first attribute read, not at
+import, so the exact commands never load it.
+"""
 
 from .element import CYCLIC, Element
 from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
+
+
+class _Numpy:
+    """numpy, imported on the first attribute read; each attribute read is
+    stored on the handle, so later reads are plain attribute reads."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 def index_entries(idx) -> tuple[int, ...]:

@@ -35,18 +35,17 @@ is deprecated from Python 3.12, so ``mc`` forks before it starts any
 thread, and a threaded caller gets threads.  No worker outlives the call.
 """
 
+from __future__ import annotations
+
 import math
 import os
 import sys
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from .multitrace import index_entries
+from .multitrace import index_entries, np
 
 DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
@@ -198,8 +197,10 @@ def _pool(workers):
     there it gets threads.  A block must also run this module's own code:
     a caller that replaced what a block calls (a tracer, a test double)
     keeps the replacement's state in its own process, which only a thread
-    updates.  The imports stay here: ``multiprocessing`` would add to
-    every ``import ncbv``."""
+    updates.  The imports stay here: ``multiprocessing`` and
+    ``concurrent.futures`` would add to every ``import ncbv``.  Before it
+    forks, the caller loads ``numpy.random`` through the shared handle,
+    so the workers inherit it rather than each importing it again."""
     own_code = all(globals()[name] is code for name, code in _BLOCK_CODE.items())
     if sys.version_info >= (3, 11) and threading.active_count() == 1 and own_code:
         import multiprocessing
@@ -207,7 +208,10 @@ def _pool(workers):
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures.process import ProcessPoolExecutor
 
+            np.random  # loaded once here, not in each forked worker
             return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers)
 
 

@@ -10,7 +10,9 @@ every bracket, cobracket and Laplacian in the package.  The structure
 maps of cyclic A-infinity and Frobenius algebras are held alike, as
 {args: {out: nonzero c}}: ``_structure_map`` is their one checker and
 normalizer, ``_check_unit`` their one unit law, ``_map_json`` and
-``_read_map`` their JSON writer and reader.
+``_read_map`` their JSON writer and reader.  ``_field`` reads each field
+of space, A-infinity and Frobenius JSON, refusing a missing or
+ill-typed one by name.
 
 Sign conventions.  The pairing is supported on pairs of basis vectors
 whose degrees sum to an odd number and is plainly antisymmetric there.
@@ -184,9 +186,27 @@ def _map_json(table: dict) -> list:
             for args, images in sorted(table.items())]
 
 
+def _field(data, key: str, what: str, kind=object):
+    """``data[key]`` of the JSON object ``what``, the one reader of a field of
+    outside JSON here: a missing field, or one that is not a ``kind``, raises
+    ``ValueError`` naming the object and the field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{what} has no field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} field {key!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def _read_map(entries, what: str) -> dict:
     """The entries of ``_map_json`` as {args: {out: c}} for ``_structure_map``, equal
-    args summed; any other entry raises ``ValueError`` naming the map ``what``."""
+    args summed; anything but a list of such entries raises ``ValueError`` naming
+    the map ``what``."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} is not a list of entries")
     table = {}
     for t, entry in enumerate(entries):
         if not (isinstance(entry, Mapping) and entry.keys() == {"args", "out"}
@@ -197,6 +217,14 @@ def _read_map(entries, what: str) -> dict:
         for o, c in entry["out"].items():
             add_to(cell, o, parse_scalar(c))
     return table
+
+
+def _read_basis(items, what: str) -> tuple[tuple[str, ...], tuple]:
+    """Names and degrees of the JSON basis items {"name": ..., "degree": ...};
+    item i is named ``what`` i in an error."""
+    fields = [(_field(item, "name", f"{what} {i}", str), _field(item, "degree", f"{what} {i}"))
+              for i, item in enumerate(items)]
+    return tuple(name for name, _ in fields), tuple(degree for _, degree in fields)
 
 
 def _check_unit(ops: dict, unit: dict, n: int) -> None:
@@ -291,9 +319,9 @@ class GradedSymplecticSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedSymplecticSpace":
-        letters = tuple(item["name"] for item in data["letters"])
-        degrees = tuple(item["degree"] for item in data["letters"])
-        pairing = tuple(tuple(parse_scalar(entry) for entry in row) for row in data["pairing"])
+        letters, degrees = _read_basis(_field(data, "letters", "the space", list), "letter")
+        pairing = tuple(tuple(parse_scalar(entry) for entry in row)
+                        for row in _field(data, "pairing", "the space", list))
         scales = data.get("dual_scales")
         return cls(letters, degrees, pairing,
                    dual_scales=None if scales is None else tuple(map(parse_scalar, scales)))

@@ -16,14 +16,16 @@ and every other cycle is seen through the first-return map of sigma on
 the free points (from a free point follow gamma, then sigma through
 matched points, until a free point is reached).  The (f-1)!! matchings
 of the f free points are evaluated together in numpy: the first-return
-map is applied to a table of all partner arrays, built once at import,
-and the cycles of every row are counted at once by pointer doubling on
-the smallest label.
+map is applied to a table of all partner arrays, built once on the
+first oracle call, and the cycles of every row are counted at once by
+pointer doubling on the smallest label.
 """
 
-import numpy as np
+from __future__ import annotations
 
-from .multitrace import observable
+from functools import cache
+
+from .multitrace import np, observable
 from .nupoly import NuPolynomial
 from .scalar import Scalar
 
@@ -53,10 +55,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@cache
 def _block_tables() -> dict[int, tuple]:
     """Per even f <= BLOCK: the partner arrays of all (f-1)!! matchings of
     range(f), one row each, as indices into the flattened table; the
-    flattened local labels; and the pointer-doubling rounds ceil(log2 f)."""
+    flattened local labels; and the pointer-doubling rounds ceil(log2 f).
+    Immutable and built once, so concurrent oracles share them safely."""
     partners = np.zeros((1, 0), dtype=np.intp)
     tables = {}
     for points in range(0, BLOCK + 1, 2):
@@ -77,10 +81,6 @@ def _block_tables() -> dict[int, tuple]:
             max(points - 1, 0).bit_length(),
         )
     return tables
-
-
-# Immutable and built once, so concurrent oracles share them safely.
-_TABLES = _block_tables()
 
 
 def _contract(gamma: list[int], partner: list[int]) -> tuple[list[int], int]:
@@ -116,7 +116,7 @@ def _add_block(first_return: list[int], closed: int, histogram: np.ndarray) -> N
     to first_return . rho: after the rounds every label is the smallest
     label of its cycle, so the cycles are the points that keep their own.
     """
-    partners, labels, rounds = _TABLES[len(first_return)]
+    partners, labels, rounds = _block_tables()[len(first_return)]
     step = partners[:, first_return].ravel()
     label = labels
     for done in range(1, rounds + 1):

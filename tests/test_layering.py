@@ -2,10 +2,13 @@
 cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
 both, so each oracle reads the same observable without reaching another.
 Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
-not load ``multiprocessing``.  The JSON layout of structure maps is
+not load ``multiprocessing``, ``concurrent.futures`` or numpy: numpy
+loads through the handle ``ncbv.multitrace.np`` on first use, so the
+exact commands never load it.  The JSON layout of structure maps is
 written and read in ``ncbv.space`` alone."""
 
 import ast
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncbv"
+FORKS = sys.version_info >= (3, 11) and "fork" in multiprocessing.get_all_start_methods()
 
 
 def imported_modules(name: str) -> set[str]:
@@ -57,16 +61,68 @@ def test_only_sampling_imports_pools():
     assert importers == ["sampling"]
 
 
-def test_import_leaves_multiprocessing_out():
-    """``ncbv.sampling._pool`` imports ``multiprocessing`` when it first
-    forks; importing it up front would add to every ``import ncbv``."""
-    script = ("import sys, ncbv; "
-              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+DEFERRED = ("multiprocessing", "concurrent.futures", "concurrent.futures.process", "numpy",
+            "numpy.random")
+
+
+def run_python(script: str) -> str:
+    """Standard output of ``script`` run by a fresh interpreter on this ``ncbv``."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_leaves_multiprocessing_out():
+    """``ncbv.sampling._pool`` imports ``multiprocessing`` and
+    ``concurrent.futures`` when it first makes a pool, and numpy loads on
+    first use; importing them up front would add to every ``import ncbv``."""
+    script = f"import sys, ncbv; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
+    assert run_python(script) == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["moments", "--idx", "8,8"], ["hz", "--kmax", "6"],
+                                  ["otft", "--N", "2", "--boundaries", "2,2"]])
+def test_exact_commands_never_load_numpy(argv):
+    script = ("import io, sys, contextlib; from ncbv import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = cli.main({argv!r})\n"
+              "print(code, 'numpy' in sys.modules)")
+    assert run_python(script) == "0 False\n"
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+def test_a_forking_pool_loads_numpy_random_first():
+    """Forked workers inherit ``numpy.random`` from the caller rather than
+    each importing it again."""
+    script = ("import sys; from ncbv import sampling\n"
+              "before = 'numpy.random' in sys.modules\n"
+              "pool = sampling._pool(2)\n"
+              "print(before, type(pool).__name__, 'numpy.random' in sys.modules)\n"
+              "pool.shutdown()")
+    assert run_python(script) == "False ProcessPoolExecutor True\n"
+
+
+def test_no_module_imports_numpy_when_imported():
+    """numpy is imported only inside functions (the handle in
+    ``ncbv.multitrace``), never by a statement that runs at import."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        stack = [ast.parse(path.read_text())]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else []
+            else:
+                names = []
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.append(path.stem)
+            stack.extend(child for child in ast.iter_child_nodes(node)
+                         if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    assert importers == []
 
 
 def test_only_space_spells_the_structure_map_layout():

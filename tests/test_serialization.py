@@ -118,23 +118,29 @@ def test_zero_denominator_is_a_value_error():
     assert parse_scalar(" -6/4 ") == Scalar(-3, 2)
 
 
-def _with_scalar(data, path, value):
-    """``data`` with the scalar at ``path`` (keys and indices) set to ``value``."""
+DELETE = object()
+
+
+def _edited(data, path, value):
+    """``data`` with the field at ``path`` set to ``value``, or deleted for DELETE."""
     *steps, last = path
     target = data
     for step in steps:
         target = target[step]
-    target[last] = value
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
     return data
 
 
 SCALAR_READERS = {
     "space": lambda v: GradedSymplecticSpace.from_json(
-        _with_scalar(sigma_a_space().to_json(), ("dual_scales", 0), v)),
+        _edited(sigma_a_space().to_json(), ("dual_scales", 0), v)),
     "ainfinity": lambda v: CyclicAInfinity.from_json(
-        _with_scalar(algebra_a().to_json(), ("ops", "1", 0, "out", "1"), v)),
+        _edited(algebra_a().to_json(), ("ops", "1", 0, "out", "1"), v)),
     "frobenius": lambda v: FrobeniusAlgebra.from_json(
-        _with_scalar(ground_field().to_json(), ("pairing", 0, 0), v)),
+        _edited(ground_field().to_json(), ("pairing", 0, 0), v)),
     "element": lambda v: Element.from_json(sigma_a_space(), CYCLIC,
                                            [{"words": [["x", "x"]], "coeff": v}]),
     "nupoly": lambda v: NuPolynomial.from_json({"coeffs": {"1": v}}),
@@ -154,6 +160,38 @@ def test_every_reader_takes_a_json_integer_and_refuses_null(reader):
         with pytest.raises(ValueError, match=f"a scalar must be a string or an integer, got "
                                              f"{re.escape(repr(bad))}"):
             read(bad)
+
+
+BAD_FIELDS = {
+    "product-null": (FrobeniusAlgebra, ground_field, ("mult",), None,
+                     "the product is not a list of entries"),
+    "product-missing": (FrobeniusAlgebra, ground_field, ("mult",), DELETE,
+                        "the Frobenius algebra has no field 'mult'"),
+    "structure-map-not-a-list": (CyclicAInfinity, exterior_line, ("ops", "2"), 5,
+                                 "structure map m_2 is not a list of entries"),
+    "ops-not-a-mapping": (CyclicAInfinity, exterior_line, ("ops",), [],
+                          "the cyclic A-infinity algebra field 'ops' must be a Mapping, not list"),
+    "basis-degree-missing": (CyclicAInfinity, exterior_line, ("basis", 0, "degree"), DELETE,
+                             "basis vector 0 has no field 'degree'"),
+    "basis-name-not-a-string": (CyclicAInfinity, exterior_line, ("basis", 1, "name"), 3,
+                                "basis vector 1 field 'name' must be a str, not int"),
+    "letter-name-missing": (GradedSymplecticSpace, sigma_a_space, ("letters", 0, "name"), DELETE,
+                            "letter 0 has no field 'name'"),
+    "letter-not-an-object": (GradedSymplecticSpace, sigma_a_space, ("letters", 0), 7,
+                             "letter 0 is not a JSON object"),
+    "space-pairing-missing": (GradedSymplecticSpace, sigma_a_space, ("pairing",), DELETE,
+                              "the space has no field 'pairing'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_a_missing_or_ill_typed_field_is_refused_by_name(case):
+    """Outside JSON missing a field, or holding one of the wrong kind, is
+    refused with a ``ValueError`` naming the object and the field."""
+    cls, make, path, value, match = BAD_FIELDS[case]
+    data = _edited(make().to_json(), path, value)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        cls.from_json(data)
 
 
 def test_space_json_keeps_the_dual_scales():

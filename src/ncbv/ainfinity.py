@@ -28,9 +28,9 @@ from collections.abc import Mapping
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, decorate_map, decorate_unit
-from .scalar import ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
-from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _field,
-                    _map_json, _read_basis, _read_map, _sized, _structure_map, dense)
+from .scalar import ZERO, Scalar, _field, add_to, as_int, div, format_scalar, parse_scalar
+from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _map_json,
+                    _read_basis, _read_map, _sized, _structure_map, dense)
 
 
 class CyclicAInfinity:

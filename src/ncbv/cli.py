@@ -73,7 +73,27 @@ def _render(args, payload, plain: str, csv: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _check_printable(idx) -> None:
+    """Refuse, before any reduction, an index whose moment may have a
+    coefficient past CPython's limit on printing an int (0 means none).
+    Every coefficient is a count of matchings of the T = sum(idx) letters,
+    so at most (T-1)!!, which the all-ones index attains."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    total = sum(idx)
+    if not limit or total % 2:
+        return
+    bound = 10 ** limit
+    matchings = 1
+    for odd in range(3, total, 2):
+        matchings *= odd
+        if matchings >= bound:
+            raise ValueError(
+                f"--idx sums to {total}, and its moment's coefficients reach "
+                f"{total - 1}!!, past the {limit}-digit limit on printing an integer")
+
+
 def cmd_moments(args) -> int:
+    _check_printable(args.idx)
     reducer = default_reducer()
     poly = reducer.reduce(args.idx)
     payload = {"idx": list(canonical_index(args.idx)), "polynomial": poly.to_json()}

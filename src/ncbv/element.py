@@ -23,7 +23,7 @@ canonical terms of an Element.  Canonicalization is a function of the
 raw key, so summing first gives the same Element.
 """
 
-from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
+from .scalar import Scalar, _field, add_to, as_int, format_scalar, parse_scalar
 from .words import Monomial, canonicalize_monomial, prefix_parities, word_parity
 
 CYCLIC = "cyclic"
@@ -247,8 +247,13 @@ class Element:
 
     @classmethod
     def from_json(cls, space, flavor, data) -> "Element":
+        if not isinstance(data, list):
+            raise ValueError("an element is not a list of terms")
         raw = []
-        for item in data:
-            words = [[space.index(name) for name in word] for word in item["words"]]
-            raw.append((item.get("gamma", 0), item.get("nu", 0), words, parse_scalar(item["coeff"])))
+        for i, item in enumerate(data):
+            what = f"element term {i}"
+            words = [[space.index(name) for name in word]
+                     for word in _field(item, "words", what, list)]
+            raw.append((item.get("gamma", 0), item.get("nu", 0), words,
+                        parse_scalar(_field(item, "coeff", what))))
         return cls.from_terms(space, flavor, raw)

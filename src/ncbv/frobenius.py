@@ -30,9 +30,9 @@ collapse to N^b Tr(A^11...A^1k_1) ... Tr(A^m1...A^mk_m), which
 from functools import reduce
 
 from .morita import decorate, decorate_map, decorate_unit
-from .scalar import ONE, ZERO, Scalar, add_to, as_int, format_scalar, parse_scalar
-from .space import (_check_unit, _checked_pairing, _field, _map_json, _read_map, _sized,
-                    _structure_map, dense)
+from .scalar import ONE, ZERO, Scalar, _field, add_to, as_int, format_scalar, parse_scalar
+from .space import (_check_unit, _checked_pairing, _map_json, _read_map, _sized, _structure_map,
+                    dense)
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}

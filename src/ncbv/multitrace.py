@@ -10,7 +10,7 @@ import, so the exact commands never load it.
 """
 
 from .element import CYCLIC, Element
-from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
+from .scalar import Scalar, _field, add_to, as_int, format_scalar, parse_scalar
 
 
 class _Numpy:
@@ -141,8 +141,9 @@ class MultiTraceFunctional:
     @classmethod
     def from_json(cls, data: dict) -> "MultiTraceFunctional":
         out = cls()
-        for item in data["terms"]:
-            add_to(out.terms, _key(item["nu_power"], item["traces"]),
-                   parse_scalar(item["coeff"]))
+        for i, item in enumerate(_field(data, "terms", "the trace functional", list)):
+            what = f"trace functional term {i}"
+            key = _key(_field(item, "nu_power", what), _field(item, "traces", what, list))
+            add_to(out.terms, key, parse_scalar(_field(item, "coeff", what)))
         return out
 

@@ -1,6 +1,8 @@
 """Polynomials in the formal variable nu with exact coefficients."""
 
-from .scalar import Scalar, add_to, as_int, format_scalar, parse_scalar
+from collections.abc import Mapping
+
+from .scalar import Scalar, _field, add_to, as_int, format_scalar, parse_scalar
 
 
 def _exponent(exp) -> int:
@@ -128,7 +130,7 @@ class NuPolynomial:
     @classmethod
     def from_json(cls, data: dict) -> "NuPolynomial":
         out = cls()
-        for exp, c in data["coeffs"].items():
+        for exp, c in _field(data, "coeffs", "the polynomial", Mapping).items():
             add_to(out.coeffs, _exponent(exp), parse_scalar(c))
         return out
 

@@ -20,8 +20,12 @@ through ``add_to`` pass through ``Scalar``.
 Every sparse map from keys to exact coefficients stores nonzero values
 only and is updated through ``add_to``, which also turns a sum whose
 denominator becomes 1 back into an ``int``.
+
+``_field`` is the one reader of a field of outside JSON, for every
+``from_json`` in the package, so it sits here, below them all.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 ZERO = 0
@@ -93,6 +97,21 @@ def as_int(value, what: str) -> int:
             if isinstance(value, str) or out == value:
                 return out
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _field(data, key: str, what: str, kind=object):
+    """``data[key]`` of the JSON object ``what``, the one reader of a field of
+    outside JSON: a missing field, or one that is not a ``kind``, raises
+    ``ValueError`` naming the object and the field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{what} has no field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} field {key!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
 
 
 def format_scalar(value) -> str:

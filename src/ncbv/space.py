@@ -10,9 +10,8 @@ every bracket, cobracket and Laplacian in the package.  The structure
 maps of cyclic A-infinity and Frobenius algebras are held alike, as
 {args: {out: nonzero c}}: ``_structure_map`` is their one checker and
 normalizer, ``_check_unit`` their one unit law, ``_map_json`` and
-``_read_map`` their JSON writer and reader.  ``_field`` reads each field
-of space, A-infinity and Frobenius JSON, refusing a missing or
-ill-typed one by name.
+``_read_map`` their JSON writer and reader; ``scalar._field`` reads
+each field of their JSON, refusing a missing or ill-typed one by name.
 
 Sign conventions.  The pairing is supported on pairs of basis vectors
 whose degrees sum to an odd number and is plainly antisymmetric there.
@@ -33,7 +32,7 @@ over nonzero entries only, whether B was supplied or solved for.
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 
-from .scalar import ONE, ZERO, Scalar, add_to, as_int, div, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, _field, add_to, as_int, div, format_scalar, parse_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Form = tuple[dict[int, Scalar], ...]  # row i is {column j: nonzero entry}
@@ -184,21 +183,6 @@ def _map_json(table: dict) -> list:
     """A structure map as JSON: one entry {"args": [...], "out": {...}} per args, sorted."""
     return [{"args": list(args), "out": {str(o): format_scalar(c) for o, c in images.items()}}
             for args, images in sorted(table.items())]
-
-
-def _field(data, key: str, what: str, kind=object):
-    """``data[key]`` of the JSON object ``what``, the one reader of a field of
-    outside JSON here: a missing field, or one that is not a ``kind``, raises
-    ``ValueError`` naming the object and the field."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{what} is not a JSON object")
-    if key not in data:
-        raise ValueError(f"{what} has no field {key!r}")
-    value = data[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} field {key!r} must be a {kind.__name__}, "
-                         f"not {type(value).__name__}")
-    return value
 
 
 def _read_map(entries, what: str) -> dict:

@@ -1,11 +1,14 @@
 """The command-line surface: outputs, determinism, exit codes, schemas."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from ncbv.cli import main
+from ncbv import cli
+from ncbv.cli import _check_printable, main
+from ncbv.harer_zagier import double_factorial
 from ncbv.nupoly import NuPolynomial
 from test_serialization import make_validator
 
@@ -36,6 +39,39 @@ def test_moments_odd_sum_is_zero(capsys):
     code, out = run(capsys, "moments", "--idx", "3", "--output", "json")
     assert code == 0
     assert json.loads(out)["polynomial"]["coeffs"] == {}
+
+
+def test_moments_refuses_an_unprintable_result_up_front(capsys, monkeypatch):
+    """(2847)!! is the first (T-1)!! past CPython's default 4,300 digits:
+    2,848 ones exit 2 naming --idx, before the reducer is touched."""
+
+    def no_reduction():
+        raise AssertionError("the reducer ran before the refusal")
+
+    monkeypatch.setattr(cli, "default_reducer", no_reduction)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code = main(["moments", "--idx", ",".join(["1"] * 2848), "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--idx sums to 2848" in captured.err and "4300-digit limit" in captured.err
+
+
+@pytest.mark.parametrize("limit, ones, refused", [
+    (4300, 2846, False),  # 2845!! has 4,298 digits
+    (4300, 2848, True),
+    (4300, 2849, False),  # an odd sum: the moment is 0
+    (0, 2848, False),  # no limit
+])
+def test_printable_bound_is_the_double_factorial(monkeypatch, limit, ones, refused):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    if limit and ones % 2 == 0:  # more than 4,300 digits, counted without printing
+        assert (double_factorial(ones - 1) >= 10**4300) == refused
+    if refused:
+        with pytest.raises(ValueError, match="--idx"):
+            _check_printable((1,) * ones)
+    else:
+        _check_printable((1,) * ones)
 
 
 def test_moments_csv_roundtrips(capsys):

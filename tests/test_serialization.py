@@ -194,6 +194,66 @@ def test_a_missing_or_ill_typed_field_is_refused_by_name(case):
         cls.from_json(data)
 
 
+def _term(**fields):
+    """One JSON term, with a field given as ``DELETE`` left out."""
+    return {key: value for key, value in fields.items() if value is not DELETE}
+
+
+def _functional_term(nu_power=0, traces=None, coeff="1"):
+    """A one-term trace functional, 1 * Tr X^2 unless a field is given."""
+    traces = [2] if traces is None else traces
+    return {"terms": [_term(nu_power=nu_power, traces=traces, coeff=coeff)]}
+
+
+def _element(words=None, coeff="1"):
+    """A one-term element, 1 * xx unless a field is given."""
+    words = [["x", "x"]] if words is None else words
+    return Element.from_json(sigma_a_space(), CYCLIC, [_term(words=words, coeff=coeff)])
+
+
+TERM_FIELDS = {
+    "polynomial-empty": (lambda: NuPolynomial.from_json({}),
+                         "the polynomial has no field 'coeffs'"),
+    "polynomial-coeffs-a-list": (lambda: NuPolynomial.from_json({"coeffs": [["1", "1"]]}),
+                                 "the polynomial field 'coeffs' must be a Mapping, not list"),
+    "polynomial-not-an-object": (lambda: NuPolynomial.from_json([]),
+                                 "the polynomial is not a JSON object"),
+    "functional-empty": (lambda: MultiTraceFunctional.from_json({}),
+                         "the trace functional has no field 'terms'"),
+    "functional-nu-power-missing": (
+        lambda: MultiTraceFunctional.from_json(_functional_term(nu_power=DELETE)),
+        "trace functional term 0 has no field 'nu_power'"),
+    "functional-traces-missing": (
+        lambda: MultiTraceFunctional.from_json(_functional_term(traces=DELETE)),
+        "trace functional term 0 has no field 'traces'"),
+    "functional-coeff-missing": (
+        lambda: MultiTraceFunctional.from_json(_functional_term(coeff=DELETE)),
+        "trace functional term 0 has no field 'coeff'"),
+    "functional-term-not-an-object": (
+        lambda: MultiTraceFunctional.from_json({"terms": [3]}),
+        "trace functional term 0 is not a JSON object"),
+    "element-words-missing": (lambda: _element(words=DELETE),
+                              "element term 0 has no field 'words'"),
+    "element-coeff-missing": (lambda: _element(coeff=DELETE),
+                              "element term 0 has no field 'coeff'"),
+    "element-term-not-an-object": (
+        lambda: Element.from_json(sigma_a_space(), CYCLIC, [["x"]]),
+        "element term 0 is not a JSON object"),
+    "element-not-a-list": (
+        lambda: Element.from_json(sigma_a_space(), CYCLIC, {"words": [["x"]], "coeff": "1"}),
+        "an element is not a list of terms"),
+}
+
+
+@pytest.mark.parametrize("case", TERM_FIELDS)
+def test_a_missing_term_field_is_refused_by_name(case):
+    """The polynomial, trace-functional and element readers name the
+    object and the field they miss, as the space and algebra readers do."""
+    read, match = TERM_FIELDS[case]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        read()
+
+
 def test_space_json_keeps_the_dual_scales():
     """The scales fix how structure maps are encoded in a space's letters,
     so its JSON keeps them and equal spaces have equal scales; a space

@@ -45,3 +45,20 @@ def test_matrix_counter_sees_every_sample(monkeypatch):
         tracer.reset()
         monte_carlo_moment((2,), 3, 10_001, seed=0, chunk=4097, threads=threads)
         assert tracer.summary()["counters"] == {"sampling.matrices": 10_001}
+
+
+def test_matching_counter_sees_each_matching_once(monkeypatch):
+    """``wick.matchings`` sums the histograms ``cycle_counts_by_matching``
+    returns, so the per-cycle-type leaf counts must not go through it."""
+    from ncbv import wick
+
+    module = _tracer_module()
+    name, _, attr, store, before, after = next(
+        row for row in module.TARGETS if row[0] == "wick.cycle_counts"
+    )
+    tracer = module.Tracer()
+    monkeypatch.setattr(wick, attr, tracer.wrap(name, getattr(wick, attr), store, before, after))
+    wick._type_counts.cache_clear()  # leaf histograms are built inside the traced calls
+    wick.wick_oracle((14,))
+    wick.wick_oracle((2, 4, 8))
+    assert tracer.summary()["counters"] == {"wick.matchings": 2 * 135_135}

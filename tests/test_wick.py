@@ -1,10 +1,28 @@
 """The Wick pairing oracle and its hand-checked base cases."""
 
+import random
+
 import pytest
 
 from ncbv import NuPolynomial, Scalar, double_factorial, reduce_to_polynomial, wick_oracle
 from ncbv.verify import _partitions_up_to
-from ncbv.wick import BLOCK, MAX_CAP, block_permutation, cycle_counts_by_matching
+from ncbv.wick import (BLOCK, MAX_CAP, _cycle_type, _type_counts, block_permutation,
+                       cycle_counts_by_matching)
+
+
+def count_cycles(permutation: list[int]) -> int:
+    """The number of cycles of a permutation in image form."""
+    seen = [False] * len(permutation)
+    cycles = 0
+    for start in range(len(permutation)):
+        if seen[start]:
+            continue
+        cycles += 1
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            point = permutation[point]
+    return cycles
 
 
 def scalar_cycle_counts(parts) -> dict[int, int]:
@@ -15,24 +33,11 @@ def scalar_cycle_counts(parts) -> dict[int, int]:
     counts: dict[int, int] = {}
     partner = [-1] * total
 
-    def count_cycles() -> int:
-        seen = [False] * total
-        cycles = 0
-        for start in range(total):
-            if seen[start]:
-                continue
-            cycles += 1
-            point = start
-            while not seen[point]:
-                seen[point] = True
-                point = gamma[partner[point]]
-        return cycles
-
     def walk(first: int) -> None:
         while first < total and partner[first] != -1:
             first += 1
         if first == total:
-            cycles = count_cycles()
+            cycles = count_cycles([gamma[partner[point]] for point in range(total)])
             counts[cycles] = counts.get(cycles, 0) + 1
             return
         for other in range(first + 1, total):
@@ -140,3 +145,48 @@ def test_matches_reduction_on_every_partition_of_fourteen():
     assert len(partitions) == 135
     for idx in partitions:
         assert wick_oracle(idx) == reduce_to_polynomial(idx), idx
+
+
+def test_matches_reduction_on_every_partition_of_sixteen():
+    partitions = [idx for idx in _partitions_up_to(16) if sum(idx) == 16]
+    assert len(partitions) == 231
+    for idx in partitions:
+        assert wick_oracle(idx) == reduce_to_polynomial(idx), idx
+
+
+def matchings(points: list[int]):
+    """Every matching of ``points`` as a partner dict, one at a time."""
+    if not points:
+        yield {}
+        return
+    first, rest = points[0], points[1:]
+    for other in rest:
+        for partner in matchings([p for p in rest if p != other]):
+            yield {**partner, first: other, other: first}
+
+
+def brute_cycle_counts(sigma: list[int]) -> dict[int, int]:
+    """{#cycles(rho . sigma): number of matchings rho of range(len(sigma))}."""
+    counts: dict[int, int] = {}
+    for rho in matchings(list(range(len(sigma)))):
+        cycles = count_cycles([rho[sigma[point]] for point in range(len(sigma))])
+        counts[cycles] = counts.get(cycles, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("points", range(0, BLOCK + 1, 2))
+def test_leaf_histogram_depends_only_on_cycle_type(points):
+    # the identity (all fixed points) and one full cycle have different
+    # histograms for every points >= 2, so a lookup keyed by the number of
+    # points alone cannot pass
+    rng = random.Random(points)
+    sigmas = [list(range(points)), [(point + 1) % points for point in range(points)]]
+    sigmas += [rng.sample(range(points), points) for _ in range(8)]
+    for sigma in sigmas:
+        assert dict(_type_counts(_cycle_type(sigma))) == brute_cycle_counts(sigma), sigma
+
+
+def test_cycle_type_counts_fixed_points():
+    assert _cycle_type([]) == ()
+    assert _cycle_type([0, 2, 1, 4, 5, 3]) == (1, 2, 3)
+    assert _cycle_type(block_permutation((3, 1, 2))) == (1, 2, 3)

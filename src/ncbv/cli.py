@@ -9,6 +9,7 @@ invocations produce byte-identical reports.  Exit codes: 0 success,
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 
 from . import verify as verify_mod
 from .harer_zagier import (
@@ -73,27 +74,55 @@ def _render(args, payload, plain: str, csv: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _check_printable(idx) -> None:
-    """Refuse, before any reduction, an index whose moment may have a
-    coefficient past CPython's limit on printing an int (0 means none).
-    Every coefficient is a count of matchings of the T = sum(idx) letters,
-    so at most (T-1)!!, which the all-ones index attains."""
+def _reaches_limit(factors) -> int:
+    """CPython's limit on printing an int (0 means none) when the product
+    of ``factors`` reaches 10^limit, else 0; an early-exit product, so
+    the bound is never built past the limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound = 10**limit
+        product = 1
+        for factor in factors:
+            product *= factor
+            if product >= bound:
+                return limit
+    return 0
+
+
+def _moment_bound(total, size, power):
+    """Factors of (T-1)!! * max(1, |N|)^power, a bound on |p(N)| for a
+    moment polynomial of index sum T and degree at most ``power`` in N:
+    its coefficients count matchings of the T letters, so they are
+    nonnegative and sum to p(1) = (T-1)!!."""
+    return chain(range(3, total, 2), repeat(max(1, abs(size)), power))
+
+
+def _check_printable(idx, size=None) -> None:
+    """Refuse, before any reduction, an index whose moment may have a
+    coefficient, or a value at N = ``size``, past CPython's limit on
+    printing an int.  Every coefficient is a count of matchings of the
+    T = sum(idx) letters, so at most (T-1)!!, which the all-ones index
+    attains; p has degree at most T/2 + k in N for k traces."""
     total = sum(idx)
-    if not limit or total % 2:
+    if total % 2:
         return
-    bound = 10 ** limit
-    matchings = 1
-    for odd in range(3, total, 2):
-        matchings *= odd
-        if matchings >= bound:
-            raise ValueError(
-                f"--idx sums to {total}, and its moment's coefficients reach "
-                f"{total - 1}!!, past the {limit}-digit limit on printing an integer")
+    limit = _reaches_limit(range(3, total, 2))
+    if limit:
+        raise ValueError(
+            f"--idx sums to {total}, and its moment's coefficients reach "
+            f"{total - 1}!!, past the {limit}-digit limit on printing an integer")
+    if size is None:
+        return
+    power = total // 2 + len(idx)
+    limit = _reaches_limit(_moment_bound(total, size, power))
+    if limit:
+        raise ValueError(
+            f"--N {size} with an index sum of {total}: p(N) may reach "
+            f"{total - 1}!! * |N|^{power}, past the {limit}-digit limit on printing an integer")
 
 
 def cmd_moments(args) -> int:
-    _check_printable(args.idx)
+    _check_printable(args.idx, args.N)
     reducer = default_reducer()
     poly = reducer.reduce(args.idx)
     payload = {"idx": list(canonical_index(args.idx)), "polynomial": poly.to_json()}
@@ -160,6 +189,12 @@ def cmd_hz(args) -> int:
     if (args.k is None) != (args.N is None):
         raise ValueError("--k requires --N" if args.N is None else "--N requires --k")
     if args.k is not None:
+        # I^N_{2k} = <Tr X^{2k}> has degree k + 1 in N
+        limit = _reaches_limit(_moment_bound(2 * args.k, args.N, args.k + 1))
+        if limit:
+            raise ValueError(
+                f"--k {args.k} with --N {args.N}: I^N_2k may reach (2k-1)!! * |N|^(k+1), "
+                f"past the {limit}-digit limit on printing an integer")
         value = harer_zagier_closed(args.k, args.N)
         payload = {"k": args.k, "N": args.N, "moment": format_scalar(value)}
         _render(args, payload, f"I^{args.N}_{2 * args.k} = {format_scalar(value)}")

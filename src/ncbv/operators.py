@@ -36,39 +36,57 @@ Raw terms are summed per call, and each distinct raw monomial is
 canonicalized once: each operator call collects its raw terms in one map
 {(gamma, nu, raw_words): coeff} (``_pairs`` and ``_cobracket`` write
 into their caller's map, so delta_K's gamma-raised pairs share the
-cobracket's) and builds its result through ``Element._from_raw``.  All m
-splices of {x^{l-1} xi, x^m}, for instance, are one raw word.
+cobracket's) and builds its result through ``Element._from_raw``.
+
+A periodic word is contracted once per period: ``bracket_words`` walks
+one smallest period of each word, read from the space's word memo
+through ``words.word_period``, and counts each term once per pair of
+periods.  All m splices of {x^{l-1} xi, x^m}, for instance, are one
+term m x^{l+m-2}, spliced once, since x^m has period 1.
 
 Each context memoizes the contraction of cyclic words: ``_splice_words``
 stores ``bracket_words(space, u, v)`` per pair (u, v), summed per
-spliced word (those m splices are one entry), and the parities the
-kernels need are read from the space's word memo through
-``words.word_parity``.  Both memos hold pure functions of their keys,
-so threads sharing a context at worst store an equal value twice.
+spliced word, and the parities the kernels need are read from the
+space's word memo through ``words.word_parity``.  Both memos hold pure
+functions of their keys, so threads sharing a context at worst store an
+equal value twice.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import sigma
 from .scalar import Scalar, add_to
-from .words import prefix_parities, rotation_sign, word_parity
+from .words import prefix_parities, rotation_sign, word_parity, word_period
 
 
 def bracket_words(space, u, v):
     """Raw bracket of two cyclic words: list of (coeff, spliced letters).
 
     Pairs letter a_i of u with letter b_j of v through the inverse form
-    and splices the remaining arcs into one cyclic word.
+    and splices the remaining arcs into one cyclic word.  Positions one
+    smallest period p apart carry the same letter, give the same splice
+    and, in a nonzero class, the same sign (P_p is even in an even
+    word), so i runs over the first p_u letters of u, j over the first
+    p_v of v, and each term counts (|u|/p_u)(|v|/p_v) times.  In a zero
+    class the terms cancel in pairs one period apart, so a zero class
+    contracts to nothing.  A nonzero class has P_p = T mod 2, so the
+    prefix parities of one period give every sign.
     """
+    period_u, period_v = word_period(space, u), word_period(space, v)
+    if period_u is None or period_v is None:
+        return []
+    copies = len(u) // period_u * (len(v) // period_v)
     inv = space.inverse
     parities = space.parities
-    prefix_u = prefix_parities(space, u)
-    prefix_v = prefix_parities(space, v)
+    prefix_u = prefix_parities(space, u[:period_u])
+    prefix_v = prefix_parities(space, v[:period_v])
     out = []
-    for i, a in enumerate(u):
+    for i in range(period_u):
+        a = u[i]
         rest_parity = prefix_u[-1] ^ parities[a]
         sign_u = rotation_sign(prefix_u, i)
         row = inv[a]
-        for j, b in enumerate(v):
+        for j in range(period_v):
+            b = v[j]
             coeff = row.get(b)
             if not coeff:
                 continue
@@ -76,7 +94,7 @@ def bracket_words(space, u, v):
             if rest_parity and parities[b]:
                 sign = -sign
             splice = u[i + 1 :] + u[:i] + v[j + 1 :] + v[:j]
-            out.append((sign * coeff, splice))
+            out.append((copies * sign * coeff, splice))
     return out
 
 

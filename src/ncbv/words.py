@@ -25,14 +25,16 @@ even and central.
 
 Each space memoizes its words: ``canonicalize_cyclic`` stores, in the
 space's private dict ``_words``, every raw word it canonicalizes as
-((canonical word, rotation sign), parity), or ``None`` for a zero class,
-and every canonical word under itself with sign +1.  The entry is a pure
-function of the word and the space, so ``sort_words``, ``word_parity``
-and the operators read a canonical word's parity from it instead of
-walking its letters again.  A word is stored only after its letters
-passed ``prefix_parities``, and only when they are ints (``True`` and
-``1.0`` would otherwise share the entry of 1); one with a letter out of
-range raises and is never stored.
+((canonical word, rotation sign), parity, smallest period), or ``None``
+for a zero class, and every canonical word under itself with sign +1.
+The period is the one ``_class_entry`` stops its rotation scan at (the
+length for an aperiodic word).  The entry is a pure function of the word
+and the space, so ``sort_words``, ``word_parity`` and the operators read
+a canonical word's parity, and ``word_period`` its period, from it
+instead of walking its letters again.  A word is stored only after its
+letters passed ``prefix_parities``, and only when they are ints
+(``True`` and ``1.0`` would otherwise share the entry of 1); one with a
+letter out of range raises and is never stored.
 """
 
 from typing import NamedTuple, Optional
@@ -95,27 +97,41 @@ def canonicalize_cyclic(letters, space) -> Optional[tuple[Word, int]]:
             memo[word] = entry
             if entry is not None:
                 canonical = entry[0][0]
-                memo[canonical] = ((canonical, 1), entry[1])
+                memo[canonical] = ((canonical, 1),) + entry[1:]
     return None if entry is None else entry[0]
 
 
-def _class_entry(space, word) -> Optional[tuple[tuple[Word, int], int]]:
-    """((canonical word, rotation sign), parity) of a raw word, or ``None``
-    for a zero class; the letters are checked by ``prefix_parities``."""
+def word_period(space, word: Word) -> Optional[int]:
+    """Smallest period of ``word`` (its length when aperiodic), or ``None``
+    for a zero class: read from its memo entry (every word canonicalized
+    over this space has one), else from ``_class_entry``, which checks the
+    letters."""
+    entry = space._words.get(word, _UNSEEN)
+    if entry is _UNSEEN:
+        entry = _class_entry(space, word)
+    return None if entry is None else entry[2]
+
+
+def _class_entry(space, word) -> Optional[tuple[tuple[Word, int], int, int]]:
+    """((canonical word, rotation sign), parity, smallest period) of a raw
+    word, or ``None`` for a zero class; the letters are checked by
+    ``prefix_parities``."""
     if not word:
         raise ValueError("cyclic words are nonempty; the empty word is the nu variable")
     prefix = prefix_parities(space, word)
     best_word, best_i = word, 0
+    period = len(word)
     for i in range(1, len(word)):
         rotated = word[i:] + word[:i]
         if rotated == word:
             # i is the smallest period; later rotations repeat the first i
             if rotation_sign(prefix, i) < 0:
                 return None
+            period = i
             break
         if rotated < best_word:
             best_word, best_i = rotated, i
-    return (best_word, rotation_sign(prefix, best_i)), prefix[-1]
+    return (best_word, rotation_sign(prefix, best_i)), prefix[-1], period
 
 
 def sort_words(space, words) -> Optional[tuple[tuple[Word, ...], int]]:

@@ -74,6 +74,57 @@ def test_printable_bound_is_the_double_factorial(monkeypatch, limit, ones, refus
         _check_printable((1,) * ones)
 
 
+@pytest.mark.parametrize("idx, size, refused", [
+    ("60", 10**150, True),  # 59!! * N^31 has about 4,690 digits
+    ("2", 10**2150, True),  # p_(2) = N^2: the bound is attained
+    ("2", 10**2150 - 1, False),  # N^2 has exactly 4,300 digits
+])
+def test_moments_refuses_an_unprintable_value_up_front(capsys, monkeypatch, idx, size, refused):
+    """|p(N)| <= (T-1)!! * max(1, |N|)^(T/2 + k): past the limit, --N is
+    refused with exit 2 before the reducer is touched."""
+    if refused:
+        def no_reduction():
+            raise AssertionError("the reducer ran before the refusal")
+
+        monkeypatch.setattr(cli, "default_reducer", no_reduction)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code = main(["moments", "--idx", idx, "--N", str(size), "--output", "json"])
+    captured = capsys.readouterr()
+    if refused:
+        assert code == 2 and captured.out == ""
+        assert f"--N {size}" in captured.err and "4300-digit limit" in captured.err
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["value_at_N"] == str(size * size)
+
+
+@pytest.mark.parametrize("k, size, refused", [
+    (2000, 10**6, True),
+    (1, 10**2150, True),  # I^N_2 = N^2: the bound is attained
+    (1, 10**2150 - 1, False),  # N^2 has exactly 4,300 digits
+])
+def test_hz_refuses_an_unprintable_moment_up_front(capsys, monkeypatch, k, size, refused):
+    """|I^N_2k| <= (2k-1)!! * max(1, |N|)^(k+1): past the limit, --k is
+    refused with exit 2 before the closed form is computed."""
+    real = cli.harer_zagier_closed
+
+    def closed_form(k, size):
+        if refused:
+            raise AssertionError("the closed form ran before the refusal")
+        return real(k, size)
+
+    monkeypatch.setattr(cli, "harer_zagier_closed", closed_form)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code = main(["hz", "--k", str(k), "--N", str(size), "--output", "json"])
+    captured = capsys.readouterr()
+    if refused:
+        assert code == 2 and captured.out == ""
+        assert f"--k {k}" in captured.err and "4300-digit limit" in captured.err
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["moment"] == str(size * size)
+
+
 def test_moments_csv_roundtrips(capsys):
     code, out = run(capsys, "moments", "--idx", "2,2", "--output", "csv")
     assert code == 0

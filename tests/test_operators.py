@@ -249,10 +249,19 @@ def reference_cobracket_word(space, w):
     return out
 
 
+def per_splice(pairs):
+    """A raw bracket list summed per spliced word, zero sums dropped."""
+    summed = {}
+    for c, splice in pairs:
+        summed[splice] = summed.get(splice, 0) + c
+    return {splice: c for splice, c in summed.items() if c}
+
+
 def test_word_contractions_match_stepwise_rotation_signs():
-    """bracket_words and cobracket_word, entry for entry and in order,
-    against rotation signs folded one letter at a time, over random
-    canonical words of length 1-8 (periodic words u^m included)."""
+    """cobracket_word entry for entry and in order, and bracket_words
+    summed per splice (it walks one period of each word), against
+    rotation signs folded one letter at a time, over random canonical
+    words of length 1-8 (periodic words u^m included)."""
     rng = random.Random(83)
     flipped = periodic = 0
     for _ in range(300):
@@ -270,8 +279,31 @@ def test_word_contractions_match_stepwise_rotation_signs():
             flipped += -1 in stepwise_rotation_signs(space, w)
             periodic += any(w == w[p:] + w[:p] for p in range(1, len(w)))
         for u, v in zip(words, words[1:]):
-            assert bracket_words(space, u, v) == reference_bracket_words(space, u, v)
+            expected = per_splice(reference_bracket_words(space, u, v))
+            assert per_splice(bracket_words(space, u, v)) == expected
     assert flipped and periodic
+
+
+def test_a_zero_class_contracts_to_nothing():
+    """An odd unit repeated an even number of times is an even word whose
+    smallest period has odd parity: a zero class.  The full walk's terms
+    cancel per splice, and bracket_words returns no term at all."""
+    rng = random.Random(89)
+    cancelled = 0
+    for _ in range(300):
+        space = random_space(rng)
+        unit = [rng.randrange(space.dim) for _ in range(rng.randint(1, 4))]
+        if sum(space.parities[letter] for letter in unit) % 2 == 0:
+            continue
+        zero = tuple(unit * rng.choice((2, 4)))
+        assert canonicalize_cyclic(zero, space) is None
+        other = tuple(rng.randrange(space.dim) for _ in range(rng.randint(1, 5)))
+        for u, v in ((zero, other), (other, zero), (zero, zero)):
+            full = reference_bracket_words(space, u, v)
+            assert per_splice(full) == {}
+            assert bracket_words(space, u, v) == []
+            cancelled += bool(full)
+    assert cancelled
 
 
 def two_letter_part(element):

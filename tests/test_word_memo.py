@@ -16,7 +16,8 @@ from ncbv.operators import OperatorContext, bracket_words
 from ncbv.reduction import XI, X
 from ncbv.space import GradedSymplecticSpace, hyperbolic_space
 from ncbv.verify import _random_cases, random_cyclic_element
-from ncbv.words import canonicalize_cyclic, prefix_parities, rotation_sign, word_parity
+from ncbv.words import (canonicalize_cyclic, prefix_parities, rotation_sign, word_parity,
+                        word_period)
 
 
 def reference_canonical(letters, space):
@@ -41,6 +42,11 @@ def reference_parity(space, word):
     return sum(space.parities[letter] for letter in word) % 2
 
 
+def reference_period(word):
+    """The smallest p with word[p:] + word[:p] == word."""
+    return next(p for p in range(1, len(word) + 1) if word[p:] + word[:p] == word)
+
+
 def random_words(rng, space, count=12):
     """Random words and periodic words u^m, so zero classes occur."""
     for _ in range(count):
@@ -59,14 +65,16 @@ def test_memoized_classes_equal_the_uncached_reference():
             for _ in range(2):  # the first call may fill the memo, the second reads it
                 assert canonicalize_cyclic(word, space) == expected
             parity = reference_parity(space, raw)
+            period = None if expected is None else reference_period(raw)
             if expected is None:
                 zeros += 1
                 assert space._words[raw] is None
             else:
                 canon, sign = expected
-                assert space._words[raw] == ((canon, sign), parity)
-                assert space._words[canon] == ((canon, 1), parity)
+                assert space._words[raw] == ((canon, sign), parity, period)
+                assert space._words[canon] == ((canon, 1), parity, period)
             assert word_parity(space, raw) == parity
+            assert word_period(space, raw) == period
     assert zeros and hits
 
 
@@ -114,7 +122,7 @@ def test_spaces_with_other_degrees_keep_their_own_entries():
     assert canonicalize_cyclic([1, 0], odd) == ((0, 1), 1)
     assert word_parity(even, (0, 1)) == word_parity(odd, (0, 1)) == 1
     assert even._words is not odd._words
-    assert even._words[(0, 0)] == (((0, 0), 1), 0) and odd._words[(0, 0)] is None
+    assert even._words[(0, 0)] == (((0, 0), 1), 0, 1) and odd._words[(0, 0)] is None
 
 
 def test_summed_splices_equal_bracket_words_summed_by_hand(monkeypatch):
@@ -149,10 +157,11 @@ def test_summed_splices_equal_bracket_words_summed_by_hand(monkeypatch):
 
 @pytest.mark.parametrize("l, m", [(2, 1), (5, 3), (20, 20)])
 def test_equal_splices_are_one_entry(l, m):
-    """The m splices of {x^{l-1} xi, x^m} are the one word x^{l+m-2}."""
+    """The m splices of {x^{l-1} xi, x^m} are the one word x^{l+m-2},
+    spliced once: x^m has period 1."""
     ctx = OperatorContext(sigma_a_space())
     pivot, power = (X,) * (l - 1) + (XI,), (X,) * m
-    assert len(bracket_words(ctx.space, pivot, power)) == m
+    assert bracket_words(ctx.space, pivot, power) == [(m, (X,) * (l + m - 2))]
     assert ctx._splice_words(pivot, power) == [(m, ((X,) * (l + m - 2),))]
 
 

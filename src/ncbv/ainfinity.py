@@ -29,8 +29,9 @@ from collections.abc import Mapping
 from .element import COMMUTATIVE, CYCLIC, Element
 from .morita import MatrixExtension, decorate, decorate_map, decorate_unit
 from .scalar import ZERO, Scalar, _field, add_to, as_int, div, format_scalar, parse_scalar
-from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales, _map_json,
-                    _read_basis, _read_map, _sized, _structure_map, dense)
+from .space import (GradedSymplecticSpace, _check_unit, _checked_pairing, _dual_scales,
+                    _form_json, _map_json, _read_basis, _read_form, _read_map, _sized,
+                    _structure_map)
 
 
 class CyclicAInfinity:
@@ -87,10 +88,8 @@ class CyclicAInfinity:
 
     def to_json(self) -> dict:
         return {
-            "basis": [
-                {"name": name, "degree": deg} for name, deg in zip(self.basis, self.degrees)
-            ],
-            "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
+            "basis": [{"name": n, "degree": d} for n, d in zip(self.basis, self.degrees)],
+            "pairing": _form_json(self.pairing),
             "ops": {str(k): _map_json(table) for k, table in sorted(self.ops.items())},
             "unit": None if self.unit is None else [format_scalar(c) for c in self.unit],
         }
@@ -99,11 +98,10 @@ class CyclicAInfinity:
     def from_json(cls, data: dict) -> "CyclicAInfinity":
         what = "the cyclic A-infinity algebra"
         basis, degrees = _read_basis(_field(data, "basis", what, list), "basis vector")
-        pairing = tuple(tuple(parse_scalar(c) for c in row)
-                        for row in _field(data, "pairing", what, list))
+        pairing = _read_form(_field(data, "pairing", what), len(basis), "the pairing")
         ops = {k: _read_map(entries, f"structure map m_{k}")
                for k, entries in _field(data, "ops", what, Mapping).items()}
-        unit = data.get("unit")
+        unit = _field(data, "unit", what, list, default=None)
         return cls(basis, degrees, pairing, ops,
                    unit=None if unit is None else tuple(map(parse_scalar, unit)))
 

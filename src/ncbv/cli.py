@@ -14,6 +14,7 @@ from itertools import chain, repeat
 from . import verify as verify_mod
 from .harer_zagier import (
     catalan_leading_check,
+    check_k_max,
     harer_zagier_closed,
     hz_closed_form_check,
     hz_recurrence_check,
@@ -26,6 +27,7 @@ from .wick import DEFAULT_CAP, wick_oracle
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+OTFT_MAX_N = 40  # building matrix_frobenius(N) grows about like N^4 in time and memory
 
 
 def _pieces(text: str) -> list[str]:
@@ -200,8 +202,7 @@ def cmd_hz(args) -> int:
         _render(args, payload, f"I^{args.N}_{2 * args.k} = {format_scalar(value)}")
         return 0
     k_max = args.kmax
-    if k_max < 2:
-        raise ValueError(f"--kmax {k_max} must be at least 2")
+    check_k_max(k_max, "--kmax")
     return _emit_reports(args, [
         hz_recurrence_check(k_max),
         hz_closed_form_check(min(k_max, 10), 6),
@@ -210,6 +211,17 @@ def cmd_hz(args) -> int:
 
 
 def cmd_otft(args) -> int:
+    size = args.N
+    if size > OTFT_MAX_N:
+        raise ValueError(f"--N {size} exceeds the largest otft matrix size {OTFT_MAX_N}")
+    # entries lie in -2..2, so |Tr(A_1 ... A_k)| <= N (2N)^k
+    traces = (chain((size,), repeat(2 * size, k)) for k in args.boundaries)
+    limit = _reaches_limit(chain(repeat(size, args.free), *traces))
+    if limit:
+        raise ValueError(
+            f"--free {args.free} with --boundaries {','.join(map(str, args.boundaries))} at "
+            f"--N {size}: the value may reach N^b * prod N(2N)^k_i, past the {limit}-digit "
+            "limit on printing an integer")
     _, value, expected = verify_mod.otft_trace_case(
         args.seed, args.N, args.genus, args.free, args.boundaries)
     payload = {

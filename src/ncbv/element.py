@@ -253,7 +253,7 @@ class Element:
         for i, item in enumerate(data):
             what = f"element term {i}"
             words = [[space.index(name) for name in word]
-                     for word in _field(item, "words", what, list)]
-            raw.append((item.get("gamma", 0), item.get("nu", 0), words,
-                        parse_scalar(_field(item, "coeff", what))))
+                     for word in _field(item, "words", what, list, each=list)]
+            raw.append((_field(item, "gamma", what, default=0), _field(item, "nu", what, default=0),
+                        words, parse_scalar(_field(item, "coeff", what))))
         return cls.from_terms(space, flavor, raw)

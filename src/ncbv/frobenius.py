@@ -31,8 +31,8 @@ from functools import reduce
 
 from .morita import decorate, decorate_map, decorate_unit
 from .scalar import ONE, ZERO, Scalar, _field, add_to, as_int, format_scalar, parse_scalar
-from .space import (_check_unit, _checked_pairing, _map_json, _read_map, _sized, _structure_map,
-                    dense)
+from .space import (_check_unit, _checked_pairing, _form_json, _map_json, _read_form, _read_map,
+                    _sized, _structure_map)
 
 Vector = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]  # {basis index: nonzero coefficient}
@@ -168,17 +168,17 @@ class FrobeniusAlgebra:
         return {
             "basis": list(self.basis),
             "mult": _map_json(self.mult),
-            "pairing": [[format_scalar(c) for c in row] for row in dense(self.pairing)],
+            "pairing": _form_json(self.pairing),
             "unit": [format_scalar(c) for c in self._dense(self.unit)],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusAlgebra":
         what = "the Frobenius algebra"
-        pairing = [[parse_scalar(c) for c in row] for row in _field(data, "pairing", what, list)]
-        unit = [parse_scalar(c) for c in _field(data, "unit", what, list)]
-        return cls(tuple(_field(data, "basis", what, list)),
-                   _read_map(_field(data, "mult", what), "the product"), pairing, unit)
+        basis = _field(data, "basis", what, list, each=str)
+        return cls(basis, _read_map(_field(data, "mult", what), "the product"),
+                   _read_form(_field(data, "pairing", what), len(basis), "the pairing"),
+                   [parse_scalar(c) for c in _field(data, "unit", what, list)])
 
 
 def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries,
@@ -266,9 +266,6 @@ def truncated_polynomials(depth: int, trace_values) -> FrobeniusAlgebra:
         raise ValueError("the top trace value must be nonzero")
     basis = [f"t^{a}" for a in range(depth)]
     mult = {(a, b): {a + b: ONE} for a in range(depth) for b in range(depth - a)}
-    pairing = [
-        [values[a + b] if a + b < depth else ZERO for b in range(depth)]
-        for a in range(depth)
-    ]
+    pairing = [{b: values[a + b] for b in range(depth - a)} for a in range(depth)]
     unit = [int(a == 0) for a in range(depth)]
     return FrobeniusAlgebra(basis, mult, pairing, unit)

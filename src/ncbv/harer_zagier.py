@@ -21,6 +21,19 @@ from .report import CheckReport, check_report
 from .scalar import Scalar, div
 
 
+MAX_K = 50  # the largest k_max the recurrence checks take from a flag
+
+
+def check_k_max(k_max: int, flag: str) -> None:
+    """Refuse, before any reduction, a k_max from ``flag`` below 2 or above
+    MAX_K: every p_2k up to 2 k_max is reduced, and time and memory grow
+    steeply with k_max."""
+    if k_max < 2:
+        raise ValueError(f"{flag} {k_max} must be at least 2")
+    if k_max > MAX_K:
+        raise ValueError(f"{flag} {k_max} exceeds the largest recurrence bound {MAX_K}")
+
+
 def double_factorial(n: int) -> int:
     """(n)!! for odd n >= -1."""
     result = 1

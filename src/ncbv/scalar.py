@@ -99,18 +99,32 @@ def as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _field(data, key: str, what: str, kind=object):
+_REQUIRED = object()
+
+
+def _field(data, key: str, what: str, kind=object, default=_REQUIRED, each=None):
     """``data[key]`` of the JSON object ``what``, the one reader of a field of
-    outside JSON: a missing field, or one that is not a ``kind``, raises
-    ``ValueError`` naming the object and the field."""
+    outside JSON.  A field that is missing, not a ``kind``, or a list with an
+    item that is not an ``each`` (when given) raises ``ValueError`` naming the object and
+    the field; an optional field, one given a ``default``, reads as the
+    default when missing, and as None when null if the default is None."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} is not a JSON object")
     if key not in data:
-        raise ValueError(f"{what} has no field {key!r}")
+        if default is _REQUIRED:
+            raise ValueError(f"{what} has no field {key!r}")
+        return default
     value = data[key]
+    if value is None and default is None:
+        return value
     if not isinstance(value, kind):
         raise ValueError(f"{what} field {key!r} must be a {kind.__name__}, "
                          f"not {type(value).__name__}")
+    if each is not None:
+        for i, item in enumerate(value):
+            if not isinstance(item, each):
+                raise ValueError(f"{what} field {key!r} item {i} must be a {each.__name__}, "
+                                 f"not {type(item).__name__}")
     return value
 
 

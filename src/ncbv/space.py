@@ -3,15 +3,16 @@
 A space is a finite ordered basis with integer degrees together with the
 odd symplectic form on it.  Every form is held as a ``Form``, row i the
 dict {j: nonzero entry}; ``_form`` normalizes rows given as n entries or
-as such dicts, and ``dense`` is the one n x n table of a form.  The
-inverse form lives on the dual basis (the "letters" out of which cyclic
-words and polynomials are built) and is the single source of truth for
-every bracket, cobracket and Laplacian in the package.  The structure
-maps of cyclic A-infinity and Frobenius algebras are held alike, as
-{args: {out: nonzero c}}: ``_structure_map`` is their one checker and
-normalizer, ``_check_unit`` their one unit law, ``_map_json`` and
-``_read_map`` their JSON writer and reader; ``scalar._field`` reads
-each field of their JSON, refusing a missing or ill-typed one by name.
+as such dicts.  The inverse form lives on the dual basis (the "letters"
+out of which cyclic words and polynomials are built) and is the single
+source of truth for every bracket, cobracket and Laplacian in the
+package.  The structure maps of cyclic A-infinity and Frobenius algebras
+are held alike, as {args: {out: nonzero c}}: ``_structure_map`` is their
+one checker and normalizer, ``_check_unit`` their one unit law,
+``_map_json`` and ``_read_map`` their JSON writer and reader.  A form is
+the map of arity one {(i,): row i}, written and read as one by
+``_form_json`` and ``_read_form``: no form is laid out densely.
+``scalar._field`` reads each JSON field, naming a missing or bad one.
 
 Sign conventions.  The pairing is supported on pairs of basis vectors
 whose degrees sum to an odd number and is plainly antisymmetric there.
@@ -34,20 +35,13 @@ from dataclasses import dataclass, field
 
 from .scalar import ONE, ZERO, Scalar, _field, add_to, as_int, div, format_scalar, parse_scalar
 
-Matrix = tuple[tuple[Scalar, ...], ...]
 Form = tuple[dict[int, Scalar], ...]  # row i is {column j: nonzero entry}
-
-
-def dense(form: Form) -> Matrix:
-    """``form`` as an n x n table: the one place a form is laid out densely."""
-    n = len(form)
-    return tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in form)
 
 
 def _form(rows, n: int, what: str) -> Form:
     """``rows`` as a Form, each entry through ``Scalar``.
-    Each row is a sequence of n entries (outside input) or a mapping
-    {column: entry} (a Form's own rows); a new dict is built either way."""
+    Each row is a sequence of n entries (caller's rows) or a mapping
+    {column: entry} (a Form's or JSON's rows); a new dict is built either way."""
     form = []
     for row in rows:
         if type(row) is dict or isinstance(row, Mapping):
@@ -203,6 +197,17 @@ def _read_map(entries, what: str) -> dict:
     return table
 
 
+def _form_json(form: Form) -> list:
+    """A form as JSON: its nonzero rows as the entries of an arity-one map."""
+    return _map_json({(i,): row for i, row in enumerate(form) if row})
+
+
+def _read_form(entries, n: int, what: str) -> Form:
+    """The n rows of the form ``_form_json`` wrote, read as an arity-one map."""
+    table = _structure_map(_read_map(entries, what), n, 1, what)
+    return tuple(table.get((i,), {}) for i in range(n))
+
+
 def _read_basis(items, what: str) -> tuple[tuple[str, ...], tuple]:
     """Names and degrees of the JSON basis items {"name": ..., "degree": ...};
     item i is named ``what`` i in an error."""
@@ -292,10 +297,8 @@ class GradedSymplecticSpace:
 
     def to_json(self) -> dict:
         out = {
-            "letters": [
-                {"name": name, "degree": deg} for name, deg in zip(self.letters, self.degrees)
-            ],
-            "pairing": [list(map(format_scalar, row)) for row in dense(self.pairing)],
+            "letters": [{"name": n, "degree": d} for n, d in zip(self.letters, self.degrees)],
+            "pairing": _form_json(self.pairing),
         }
         if any(scale != ONE for scale in self.dual_scales):
             out["dual_scales"] = list(map(format_scalar, self.dual_scales))
@@ -303,11 +306,11 @@ class GradedSymplecticSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedSymplecticSpace":
-        letters, degrees = _read_basis(_field(data, "letters", "the space", list), "letter")
-        pairing = tuple(tuple(parse_scalar(entry) for entry in row)
-                        for row in _field(data, "pairing", "the space", list))
-        scales = data.get("dual_scales")
-        return cls(letters, degrees, pairing,
+        what = "the space"
+        letters, degrees = _read_basis(_field(data, "letters", what, list), "letter")
+        scales = _field(data, "dual_scales", what, list, default=None)
+        return cls(letters, degrees,
+                   _read_form(_field(data, "pairing", what), len(letters), "the pairing"),
                    dual_scales=None if scales is None else tuple(map(parse_scalar, scales)))
 
 

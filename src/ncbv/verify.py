@@ -23,6 +23,7 @@ from .frobenius import matrix_frobenius, matrix_trace_product, otft_mu, truncate
 from .harer_zagier import (
     all_ones_check,
     catalan_leading_check,
+    check_k_max,
     hz_closed_form_check,
     hz_recurrence_check,
     multitrace_sum_check,
@@ -553,8 +554,7 @@ def run_all(degree_cap: int = 12, cases: int = 200, hz_k: int = 15) -> list[Chec
         raise ValueError(f"--cases {cases} must be at least 1")
     if degree_cap < 1:
         raise ValueError(f"--degree-cap {degree_cap} must be at least 1")
-    if hz_k < 2:
-        raise ValueError(f"--hz-k {hz_k} must be at least 2")
+    check_k_max(hz_k, "--hz-k")
     reducer = default_reducer()
     return [
         golden_table_check(reducer),

@@ -277,6 +277,40 @@ def test_otft_rejects_bad_counts_before_building_the_algebra(capsys, monkeypatch
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "41", "--boundaries", "1"], "--N 41 exceeds the largest otft matrix size 40"),
+    (["--N", "2", "--free", "14282", "--boundaries", "1"],
+     "--free 14282 with --boundaries 1 at --N 2: the value may reach"),
+    (["--N", "2", "--boundaries", "3,8000"],
+     "--free 0 with --boundaries 3,8000 at --N 2: the value may reach"),
+], ids=["size", "free", "boundaries"])
+def test_otft_refuses_past_its_bounds_before_building_the_algebra(capsys, monkeypatch, argv,
+                                                                  message):
+    """A matrix size past the cap, or a value N^b prod Tr that may pass the
+    limit on printing an integer, exits 2 naming the flags, before any
+    Frobenius algebra is built."""
+    from ncbv import verify
+
+    def no_algebra(size):
+        raise AssertionError("matrix_frobenius ran before the flags were bounded")
+
+    monkeypatch.setattr(verify, "matrix_frobenius", no_algebra)
+    code = main(["otft", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_otft_prints_a_value_just_under_the_digit_bound(capsys):
+    """|N^b prod Tr| <= N^b prod N (2N)^k_i: at N = 2 with one argument the
+    bound 2^(b+3) first reaches 10^4300 at b = 14282, so b = 14281 prints."""
+    code, out = run(capsys, "otft", "--N", "2", "--free", "14281", "--boundaries", "1",
+                    "--output", "json")
+    assert code == 0
+    assert json.loads(out)["match"] is True
+
+
 def test_index_entries_are_read_once(capsys):
     """``--idx`` reads its entries through ``multitrace.index_entries``."""
     for text, message in (("-1,2", "multi-index entries are nonnegative"),
@@ -403,6 +437,26 @@ def test_recurrence_flags_below_two_are_rejected(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert f"{argv[1]} 1 must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--hz-k", "51"], ["hz", "--kmax", "51"]],
+                         ids=["verify", "hz"])
+def test_recurrence_flags_above_the_bound_are_rejected(capsys, monkeypatch, argv):
+    """k above ``harer_zagier.MAX_K`` exits 2 naming the flag, before any
+    moment is reduced."""
+    from ncbv import harer_zagier, verify
+
+    def no_work():
+        raise AssertionError("a check ran before the flag was validated")
+
+    monkeypatch.setattr(verify, "default_reducer", no_work)
+    monkeypatch.setattr(harer_zagier, "default_reducer", no_work)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{argv[1]} 51 exceeds the largest recurrence bound {harer_zagier.MAX_K}" in captured.err
+    assert harer_zagier.MAX_K == 50
 
 
 def test_hz_plain_failure_shows_counterexample(capsys, monkeypatch):

@@ -4,8 +4,9 @@ both, so each oracle reads the same observable without reaching another.
 Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
 not load ``multiprocessing``, ``concurrent.futures`` or numpy: numpy
 loads through the handle ``ncbv.multitrace.np`` on first use, so the
-exact commands never load it.  The JSON layout of structure maps is
-written and read in ``ncbv.space`` alone."""
+exact commands never load it.  The JSON layout of structure maps and
+forms is written and read in ``ncbv.space`` alone, and every ``from_json``
+reads each field of its JSON through ``scalar._field``."""
 
 import ast
 import multiprocessing
@@ -133,3 +134,25 @@ def test_only_space_spells_the_structure_map_layout():
                       if any(isinstance(node, ast.Constant) and node.value == "args"
                              for node in ast.walk(ast.parse(path.read_text()))))
     assert spellers == ["space"]
+
+
+def test_every_from_json_reads_its_fields_through_field():
+    """No ``from_json`` in the package subscripts its JSON with a string
+    key or calls ``.get`` on it: every field, optional ones included, is
+    read through ``scalar._field``, which names the object and the field
+    it refuses."""
+    readers, offenders = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "from_json":
+                readers.append(path.stem)
+                for inner in ast.walk(node):
+                    keyed = (isinstance(inner, ast.Subscript)
+                             and isinstance(inner.slice, ast.Constant)
+                             and isinstance(inner.slice.value, str))
+                    got = (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                           and inner.func.attr == "get")
+                    if keyed or got:
+                        offenders.append(f"{path.stem}:{inner.lineno}")
+    assert len(readers) >= 6
+    assert offenders == []

@@ -10,10 +10,9 @@ import pytest
 from ncbv import Scalar, ground_field, matrix_frobenius, otft_mu, truncated_polynomials
 from ncbv.frobenius import FrobeniusAlgebra, matrix_trace_product
 from ncbv.scalar import ONE, ZERO, format_scalar, parse_scalar
-from ncbv.space import dense
 from ncbv.verify import otft_trace_case
 from test_exact_scalars import is_exact
-from test_space import invert_matrix
+from test_space import dense, invert_matrix
 
 
 def as_vector(mat, size):
@@ -139,12 +138,24 @@ def product_table(data):
     return mult
 
 
+def pairing_table(data):
+    """The n x n table of a Frobenius algebra's JSON pairing, filled from
+    its arity-one entries {"args": [i], "out": {j: c}}; equal args add up."""
+    n = len(data["basis"])
+    pairing = [[Scalar(0)] * n for _ in range(n)]
+    for entry in data["pairing"]:
+        (i,) = entry["args"]
+        for j, c in entry["out"].items():
+            pairing[i][int(j)] += parse_scalar(c)
+    return pairing
+
+
 def dense_check(data):
     """The constructor's checks the long way, over every basis triple and
     in the constructor's order: the first failure's message, or None."""
     n = len(data["basis"])
     mult = product_table(data)
-    pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
+    pairing = pairing_table(data)
     unit = [parse_scalar(c) for c in data["unit"]]
     e = [[Scalar(int(t == i)) for t in range(n)] for i in range(n)]
 
@@ -194,8 +205,8 @@ def test_check_matches_dense_triple_check():
                 data["mult"].append({"args": [i, j], "out": {str(k): delta}})
             elif kind == 1:
                 i, j = rng.randrange(n), rng.randrange(n)
-                value = format_scalar(parse_scalar(data["pairing"][i][j]) + parse_scalar(delta))
-                data["pairing"][i][j] = data["pairing"][j][i] = value
+                for a, b in {(i, j), (j, i)}:
+                    data["pairing"].append({"args": [a], "out": {str(b): delta}})
             else:
                 i = rng.randrange(n)
                 data["unit"][i] = format_scalar(parse_scalar(data["unit"][i]) + parse_scalar(delta))
@@ -223,7 +234,7 @@ class DefiningFormulas:
         self.basis = tuple(data["basis"])
         self.dim = len(self.basis)
         self.mult = product_table(data)
-        self.pairing = [[parse_scalar(c) for c in row] for row in data["pairing"]]
+        self.pairing = pairing_table(data)
         self.unit = tuple(parse_scalar(c) for c in data["unit"])
         inverse = invert_matrix(self.pairing)
         self.pairs = [(i, j, h) for i, row in enumerate(inverse) for j, h in enumerate(row) if h]
@@ -413,14 +424,15 @@ def test_coerce_names_the_bad_value():
 
 
 LINE = {(0, 0): {0: ONE}}
+LINE_FORM = [{"args": [0], "out": {"0": "1"}}]
 
 
 @pytest.mark.parametrize(
     "basis,mult,pairing,unit,match",
     [
-        (("1",), [[["1"]]], [["1"]], ["1"], "the product entry"),
-        (("1",), [{"args": [0, 0]}], [["1"]], ["1"], "the product entry"),
-        (("1",), [{"args": [[0], 0], "out": {"0": "1"}}], [["1"]], ["1"], "the product entry"),
+        (("1",), [[["1"]]], LINE_FORM, ["1"], "the product entry"),
+        (("1",), [{"args": [0, 0]}], LINE_FORM, ["1"], "the product entry"),
+        (("1",), [{"args": [[0], 0], "out": {"0": "1"}}], LINE_FORM, ["1"], "the product entry"),
         (("1",), LINE, ((ONE, ONE),), (ONE,), "pairing row has 2 entries"),
         (("1",), LINE, ((ONE,), (ONE,)), (ONE,), "the pairing has 2 entries"),
         (("1",), LINE, ((ONE,),), (ONE, ZERO), "the unit has 2 entries"),
@@ -441,8 +453,11 @@ def test_constructor_rejects_ragged_tables(basis, mult, pairing, unit, match):
 
 def test_from_json_rejects_bad_shapes_and_duplicate_names():
     data = ground_field().to_json()
-    data["pairing"] = [["1", "2"]]
-    with pytest.raises(ValueError, match="pairing row has 2 entries"):
+    data["pairing"] = [{"args": [0, 0], "out": {"0": "1"}}]
+    with pytest.raises(ValueError, match="the pairing takes 1 arguments, got 2"):
+        FrobeniusAlgebra.from_json(data)
+    data["pairing"] = [{"args": [0], "out": {"1": "1"}}]
+    with pytest.raises(ValueError, match="the pairing has index 1, which leaves"):
         FrobeniusAlgebra.from_json(data)
     data = truncated_polynomials(2, [0, 1]).to_json()
     data["basis"] = ["a", "a"]

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbv import CyclicAInfinity, FrobeniusAlgebra, NuPolynomial, Scalar, ground_field
-from ncbv.ainfinity import encode_ainfinity, suspend
+from ncbv import (CyclicAInfinity, FrobeniusAlgebra, NuPolynomial, Scalar, ground_field,
+                  matrix_frobenius, truncated_polynomials)
+from ncbv.ainfinity import encode_ainfinity, matrix_ainfinity, suspend, suspend_matrix
 from ncbv.algebras import algebra_a, exterior_line, sigma_a_space
 from ncbv.element import CYCLIC, Element
+from ncbv.morita import MatrixExtension
 from ncbv.multitrace import MultiTraceFunctional
 from ncbv.space import GradedSymplecticSpace
 
@@ -140,7 +142,7 @@ SCALAR_READERS = {
     "ainfinity": lambda v: CyclicAInfinity.from_json(
         _edited(algebra_a().to_json(), ("ops", "1", 0, "out", "1"), v)),
     "frobenius": lambda v: FrobeniusAlgebra.from_json(
-        _edited(ground_field().to_json(), ("pairing", 0, 0), v)),
+        _edited(ground_field().to_json(), ("pairing", 0, "out", "0"), v)),
     "element": lambda v: Element.from_json(sigma_a_space(), CYCLIC,
                                            [{"words": [["x", "x"]], "coeff": v}]),
     "nupoly": lambda v: NuPolynomial.from_json({"coeffs": {"1": v}}),
@@ -181,6 +183,15 @@ BAD_FIELDS = {
                              "letter 0 is not a JSON object"),
     "space-pairing-missing": (GradedSymplecticSpace, sigma_a_space, ("pairing",), DELETE,
                               "the space has no field 'pairing'"),
+    "dual-scales-not-a-list": (GradedSymplecticSpace, sigma_a_space, ("dual_scales",), 5,
+                               "the space field 'dual_scales' must be a list, not int"),
+    "unit-not-a-list": (CyclicAInfinity, exterior_line, ("unit",), 5,
+                        "the cyclic A-infinity algebra field 'unit' must be a list, not int"),
+    "frobenius-basis-name-a-list": (
+        FrobeniusAlgebra, ground_field, ("basis", 0), ["1"],
+        "the Frobenius algebra field 'basis' item 0 must be a str, not list"),
+    "pairing-row-not-a-list": (FrobeniusAlgebra, ground_field, ("pairing", 0), 5,
+                               'the pairing entry 0 is not {"args": [...], "out": {...}}'),
 }
 
 
@@ -234,6 +245,8 @@ TERM_FIELDS = {
         "trace functional term 0 is not a JSON object"),
     "element-words-missing": (lambda: _element(words=DELETE),
                               "element term 0 has no field 'words'"),
+    "element-word-not-a-list": (lambda: _element(words=[5]),
+                                "element term 0 field 'words' item 0 must be a list, not int"),
     "element-coeff-missing": (lambda: _element(coeff=DELETE),
                               "element term 0 has no field 'coeff'"),
     "element-term-not-an-object": (
@@ -266,6 +279,81 @@ def test_space_json_keeps_the_dual_scales():
     plain = suspend(line)
     assert "dual_scales" not in plain.to_json()
     assert GradedSymplecticSpace.from_json(plain.to_json()) == plain != scaled
+
+
+def test_a_null_unit_means_no_unit():
+    data = algebra_a().to_json()
+    assert data["unit"] is None
+    assert CyclicAInfinity.from_json(data).unit is None
+    del data["unit"]
+    assert CyclicAInfinity.from_json(data).unit is None
+
+
+def _spaces():
+    line, a = exterior_line(), algebra_a()
+    yield sigma_a_space()
+    yield suspend(line)
+    yield suspend(line, scales=(1, 2))
+    for size in (1, 2, 3):
+        yield suspend_matrix(a, size)
+        yield suspend_matrix(a, size, names=("x", "xi"), scales=(1, -1))
+        yield MatrixExtension(sigma_a_space(), size).space
+
+
+def _algebras():
+    yield algebra_a()
+    yield exterior_line()
+    yield from (matrix_ainfinity(algebra_a(), size) for size in (1, 2, 3))
+    yield ground_field()
+    yield truncated_polynomials(3, [0, 0, 1])
+    yield truncated_polynomials(4, [1, -2, Scalar(3, 2), Scalar(2, 3)])
+    yield from (matrix_frobenius(size) for size in (1, 2, 3, 4))
+
+
+def _through_text(obj):
+    """``obj`` written to JSON text and read back by its class."""
+    return type(obj).from_json(json.loads(json.dumps(obj.to_json())))
+
+
+def test_every_space_reads_back_from_its_json_text():
+    for space in _spaces():
+        again = _through_text(space)
+        assert again == space
+        assert (again.inverse, again.dual_scales) == (space.inverse, space.dual_scales)
+
+
+def test_every_algebra_reads_back_from_its_json_text():
+    """Each cyclic A-infinity and Frobenius algebra is rebuilt exactly:
+    basis, degrees, pairing, structure maps, unit and every derived table."""
+    for algebra in _algebras():
+        assert vars(_through_text(algebra)) == vars(algebra)
+
+
+def _dense_pairing(data):
+    """``data`` with its pairing entries laid out as the old n x n table."""
+    n = len(data.get("letters", data.get("basis")))
+    table = [["0"] * n for _ in range(n)]
+    for entry in data["pairing"]:
+        (i,) = entry["args"]
+        table[i] = [entry["out"].get(str(j), "0") for j in range(n)]
+    return {**data, "pairing": table}
+
+
+@pytest.mark.parametrize("make", [sigma_a_space, exterior_line, ground_field],
+                         ids=["space", "ainfinity", "frobenius"])
+def test_the_old_dense_pairing_is_refused(make):
+    data = _dense_pairing(make().to_json())
+    with pytest.raises(ValueError, match=re.escape(
+            'the pairing entry 0 is not {"args": [...], "out": {...}}')):
+        type(make()).from_json(data)
+
+
+def test_a_form_is_written_as_its_nonzero_entries():
+    """The trace pairing of Mat_16 has 16^2 nonzero entries among 16^4
+    cells; its JSON lists the entries alone, one per basis vector."""
+    pairing = matrix_frobenius(16).to_json()["pairing"]
+    assert len(pairing) == 16**2
+    assert len(json.dumps(pairing)) < 10_000
 
 
 @pytest.mark.parametrize("call, match", [

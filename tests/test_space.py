@@ -9,9 +9,17 @@ import pytest
 from ncbv import GradedSymplecticSpace, Scalar, hyperbolic_space, matrix_frobenius
 from ncbv.algebras import sigma_a_space
 from ncbv.morita import MatrixExtension
-from ncbv.space import Matrix, _solve, dense
+from ncbv.space import _solve
 from ncbv.verify import random_space
 from test_exact_scalars import is_exact
+
+Matrix = tuple[tuple[Scalar, ...], ...]
+
+
+def dense(form) -> Matrix:
+    """A form's rows {j: entry} as the n x n table the references below take."""
+    n = len(form)
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for row in form)
 
 
 def invert_matrix(rows: Matrix) -> Matrix:

@@ -127,6 +127,18 @@ class FrobeniusAlgebra:
                         add_to(out, k, a * b * c)
         return out
 
+    def _power_times(self, left: Sparse, power: int, vec: Sparse) -> Sparse:
+        """left^power vec by repeated squaring: at most ``power`` products,
+        about 2 log2(power), and by associativity exactly the vector that
+        ``power`` left multiplications give."""
+        while power:
+            if power & 1:
+                vec = self._mul(left, vec)
+            power >>= 1
+            if power:
+                left = self._mul(left, left)
+        return vec
+
     def _conjugate(self, vec: Sparse) -> Sparse:
         """The Casimir map C(a) = x_i a y^i over the handles (e_i, ``inverse[i]``),
         summed over the support of a: C(a) = sum_k a_k sum_{i: e_i e_k != 0} (e_i e_k) y^i."""
@@ -198,12 +210,8 @@ def otft_mu(frob: FrobeniusAlgebra, genus: int, free_boundaries: int, boundaries
     bi, ki = apply_at
     if not (0 <= bi < len(args) and 0 <= ki < len(args[bi])):
         raise ValueError("apply_at is out of range for the boundary arguments")
-    vec = args[bi][ki]
-    for _ in range(genus):
-        vec = frob._mul(frob.G, vec)
-    for _ in range(free_boundaries):
-        vec = frob._mul(frob.H, vec)
-    args[bi][ki] = vec
+    args[bi][ki] = frob._power_times(frob.H, free_boundaries,
+                                     frob._power_times(frob.G, genus, args[bi][ki]))
 
     products = [reduce(frob._mul, boundary) for boundary in args]
     return frob._eps(reduce(lambda vec, a: frob._mul(frob._conjugate(vec), a), products))

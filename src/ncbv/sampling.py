@@ -15,10 +15,8 @@ delta_bc, the covariance the Wick oracle assumes.
 
 A chunk's normals come from one Box-Muller draw: all of its u1
 uniforms, then all of its u2.  The chunk is sampled in blocks of at
-most ``block_size(N)`` matrices, one pool task each, at most two per
-worker in flight, so memory is a few blocks plus one chunk's values
-(8 bytes a sample), whatever the sample count.  A block rebuilds the
-chunk's generator and reaches its own share of u1 and of u2 through
+most ``block_size(N)`` matrices.  A block rebuilds the chunk's generator
+and reaches its own share of u1 and of u2 through
 ``bit_generator.advance`` (one PCG64 output per double); blocks hold an
 even number of matrices, so each starts on a Box-Muller pair.  A block
 yields its matrices' values, the observable is summed over the whole
@@ -26,30 +24,35 @@ chunk's values in one ``np.sum``, and chunks are added in index order,
 so estimates do not depend on the block size or the worker count.  A
 chunk holds at most ``MAX_CHUNK`` samples, which bounds those values.
 
-A worker is a forked process when the platform can fork and the caller
-runs one Python thread, and a thread otherwise; ``_pool`` lists the
-conditions.  A block
-is a pure function of (idx, N, seed, chunk index, count, start, take), so
-either kind returns the same values.  Forking a process that runs threads
-is deprecated from Python 3.12, so ``mc`` forks before it starts any
-thread, and a threaded caller gets threads.  No worker outlives the call.
+A worker is a child forked with ``os.fork`` when the platform can fork
+and the caller runs one Python thread, and a thread otherwise; ``_forks``
+lists the conditions.  Forked workers get one pipe each: worker k runs
+blocks k, k + W, ... of the W workers and pickles their values into its
+pipe, which the caller reads in block order, so memory is one pipe
+buffer per worker plus one chunk's values (8 bytes a sample), whatever
+the sample count.  Thread workers hold at most two blocks each in
+flight.  A block is a pure function of (idx, N, seed, chunk index,
+count, start, take), so either kind returns the same values.  Forking a
+process that runs threads is deprecated from Python 3.12, so ``mc``
+forks before it starts any thread, and a threaded caller gets threads.
+No worker outlives the call.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .multitrace import index_entries, np
 
 DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
-BLOCK = 4096  # matrices per pool task at N <= 8; see block_size
+BLOCK = 4096  # matrices per block at N <= 8; see block_size
 
 
 def thread_count() -> int:
@@ -166,7 +169,7 @@ def _block_values(idx, size, seed, chunk_index, count, start, take):
     return values
 
 
-# What a block runs, as this module defines it; see _pool.
+# What a block runs, as this module defines it; see _forks.
 _BLOCK_CODE = {name: globals()[name] for name in
                ("np", "gue_rng", "standard_normals", "sample_gue_batch", "_block_values")}
 
@@ -186,44 +189,101 @@ def _blocks(samples, chunk, block):
             yield chunk_index, count, start, min(block, count - start)
 
 
-def _pool(workers):
-    """An executor of ``workers`` forked processes, or of ``workers`` threads.
+def _forks():
+    """Whether blocks run in forked children rather than threads.
 
-    Processes need ``fork``, which runs no import of the caller's main
-    module (``spawn`` and ``forkserver`` re-run an unguarded script), and
-    a caller with one Python thread, since forking a threaded process is
-    deprecated.  Before Python 3.11, ``ProcessPoolExecutor`` may fork a
-    worker after its manager thread has started (CPython gh-90622), so
-    there it gets threads.  A block must also run this module's own code:
+    A child is made by ``os.fork``, which runs no import of the caller's
+    main module (``spawn`` and ``forkserver`` re-run an unguarded script),
+    and only for a caller with one Python thread, since forking a threaded
+    process is deprecated.  A block must also run this module's own code:
     a caller that replaced what a block calls (a tracer, a test double)
     keeps the replacement's state in its own process, which only a thread
-    updates.  The imports stay here: ``multiprocessing`` and
-    ``concurrent.futures`` would add to every ``import ncbv``.  Before it
-    forks, the caller loads ``numpy.random`` through the shared handle,
-    so the workers inherit it rather than each importing it again."""
+    updates."""
     own_code = all(globals()[name] is code for name, code in _BLOCK_CODE.items())
-    if sys.version_info >= (3, 11) and threading.active_count() == 1 and own_code:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import ProcessPoolExecutor
-
-            np.random  # loaded once here, not in each forked worker
-            return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers)
+    return hasattr(os, "fork") and threading.active_count() == 1 and own_code
 
 
 def _block_results(work, tasks, workers):
-    """(task, work(*task)) for each task in order, on ``workers`` workers
-    with at most two tasks per worker in flight; every worker is joined
-    before the iteration ends."""
+    """(task, work(*task)) for each task in order, on ``workers`` forked
+    children or threads; every worker is reaped before the iteration ends."""
     if workers == 1:
         for task in tasks:
             yield task, work(*task)
-        return
-    with _pool(workers) as pool:
+    elif _forks():
+        yield from _forked_results(work, tasks, workers)
+    else:
+        yield from _threaded_results(work, tasks, workers)
+
+
+def _forked_results(work, tasks, workers):
+    """``_block_results`` on ``workers`` children, each with its own pipe.
+
+    Child k runs tasks k, k + workers, ... of its own copy of the lazy
+    ``tasks`` and pickles each result into its pipe; the parent reads task
+    i from child i mod workers.  A child blocks on a full pipe, so it runs
+    at most a pipe buffer ahead of the parent.  Only the child holds the
+    write end of its pipe: once the parent closes the read ends, a child's
+    next write fails and it exits, so ``waitpid`` returns after an early
+    stop too.  The caller loads ``numpy.random`` before it forks, so the
+    children inherit it rather than each importing it again."""
+    import pickle
+
+    np.random  # loaded once here, not in each child
+    readers, pids = [], []
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, islice(tasks, k, None, workers), readers, out)
+            pids.append(pid)
+        for i, task in enumerate(tasks):
+            try:
+                ok, value = pickle.load(readers[i % workers])
+            except EOFError:
+                raise RuntimeError(f"Monte Carlo worker {pids[i % workers]} "
+                                   f"exited before its block {i}") from None
+            if not ok:
+                raise value
+            yield task, value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(work, tasks, readers, out):
+    """A forked child's whole life: pickle (True, result) or (False,
+    exception) of each task into ``out``, stopping after an exception, and
+    leave through ``os._exit``, so that it never returns into the caller's
+    code or flushes the caller's buffers."""
+    import pickle
+
+    try:
+        for reader in readers:
+            reader.close()
+        for task in tasks:
+            try:
+                result = True, work(*task)
+            except Exception as exc:  # sent to the parent, which raises it
+                result = False, exc
+            out.write(pickle.dumps(result))
+            out.flush()
+            if not result[0]:
+                break
+    finally:
+        os._exit(0)
+
+
+def _threaded_results(work, tasks, workers):
+    """``_block_results`` on ``workers`` threads, with at most two tasks
+    per thread in flight."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for task in tasks:
             pending.append((task, pool.submit(work, *task)))

@@ -224,6 +224,16 @@ def test_otft_command(capsys):
     make_validator("otft").validate(payload)
 
 
+def test_otft_takes_a_huge_genus_by_squaring(capsys):
+    """At N = 1, G is the unit, so genus 10^12 gives the genus-0 value;
+    G is squared about 40 times, not applied 10^12 times."""
+    argv = ("otft", "--N", "1", "--boundaries", "2,1", "--seed", "2", "--output", "json")
+    huge = json.loads(run(capsys, *argv, "--genus", str(10**12))[1])
+    flat = json.loads(run(capsys, *argv)[1])
+    assert huge["genus"] == 10**12 and huge["match"]
+    assert huge["value"] == flat["value"] == flat["trace_product"] != "0"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -2,14 +2,13 @@
 cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
 both, so each oracle reads the same observable without reaching another.
 Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
-not load ``multiprocessing``, ``concurrent.futures`` or numpy: numpy
+not load ``concurrent.futures`` or numpy: numpy
 loads through the handle ``ncbv.multitrace.np`` on first use, so the
 exact commands never load it.  The JSON layout of structure maps and
 forms is written and read in ``ncbv.space`` alone, and every ``from_json``
 reads each field of its JSON through ``scalar._field``."""
 
 import ast
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncbv"
-FORKS = sys.version_info >= (3, 11) and "fork" in multiprocessing.get_all_start_methods()
+FORKS = hasattr(os, "fork")
 
 
 def imported_modules(name: str) -> set[str]:
@@ -76,9 +75,9 @@ def run_python(script: str) -> str:
 
 
 def test_import_leaves_multiprocessing_out():
-    """``ncbv.sampling._pool`` imports ``multiprocessing`` and
-    ``concurrent.futures`` when it first makes a pool, and numpy loads on
-    first use; importing them up front would add to every ``import ncbv``."""
+    """``ncbv.sampling`` imports ``concurrent.futures`` when it first
+    starts thread workers, and numpy loads on first use; importing them up
+    front would add to every ``import ncbv``."""
     script = f"import sys, ncbv; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
     assert run_python(script) == "[]\n"
 
@@ -93,16 +92,32 @@ def test_exact_commands_never_load_numpy(argv):
     assert run_python(script) == "0 False\n"
 
 
-@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_a_forking_pool_loads_numpy_random_first():
     """Forked workers inherit ``numpy.random`` from the caller rather than
-    each importing it again."""
+    each importing it again: it is loaded when a child starts its first
+    block."""
     script = ("import sys; from ncbv import sampling\n"
               "before = 'numpy.random' in sys.modules\n"
-              "pool = sampling._pool(2)\n"
-              "print(before, type(pool).__name__, 'numpy.random' in sys.modules)\n"
-              "pool.shutdown()")
-    assert run_python(script) == "False ProcessPoolExecutor True\n"
+              "def work(i): return 'numpy.random' in sys.modules\n"
+              "inherited = [r for _, r in sampling._forked_results(work, [(0,), (1,)], 2)]\n"
+              "print(before, inherited)")
+    assert run_python(script) == "False [True, True]\n"
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
+def test_forked_sampling_loads_no_process_pool():
+    """A forked ``monte_carlo_moment`` runs on ``os.fork`` and pipes: it
+    loads neither ``multiprocessing`` nor ``concurrent.futures``."""
+    script = ("import os, sys; from ncbv import sampling\n"
+              "sampling.usable_cpus = lambda: 2\n"
+              "forks, fork = [], os.fork\n"
+              "os.fork = lambda: forks.append(1) or fork()\n"
+              "sampling.monte_carlo_moment((2, 2), 2, 20_000, seed=5, threads=2, chunk=5000)\n"
+              "os.fork = fork\n"
+              "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & "
+              "set(sys.modules)))")
+    assert run_python(script) == "2 []\n"
 
 
 def test_no_module_imports_numpy_when_imported():

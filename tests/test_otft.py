@@ -384,6 +384,32 @@ def test_casimir_fold_matches_trace_product_beyond_the_leaf_walk(size, ks):
     assert value == expected
 
 
+def test_genus_and_free_powers_equal_the_loop():
+    """otft_mu raises G and H to the genus and free counts by repeated
+    squaring.  On K[t]/(t^2 - t - 2) with <x, y> = tr(xy), tr(1) = 1 and
+    tr(t) = 3, a semisimple algebra whose G and H are not multiples of
+    the unit, that equals applying gamma and beta once per count, for
+    every count 0..5."""
+    from ncbv.frobenius import FrobeniusAlgebra
+
+    mult = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {0: 2, 1: 1}}
+    frob = FrobeniusAlgebra(("1", "t"), mult, ((1, 3), (3, 5)), (ONE, ZERO))
+    assert len(frob.G) == len(frob.H) == 2
+    rng = random.Random(35)
+    vec, other, last = (random_vector(rng, frob.dim) for _ in range(3))
+    for genus in range(6):
+        for free in range(6):
+            looped = vec
+            for _ in range(genus):
+                looped = frob.genus_map(looped)
+            for _ in range(free):
+                looped = frob.free_boundary(looped)
+            assert frob._dense(frob._power_times(
+                frob.H, free, frob._power_times(frob.G, genus, frob.coerce(vec)))) == looped
+            assert (otft_mu(frob, genus, free, [[vec, other], [last]])
+                    == otft_mu(frob, 0, 0, [[looped, other], [last]]))
+
+
 def test_otft_mu_leaves_the_algebra_unchanged():
     """The fold accumulates products in place, into vectors it owns: the
     algebra's tables stay as built."""

@@ -1,11 +1,14 @@
 """Seeded GUE sampling and Monte Carlo estimates."""
 
+import contextlib
 import math
-import multiprocessing
+import mmap
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -93,17 +96,11 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     assert sampling.pool_size(10**6, 10**6) == 4
     assert sampling.pool_size(1, 50) == 1
     assert sampling.pool_size(0, 50) == 1
-    started = []
-    pool = sampling._pool
-
-    def recorder(workers):
-        started.append(workers)
-        return pool(workers)
-
-    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sampling, "_pool", recorder)
+    kinds, pids = _pool_kinds(monkeypatch)
     big = monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=10**6)
-    assert started == [2]
+    expected = [("forked", 2)] if FORKS else [("threaded", 2)]
+    assert kinds == expected
+    assert len(pids) == (2 if FORKS else 0)
     assert big == monte_carlo_moment((2,), 2, 100, seed=0, chunk=10, threads=1)
 
 
@@ -189,67 +186,58 @@ def test_chunk_memory_is_one_block():
     assert peak < 16 * 2**20
 
 
-def test_blocks_in_flight_are_capped(monkeypatch):
-    from ncbv import sampling
-
-    outstanding = []
-    state = {"submitted": 0, "read": 0}
-
-    class Counted:
-        def __init__(self, future):
-            self._future = future
-
-        def result(self):
-            state["read"] += 1
-            return self._future.result()
-
-    class Recorder:
-        def __init__(self, pool):
-            self._pool = pool
-
-        def __enter__(self):
-            self._pool.__enter__()
-            return self
-
-        def __exit__(self, *exc):
-            return self._pool.__exit__(*exc)
-
-        def submit(self, *args, **kwargs):
-            state["submitted"] += 1
-            outstanding.append(state["submitted"] - state["read"])
-            return Counted(self._pool.submit(*args, **kwargs))
-
-    pool = sampling._pool
-    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sampling, "_pool", lambda workers: Recorder(pool(workers)))
-    monkeypatch.setattr(sampling, "BLOCK", 2)
-    result = monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=2)
-    assert state == {"submitted": 151, "read": 151}
-    assert max(outstanding) == 4
-    assert result == monte_carlo_moment((2,), 2, 301, seed=0, chunk=50, threads=1)
-
-
 # Worker pools.  usable_cpus is fixed at 2 so that the pinned run below
-# (18 blocks) starts a two-worker pool on any host.
+# (18 blocks) starts two workers on any host.
 POOLED = PINNED[-1]
-FORKS = sys.version_info >= (3, 11) and "fork" in multiprocessing.get_all_start_methods()
+FORKS = hasattr(os, "fork")
 
 
 def _pool_kinds(monkeypatch):
-    """Record the executor class of each pool that ``_pool`` makes."""
+    """Record the kind and size of each worker pool that ``_block_results``
+    starts, and the pid of every child that ``os.fork`` makes."""
     from ncbv import sampling
 
-    kinds = []
-    pool = sampling._pool
+    kinds, pids = [], []
+    for kind in ("forked", "threaded"):
+        def recorder(work, tasks, workers, kind=kind, start=getattr(sampling, f"_{kind}_results")):
+            kinds.append((kind, workers))
+            return start(work, tasks, workers)
 
-    def recorder(workers):
-        made = pool(workers)
-        kinds.append(type(made).__name__)
-        return made
+        monkeypatch.setattr(sampling, f"_{kind}_results", recorder)
+    if FORKS:
+        fork = os.fork
 
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sampling, "_pool", recorder)
-    return kinds
+    return kinds, pids
+
+
+def _assert_reaped(pids):
+    """Every child has been waited for: ``waitpid`` no longer knows it."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds=60):
+    """Fail, rather than hang, a test whose children never exit."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _pooled_bits():
@@ -257,26 +245,117 @@ def _pooled_bits():
     return _pinned_bits(idx, size, samples, seed, chunk, threads=2)
 
 
-@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+def _slow_read(results, started, ahead, timeout=30.0):
+    """Take one result from ``results`` and return how many tasks had
+    started once the count has stayed at ``ahead`` past it for 0.2 s
+    (or failed to reach it within ``timeout``)."""
+    next(results)
+    deadline = time.monotonic() + timeout
+    while sum(started[:]) < ahead and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)
+    return sum(started[:])
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
+def test_blocks_in_flight_are_capped(monkeypatch):
+    """A forked child blocks on its full pipe: with results larger than a
+    pipe buffer, each child runs one block past what the parent has read.
+    The children mark the blocks they start in a shared anonymous map."""
+    from ncbv import sampling
+
+    kinds, pids = _pool_kinds(monkeypatch)
+    tasks = 40
+    started = mmap.mmap(-1, tasks)
+
+    def work(i):
+        started[i] = 1
+        return np.full(1 << 17, float(i))  # 1 MiB, past any default pipe buffer
+
+    results = sampling._block_results(work, [(i,) for i in range(tasks)], 2)
+    assert _slow_read(results, started, 3) == 3  # one read, one running ahead per child
+    assert _slow_read(results, started, 4) == 4
+    rest = list(results)
+    assert [task for task, _ in rest] == [(i,) for i in range(2, tasks)]
+    assert all(values[0] == i for (i,), values in rest)
+    assert sum(started[:]) == tasks
+    assert kinds == [("forked", 2)] and len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_thread_blocks_in_flight_are_capped():
+    """Thread workers hold at most two tasks each in flight: when a task is
+    drawn from the plan, at most four have been drawn and not yet read."""
+    from ncbv import sampling
+
+    read, in_flight = [0], []
+
+    def plan():
+        for i in range(151):
+            in_flight.append(i + 1 - read[0])
+            yield (i,)
+
+    for task, value in sampling._threaded_results(lambda i: i * i, plan(), 2):
+        read[0] += 1
+        assert value == task[0] ** 2
+    assert read[0] == 151 and max(in_flight) == 4
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_a_single_threaded_caller_forks_its_workers(monkeypatch):
-    kinds = _pool_kinds(monkeypatch)
+    kinds, pids = _pool_kinds(monkeypatch)
     assert threading.active_count() == 1
     assert _pooled_bits() == POOLED[-1]
-    assert kinds == ["ProcessPoolExecutor"]
-    assert multiprocessing.active_children() == []
+    assert kinds == [("forked", 2)]
+    assert len(pids) == 2
+    _assert_reaped(pids)
 
 
-@pytest.mark.skipif(not FORKS, reason="workers are forked only from Python 3.11 with fork")
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_workers_are_joined_after_a_worker_raises(monkeypatch):
     from ncbv import sampling
 
-    kinds = _pool_kinds(monkeypatch)
+    kinds, pids = _pool_kinds(monkeypatch)
     results = sampling._block_results(partial(divmod, 7), [(1,), (2,), (0,), (3,)], 2)
     assert next(results) == ((1,), (7, 0))
-    with pytest.raises(ZeroDivisionError):
+    with _deadline(), pytest.raises(ZeroDivisionError):
         list(results)
-    assert kinds == ["ProcessPoolExecutor"]
-    assert multiprocessing.active_children() == []
+    assert kinds == [("forked", 2)]
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
+def test_workers_are_joined_after_an_early_close(monkeypatch):
+    """Closing the results after the first one reaps every child, also
+    children blocked on a full pipe."""
+    from ncbv import sampling
+
+    kinds, pids = _pool_kinds(monkeypatch)
+    results = sampling._block_results(lambda i: np.zeros(1 << 17), [(i,) for i in range(20)], 2)
+    task, values = next(results)
+    assert task == (0,) and values.shape == (1 << 17,)
+    with _deadline():
+        results.close()
+    assert kinds == [("forked", 2)]
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
+def test_a_worker_that_dies_is_reported(monkeypatch):
+    """A child that ends without sending its block's result (killed, or
+    unable to pickle it) is named in the caller's error."""
+    from ncbv import sampling
+
+    kinds, pids = _pool_kinds(monkeypatch)
+    results = sampling._block_results(lambda i: os._exit(3) if i == 2 else i,
+                                      [(i,) for i in range(6)], 2)
+    assert [next(results), next(results)] == [((0,), 0), ((1,), 1)]
+    with _deadline(), pytest.raises(RuntimeError, match=f"worker {pids[0]} exited before "
+                                                        "its block 2"):
+        next(results)
+    _assert_reaped(pids)
 
 
 def test_a_replaced_block_function_runs_on_threads(monkeypatch):
@@ -284,7 +363,7 @@ def test_a_replaced_block_function_runs_on_threads(monkeypatch):
     process, so wrapped blocks never run in a forked one."""
     from ncbv import sampling
 
-    kinds = _pool_kinds(monkeypatch)
+    kinds, pids = _pool_kinds(monkeypatch)
     calls = []
 
     def counted(*args, **kwargs):
@@ -293,12 +372,12 @@ def test_a_replaced_block_function_runs_on_threads(monkeypatch):
 
     monkeypatch.setattr(sampling, "sample_gue_batch", counted)
     assert _pooled_bits() == POOLED[-1]
-    assert kinds == ["ThreadPoolExecutor"]
+    assert kinds == [("threaded", 2)] and pids == []
     assert sum(calls) == POOLED[2]
 
 
 def test_a_threaded_caller_gets_thread_workers(monkeypatch):
-    kinds = _pool_kinds(monkeypatch)
+    kinds, pids = _pool_kinds(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -308,35 +387,41 @@ def test_a_threaded_caller_gets_thread_workers(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert kinds == ["ThreadPoolExecutor"]
+    assert kinds == [("threaded", 2)] and pids == []
 
 
 def test_without_fork_workers_are_threads(monkeypatch):
-    kinds = _pool_kinds(monkeypatch)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    kinds, pids = _pool_kinds(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
     assert _pooled_bits() == POOLED[-1]
-    assert kinds == ["ThreadPoolExecutor"]
+    assert kinds == [("threaded", 2)] and pids == []
 
 
 def test_an_unguarded_script_runs_pooled(tmp_path):
     """``spawn`` and ``forkserver`` re-import the caller's main module, so a
     script that samples at top level, with no ``__main__`` guard, would
-    die with ``BrokenProcessPool``.  A ``python -c`` script has no main
-    module file to re-import, so the script is a file."""
+    run again in every worker.  A ``python -c`` script has no main module
+    file to re-import, so the script is a file.  Each line is printed
+    exactly once: no forked child returns into the script, and none
+    flushes the line the script buffered before it forked."""
     idx, size, samples, seed, chunk, bits = POOLED
     script = tmp_path / "unguarded.py"
     script.write_text(
-        "from ncbv import monte_carlo_moment\n"
+        "from ncbv import monte_carlo_moment, sampling\n"
+        "sampling.usable_cpus = lambda: 2\n"
+        "print('sampling')\n"
         f"r = monte_carlo_moment({idx!r}, {size}, {samples}, seed={seed}, chunk={chunk}, "
         "threads=2)\n"
         "print(r.estimate.hex(), r.std_error.hex())\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "NCBV_THREADS"}
+    # stdout is a pipe, so without PYTHONUNBUFFERED the first line is still
+    # in the script's buffer when it forks
+    env = {k: v for k, v in os.environ.items() if k not in ("NCBV_THREADS", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(src)
     done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == list(bits)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"sampling\n{bits[0]} {bits[1]}\n"
 
 
 @pytest.mark.parametrize("call, match", [

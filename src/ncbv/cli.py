@@ -76,9 +76,10 @@ def _render(args, payload, plain: str, csv: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _reaches_limit(factors) -> int:
-    """CPython's limit on printing an int (0 means none) when the product
-    of ``factors`` reaches 10^limit, else 0; an early-exit product, so
+def _refuse_unprintable(factors, message) -> None:
+    """Raise ``ValueError`` with ``message`` when the product of
+    ``factors`` reaches 10^limit, for CPython's limit on printing an int
+    (none where the interpreter has no limit); an early-exit product, so
     the bound is never built past the limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
@@ -87,8 +88,7 @@ def _reaches_limit(factors) -> int:
         for factor in factors:
             product *= factor
             if product >= bound:
-                return limit
-    return 0
+                raise ValueError(f"{message}, past the {limit}-digit limit on printing an integer")
 
 
 def _moment_bound(total, size, power):
@@ -108,19 +108,13 @@ def _check_printable(idx, size=None) -> None:
     total = sum(idx)
     if total % 2:
         return
-    limit = _reaches_limit(range(3, total, 2))
-    if limit:
-        raise ValueError(
-            f"--idx sums to {total}, and its moment's coefficients reach "
-            f"{total - 1}!!, past the {limit}-digit limit on printing an integer")
+    _refuse_unprintable(range(3, total, 2), f"--idx sums to {total}, and its moment's "
+                        f"coefficients reach {total - 1}!!")
     if size is None:
         return
     power = total // 2 + len(idx)
-    limit = _reaches_limit(_moment_bound(total, size, power))
-    if limit:
-        raise ValueError(
-            f"--N {size} with an index sum of {total}: p(N) may reach "
-            f"{total - 1}!! * |N|^{power}, past the {limit}-digit limit on printing an integer")
+    _refuse_unprintable(_moment_bound(total, size, power), f"--N {size} with an index sum of "
+                        f"{total}: p(N) may reach {total - 1}!! * |N|^{power}")
 
 
 def cmd_moments(args) -> int:
@@ -192,11 +186,9 @@ def cmd_hz(args) -> int:
         raise ValueError("--k requires --N" if args.N is None else "--N requires --k")
     if args.k is not None:
         # I^N_{2k} = <Tr X^{2k}> has degree k + 1 in N
-        limit = _reaches_limit(_moment_bound(2 * args.k, args.N, args.k + 1))
-        if limit:
-            raise ValueError(
-                f"--k {args.k} with --N {args.N}: I^N_2k may reach (2k-1)!! * |N|^(k+1), "
-                f"past the {limit}-digit limit on printing an integer")
+        _refuse_unprintable(_moment_bound(2 * args.k, args.N, args.k + 1),
+                            f"--k {args.k} with --N {args.N}: I^N_2k may reach "
+                            "(2k-1)!! * |N|^(k+1)")
         value = harer_zagier_closed(args.k, args.N)
         payload = {"k": args.k, "N": args.N, "moment": format_scalar(value)}
         _render(args, payload, f"I^{args.N}_{2 * args.k} = {format_scalar(value)}")
@@ -216,12 +208,10 @@ def cmd_otft(args) -> int:
         raise ValueError(f"--N {size} exceeds the largest otft matrix size {OTFT_MAX_N}")
     # entries lie in -2..2, so |Tr(A_1 ... A_k)| <= N (2N)^k
     traces = (chain((size,), repeat(2 * size, k)) for k in args.boundaries)
-    limit = _reaches_limit(chain(repeat(size, args.free), *traces))
-    if limit:
-        raise ValueError(
-            f"--free {args.free} with --boundaries {','.join(map(str, args.boundaries))} at "
-            f"--N {size}: the value may reach N^b * prod N(2N)^k_i, past the {limit}-digit "
-            "limit on printing an integer")
+    _refuse_unprintable(chain(repeat(size, args.free), *traces),
+                        f"--free {args.free} with --boundaries "
+                        f"{','.join(map(str, args.boundaries))} at --N {size}: the value may "
+                        "reach N^b * prod N(2N)^k_i")
     _, value, expected = verify_mod.otft_trace_case(
         args.seed, args.N, args.genus, args.free, args.boundaries)
     payload = {

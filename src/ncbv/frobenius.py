@@ -51,10 +51,6 @@ class FrobeniusAlgebra:
     def __init__(self, basis, mult, pairing, unit):
         self.basis = tuple(basis)
         n = len(self.basis)
-        self._index = {}
-        for i, name in enumerate(self.basis):
-            if self._index.setdefault(name, i) != i:
-                raise ValueError(f"duplicate basis name {name!r}")
         self.mult = _structure_map(mult, n, 2, "the product")
         self._by_left, self._by_right = {}, {}  # cells as (k, c) pairs: faster than dict views
         for (i, j), cell in self.mult.items():
@@ -62,6 +58,7 @@ class FrobeniusAlgebra:
             self._by_left.setdefault(i, []).append((j, cell))
             self._by_right.setdefault(j, []).append((i, cell))
         self.pairing, self.inverse = _checked_pairing(pairing, self.basis, 1)
+        self._index = {name: i for i, name in enumerate(self.basis)}  # distinct: checked above
         self.unit = _sparse(_sized(unit, n, "the unit"))
         self._check()
         self.counit = _sparse(self._form({i: ONE}, self.unit) for i in range(n))

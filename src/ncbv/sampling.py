@@ -26,16 +26,17 @@ chunk holds at most ``MAX_CHUNK`` samples, which bounds those values.
 
 A worker is a child forked with ``os.fork`` when the platform can fork
 and the caller runs one Python thread, and a thread otherwise; ``_forks``
-lists the conditions.  Forked workers get one pipe each: worker k runs
-blocks k, k + W, ... of the W workers and pickles their values into its
-pipe, which the caller reads in block order, so memory is one pipe
-buffer per worker plus one chunk's values (8 bytes a sample), whatever
-the sample count.  Thread workers hold at most two blocks each in
-flight.  A block is a pure function of (idx, N, seed, chunk index,
-count, start, take), so either kind returns the same values.  Forking a
-process that runs threads is deprecated from Python 3.12, so ``mc``
-forks before it starts any thread, and a threaded caller gets threads.
-No worker outlives the call.
+lists the conditions.  Either kind gets one pipe: worker k of W runs
+blocks k, k + W, ... of its own copy of the lazy plan and pickles their
+values into its pipe, which the caller reads in block order.  A worker
+blocks on its full pipe, so memory is one pipe buffer per worker plus
+one chunk's values (8 bytes a sample), whatever the sample count.  A
+block is a pure function of (idx, N, seed, chunk index, count, start,
+take), so either kind returns the same values.  Forking a process that
+runs threads is deprecated from Python 3.12, so ``mc`` forks before it
+starts any thread, and a threaded caller gets threads.  No worker
+outlives the call.  N is at most ``MAX_SIZE``, since a block holds at
+least two matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -53,6 +53,7 @@ from .multitrace import index_entries, np
 DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
 BLOCK = 4096  # matrices per block at N <= 8; see block_size
+MAX_SIZE = 2048  # N: a 2-matrix block holds 2 N^2 * 24 B = 192 MiB of matrices and normals
 
 
 def thread_count() -> int:
@@ -80,8 +81,8 @@ def pool_size(workers: int, tasks: int) -> int:
 
 def block_size(size: int) -> int:
     """Matrices per block: BLOCK, or fewer when N > 8, so that a block's
-    stack holds at most BLOCK * 64 complex entries (4 MiB); always even
-    and at least 2."""
+    stack holds at most BLOCK * 64 complex entries (4 MiB) up to N = 362;
+    always even and at least 2."""
     return max(2, min(BLOCK, BLOCK * 64 // (size * size)) // 2 * 2)
 
 
@@ -190,7 +191,7 @@ def _blocks(samples, chunk, block):
 
 
 def _forks():
-    """Whether blocks run in forked children rather than threads.
+    """Whether workers are forked children rather than threads.
 
     A child is made by ``os.fork``, which runs no import of the caller's
     main module (``spawn`` and ``forkserver`` re-run an unguarded script),
@@ -203,47 +204,55 @@ def _forks():
     return hasattr(os, "fork") and threading.active_count() == 1 and own_code
 
 
-def _block_results(work, tasks, workers):
-    """(task, work(*task)) for each task in order, on ``workers`` forked
-    children or threads; every worker is reaped before the iteration ends."""
+def _block_results(work, plan, workers):
+    """(task, work(*task)) for each task of the lazy plan ``plan()`` in
+    order, on ``workers`` forked children or threads, as ``_forks`` decides.
+
+    Worker k runs tasks k, k + workers, ... of its own ``plan()`` through
+    ``_serve``, which pickles each result into the worker's own pipe, and
+    the caller reads task i from worker i mod workers.  A worker blocks on
+    a full pipe, so it runs at most a pipe buffer ahead of the caller.
+    Only the worker holds the write end of its pipe: once the caller
+    closes the read ends, a worker's next write fails and it ends, so every
+    worker is reaped before the iteration ends, after an early stop too.
+    A forking caller loads ``numpy.random`` first, so the children inherit
+    it rather than each importing it again."""
     if workers == 1:
-        for task in tasks:
+        for task in plan():
             yield task, work(*task)
-    elif _forks():
-        yield from _forked_results(work, tasks, workers)
-    else:
-        yield from _threaded_results(work, tasks, workers)
-
-
-def _forked_results(work, tasks, workers):
-    """``_block_results`` on ``workers`` children, each with its own pipe.
-
-    Child k runs tasks k, k + workers, ... of its own copy of the lazy
-    ``tasks`` and pickles each result into its pipe; the parent reads task
-    i from child i mod workers.  A child blocks on a full pipe, so it runs
-    at most a pipe buffer ahead of the parent.  Only the child holds the
-    write end of its pipe: once the parent closes the read ends, a child's
-    next write fails and it exits, so ``waitpid`` returns after an early
-    stop too.  The caller loads ``numpy.random`` before it forks, so the
-    children inherit it rather than each importing it again."""
+        return
     import pickle
 
-    np.random  # loaded once here, not in each child
-    readers, pids = [], []
+    forks = _forks()
+    if forks:
+        np.random  # loaded once here, not in each child
+    readers, started = [], []  # started: (name, wait) of each worker
     try:
         for k in range(workers):
             read, write = os.pipe()
             readers.append(open(read, "rb"))
-            with open(write, "wb") as out:
+            out, tasks = open(write, "wb"), islice(plan(), k, None, workers)
+            if not forks:
+                # a daemon, so that results left unclosed never hold up exit
+                thread = threading.Thread(target=_serve, args=(work, tasks, out), daemon=True)
+                thread.start()
+                started.append((thread.name, thread.join))
+                continue
+            with out:
                 pid = os.fork()
-                if pid == 0:
-                    _child(work, islice(tasks, k, None, workers), readers, out)
-            pids.append(pid)
-        for i, task in enumerate(tasks):
+                if pid == 0:  # the child leaves through os._exit, never into the caller's code
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        _serve(work, tasks, out)
+                    finally:
+                        os._exit(0)
+            started.append((pid, partial(os.waitpid, pid, 0)))
+        for i, task in enumerate(plan()):
             try:
                 ok, value = pickle.load(readers[i % workers])
             except EOFError:
-                raise RuntimeError(f"Monte Carlo worker {pids[i % workers]} "
+                raise RuntimeError(f"Monte Carlo worker {started[i % workers][0]} "
                                    f"exited before its block {i}") from None
             if not ok:
                 raise value
@@ -251,47 +260,33 @@ def _forked_results(work, tasks, workers):
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        for _, wait in started:
+            wait()
 
 
-def _child(work, tasks, readers, out):
-    """A forked child's whole life: pickle (True, result) or (False,
-    exception) of each task into ``out``, stopping after an exception, and
-    leave through ``os._exit``, so that it never returns into the caller's
-    code or flushes the caller's buffers."""
+def _serve(work, tasks, out):
+    """Pickle (True, result) or (False, exception) of each task into the
+    pipe ``out``, stopping after an exception or once the reader has gone.
+    SIGPIPE is blocked for the calling thread, so a write to a closed pipe
+    raises rather than ending a caller that restored its default action."""
     import pickle
+    import signal
 
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGPIPE})
     try:
-        for reader in readers:
-            reader.close()
-        for task in tasks:
-            try:
-                result = True, work(*task)
-            except Exception as exc:  # sent to the parent, which raises it
-                result = False, exc
-            out.write(pickle.dumps(result))
-            out.flush()
-            if not result[0]:
-                break
-    finally:
-        os._exit(0)
-
-
-def _threaded_results(work, tasks, workers):
-    """``_block_results`` on ``workers`` threads, with at most two tasks
-    per thread in flight."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for task in tasks:
-            pending.append((task, pool.submit(work, *task)))
-            if len(pending) == 2 * workers:
-                done, future = pending.popleft()
-                yield done, future.result()
-        for done, future in pending:
-            yield done, future.result()
+        with out:
+            for task in tasks:
+                try:
+                    result = True, work(*task)
+                except Exception as exc:  # sent to the caller, which raises it
+                    result = False, exc
+                out.write(pickle.dumps(result))
+                out.flush()
+                if not result[0]:
+                    break
+    except BrokenPipeError:
+        pass  # the caller stopped reading
 
 
 @dataclass
@@ -324,6 +319,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if size < 1:
         raise ValueError("matrix size must be at least 1")
+    if size > MAX_SIZE:
+        raise ValueError(f"--N {size} exceeds the largest matrix size, {MAX_SIZE}")
     block = block_size(size)
     full, rest = divmod(samples, chunk)
     blocks = full * -(-chunk // block) + -(-rest // block)
@@ -333,8 +330,8 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
     total_sq = 0.0
     parts = []
     work = partial(_block_values, idx, size, seed)
-    tasks = _blocks(samples, chunk, block)
-    for (_, count, start, take), values in _block_results(work, tasks, workers):
+    plan = partial(_blocks, samples, chunk, block)
+    for (_, count, start, take), values in _block_results(work, plan, workers):
         parts.append(values)
         if start + take == count:  # chunks in index order: deterministic accumulation
             part, part_sq = _chunk_sums(parts)

@@ -1,6 +1,8 @@
 """The command-line surface: outputs, determinism, exit codes, schemas."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -345,6 +347,24 @@ def test_mc_rejects_a_chunk_over_the_budget(capsys):
     assert code == 2
     assert "--chunk 1000000000 exceeds the largest chunk" in captured.err
     assert captured.out == ""
+
+
+def test_mc_refuses_a_matrix_size_past_the_bound(tmp_path):
+    """``mc --N`` above ``sampling.MAX_SIZE`` exits 2 naming the flag before
+    any sampling, whose smallest block would need gigabytes; the run has
+    1 GiB of address space, so a missing refusal fails fast instead."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["mc", "--idx", "2", "--N", "10000", "--samples", "2", "--seed", "0"]
+    done = subprocess.run([sys.executable, "-m", "ncbv.cli", *argv], preexec_fn=limit,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "ncbv: --N 10000 exceeds the largest matrix size, 2048\n"
 
 
 def test_mc_rejects_negative_seed(capsys):

@@ -1,10 +1,9 @@
 """Import layering: the Wick oracle stays independent of the reduction it
 cross-checks, and the observable reader in ``ncbv.multitrace`` sits below
 both, so each oracle reads the same observable without reaching another.
-Worker pools belong to ``ncbv.sampling`` alone, and ``import ncbv`` does
-not load ``concurrent.futures`` or numpy: numpy
-loads through the handle ``ncbv.multitrace.np`` on first use, so the
-exact commands never load it.  The JSON layout of structure maps and
+No module imports a worker pool, and ``import ncbv`` does not load
+numpy: numpy loads through the handle ``ncbv.multitrace.np`` on first
+use, so the exact commands never load it.  The JSON layout of structure maps and
 forms is written and read in ``ncbv.space`` alone, and every ``from_json``
 reads each field of its JSON through ``scalar._field``."""
 
@@ -53,12 +52,14 @@ def test_multitrace_imports_neither_oracle():
     assert not {"ncbv.reduction", "ncbv.wick"} & imported_modules("multitrace")
 
 
-def test_only_sampling_imports_pools():
+def test_no_module_imports_a_pool():
+    """``ncbv.sampling`` starts its workers itself, with ``os.fork`` or
+    ``threading.Thread``, and no module imports a pool."""
     pools = ("multiprocessing", "concurrent.futures")
     importers = sorted(path.stem for path in SRC.glob("*.py")
                        if any(module == pool or module.startswith(pool + ".")
                               for module in imported_modules(path.stem) for pool in pools))
-    assert importers == ["sampling"]
+    assert importers == []
 
 
 DEFERRED = ("multiprocessing", "concurrent.futures", "concurrent.futures.process", "numpy",
@@ -75,9 +76,8 @@ def run_python(script: str) -> str:
 
 
 def test_import_leaves_multiprocessing_out():
-    """``ncbv.sampling`` imports ``concurrent.futures`` when it first
-    starts thread workers, and numpy loads on first use; importing them up
-    front would add to every ``import ncbv``."""
+    """No pool module is loaded by ``import ncbv``, and numpy loads on
+    first use; importing them up front would add to every ``import ncbv``."""
     script = f"import sys, ncbv; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
     assert run_python(script) == "[]\n"
 
@@ -100,7 +100,7 @@ def test_a_forking_pool_loads_numpy_random_first():
     script = ("import sys; from ncbv import sampling\n"
               "before = 'numpy.random' in sys.modules\n"
               "def work(i): return 'numpy.random' in sys.modules\n"
-              "inherited = [r for _, r in sampling._forked_results(work, [(0,), (1,)], 2)]\n"
+              "inherited = [r for _, r in sampling._block_results(work, lambda: [(0,), (1,)], 2)]\n"
               "print(before, inherited)")
     assert run_python(script) == "False [True, True]\n"
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncbv import gue_rng, monte_carlo_moment, reduce_to_polynomial, sample_gue, sample_gue_batch
+from ncbv import (gue_rng, monte_carlo_moment, reduce_to_polynomial, sample_gue,
+                  sample_gue_batch, sampling)
 from ncbv.sampling import McResult, standard_normals
 
 
@@ -89,8 +90,6 @@ def test_monte_carlo_bounds_the_chunk():
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
-    from ncbv import sampling
-
     monkeypatch.setattr(sampling, "usable_cpus", lambda: 4)
     assert sampling.pool_size(10**6, 3) == 3
     assert sampling.pool_size(10**6, 10**6) == 4
@@ -158,8 +157,6 @@ def test_seeded_estimates_are_pinned(idx, size, samples, seed, chunk, bits, thre
 @pytest.mark.parametrize("idx,size,samples,seed,chunk,bits", PINNED[:4])
 def test_estimates_do_not_depend_on_block_size(monkeypatch, block, idx, size, samples, seed,
                                                chunk, bits):
-    from ncbv import sampling
-
     monkeypatch.setattr(sampling, "BLOCK", block)
     for threads in (1, 2):
         assert _pinned_bits(idx, size, samples, seed, chunk, threads) == bits
@@ -190,25 +187,29 @@ def test_chunk_memory_is_one_block():
 # (18 blocks) starts two workers on any host.
 POOLED = PINNED[-1]
 FORKS = hasattr(os, "fork")
+KINDS = ("forked", "threaded") if FORKS else ("threaded",)
+_REAL_FORKS, _PIPE, _FORK = sampling._forks, os.pipe, getattr(os, "fork", None)
 
 
-def _pool_kinds(monkeypatch):
-    """Record the kind and size of each worker pool that ``_block_results``
-    starts, and the pid of every child that ``os.fork`` makes."""
-    from ncbv import sampling
-
+def _pool_kinds(monkeypatch, kind=None):
+    """Record the kind of each worker pool that ``_block_results`` starts,
+    as ``_forks`` decides it (or as ``kind`` forces it), with its size,
+    the pipes it opens, and the pid of every child that ``os.fork`` makes."""
     kinds, pids = [], []
-    for kind in ("forked", "threaded"):
-        def recorder(work, tasks, workers, kind=kind, start=getattr(sampling, f"_{kind}_results")):
-            kinds.append((kind, workers))
-            return start(work, tasks, workers)
 
-        monkeypatch.setattr(sampling, f"_{kind}_results", recorder)
+    def recording_forks():
+        kinds.append((kind or ("forked" if _REAL_FORKS() else "threaded"), 0))
+        return kinds[-1][0] == "forked"
+
+    def recording_pipe():
+        kinds[-1] = kinds[-1][0], kinds[-1][1] + 1
+        return _PIPE()
+
+    monkeypatch.setattr(sampling, "_forks", recording_forks)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
     if FORKS:
-        fork = os.fork
-
         def recording_fork():
-            pid = fork()
+            pid = _FORK()
             if pid:
                 pids.append(pid)
             return pid
@@ -218,16 +219,19 @@ def _pool_kinds(monkeypatch):
     return kinds, pids
 
 
-def _assert_reaped(pids):
-    """Every child has been waited for: ``waitpid`` no longer knows it."""
+def _assert_reaped(kind, pids):
+    """Every worker has ended and been waited for: ``waitpid`` no longer
+    knows a child, and no thread but the caller's is left."""
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    assert len(pids) == (2 if kind == "forked" else 0)
+    assert threading.active_count() == 1
 
 
 @contextlib.contextmanager
 def _deadline(seconds=60):
-    """Fail, rather than hang, a test whose children never exit."""
+    """Fail, rather than hang, a test whose workers never end."""
     def expire(signum, frame):
         raise TimeoutError(f"still waiting after {seconds} s")
 
@@ -257,48 +261,30 @@ def _slow_read(results, started, ahead, timeout=30.0):
     return sum(started[:])
 
 
-@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_blocks_in_flight_are_capped(monkeypatch):
-    """A forked child blocks on its full pipe: with results larger than a
-    pipe buffer, each child runs one block past what the parent has read.
-    The children mark the blocks they start in a shared anonymous map."""
-    from ncbv import sampling
+    """A worker, forked or a thread, blocks on its full pipe: with results
+    larger than a pipe buffer, each worker runs one block past what the
+    caller has read.  The workers mark the blocks they start in a shared
+    anonymous map."""
+    for kind in KINDS:
+        kinds, pids = _pool_kinds(monkeypatch, kind)
+        tasks = 40
+        started = mmap.mmap(-1, tasks)
 
-    kinds, pids = _pool_kinds(monkeypatch)
-    tasks = 40
-    started = mmap.mmap(-1, tasks)
+        def work(i):
+            started[i] = 1
+            return np.full(1 << 17, float(i))  # 1 MiB, past any default pipe buffer
 
-    def work(i):
-        started[i] = 1
-        return np.full(1 << 17, float(i))  # 1 MiB, past any default pipe buffer
-
-    results = sampling._block_results(work, [(i,) for i in range(tasks)], 2)
-    assert _slow_read(results, started, 3) == 3  # one read, one running ahead per child
-    assert _slow_read(results, started, 4) == 4
-    rest = list(results)
-    assert [task for task, _ in rest] == [(i,) for i in range(2, tasks)]
-    assert all(values[0] == i for (i,), values in rest)
-    assert sum(started[:]) == tasks
-    assert kinds == [("forked", 2)] and len(pids) == 2
-    _assert_reaped(pids)
-
-
-def test_thread_blocks_in_flight_are_capped():
-    """Thread workers hold at most two tasks each in flight: when a task is
-    drawn from the plan, at most four have been drawn and not yet read."""
-    from ncbv import sampling
-
-    read, in_flight = [0], []
-
-    def plan():
-        for i in range(151):
-            in_flight.append(i + 1 - read[0])
-            yield (i,)
-
-    for task, value in sampling._threaded_results(lambda i: i * i, plan(), 2):
-        read[0] += 1
-        assert value == task[0] ** 2
-    assert read[0] == 151 and max(in_flight) == 4
+        with _deadline():
+            results = sampling._block_results(work, lambda: [(i,) for i in range(tasks)], 2)
+            assert _slow_read(results, started, 3) == 3  # one read, one ahead per worker
+            assert _slow_read(results, started, 4) == 4
+            rest = list(results)
+        assert [task for task, _ in rest] == [(i,) for i in range(2, tasks)]
+        assert all(values[0] == i for (i,), values in rest)
+        assert sum(started[:]) == tasks
+        assert kinds == [(kind, 2)]
+        _assert_reaped(kind, pids)
 
 
 @pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
@@ -307,62 +293,75 @@ def test_a_single_threaded_caller_forks_its_workers(monkeypatch):
     assert threading.active_count() == 1
     assert _pooled_bits() == POOLED[-1]
     assert kinds == [("forked", 2)]
-    assert len(pids) == 2
-    _assert_reaped(pids)
+    _assert_reaped("forked", pids)
 
 
-@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_workers_are_joined_after_a_worker_raises(monkeypatch):
-    from ncbv import sampling
+    """The caller gets the block's own exception, and every worker ends."""
+    for kind in KINDS:
+        kinds, pids = _pool_kinds(monkeypatch, kind)
+        results = sampling._block_results(partial(divmod, 7),
+                                          lambda: [(1,), (2,), (0,), (3,)], 2)
+        with _deadline():
+            assert next(results) == ((1,), (7, 0))
+            with pytest.raises(ZeroDivisionError):
+                list(results)
+        assert kinds == [(kind, 2)]
+        _assert_reaped(kind, pids)
 
-    kinds, pids = _pool_kinds(monkeypatch)
-    results = sampling._block_results(partial(divmod, 7), [(1,), (2,), (0,), (3,)], 2)
-    assert next(results) == ((1,), (7, 0))
-    with _deadline(), pytest.raises(ZeroDivisionError):
-        list(results)
-    assert kinds == [("forked", 2)]
-    assert len(pids) == 2
-    _assert_reaped(pids)
 
-
-@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_workers_are_joined_after_an_early_close(monkeypatch):
-    """Closing the results after the first one reaps every child, also
-    children blocked on a full pipe."""
-    from ncbv import sampling
+    """Closing the results after the first one ends every worker, also
+    workers blocked on a full pipe."""
+    for kind in KINDS:
+        kinds, pids = _pool_kinds(monkeypatch, kind)
+        results = sampling._block_results(lambda i: np.zeros(1 << 17),
+                                          lambda: [(i,) for i in range(20)], 2)
+        with _deadline():
+            task, values = next(results)
+            results.close()
+        assert task == (0,) and values.shape == (1 << 17,)
+        assert kinds == [(kind, 2)]
+        _assert_reaped(kind, pids)
 
-    kinds, pids = _pool_kinds(monkeypatch)
-    results = sampling._block_results(lambda i: np.zeros(1 << 17), [(i,) for i in range(20)], 2)
-    task, values = next(results)
-    assert task == (0,) and values.shape == (1 << 17,)
-    with _deadline():
-        results.close()
-    assert kinds == [("forked", 2)]
-    assert len(pids) == 2
-    _assert_reaped(pids)
+
+def test_a_threaded_caller_with_default_sigpipe_stops_early():
+    """A thread worker blocks SIGPIPE for itself: when the caller stops
+    early, the worker's write to the closed pipe raises in that thread
+    rather than ending a caller that restored SIGPIPE's default action."""
+    script = ("import signal, threading; from ncbv import sampling\n"
+              "signal.signal(signal.SIGPIPE, signal.SIG_DFL)\n"
+              "release = threading.Event()\n"
+              "other = threading.Thread(target=release.wait); other.start()\n"
+              "forks = sampling._forks()\n"
+              "results = sampling._block_results(lambda i: bytes(1 << 20),\n"
+              "                                  lambda: [(i,) for i in range(8)], 2)\n"
+              "next(results); results.close()\n"
+              "release.set(); other.join()\n"
+              "print(forks, threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False 1\n", "")
 
 
 @pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_a_worker_that_dies_is_reported(monkeypatch):
     """A child that ends without sending its block's result (killed, or
     unable to pickle it) is named in the caller's error."""
-    from ncbv import sampling
-
     kinds, pids = _pool_kinds(monkeypatch)
     results = sampling._block_results(lambda i: os._exit(3) if i == 2 else i,
-                                      [(i,) for i in range(6)], 2)
+                                      lambda: [(i,) for i in range(6)], 2)
     assert [next(results), next(results)] == [((0,), 0), ((1,), 1)]
     with _deadline(), pytest.raises(RuntimeError, match=f"worker {pids[0]} exited before "
                                                         "its block 2"):
         next(results)
-    _assert_reaped(pids)
+    _assert_reaped("forked", pids)
 
 
 def test_a_replaced_block_function_runs_on_threads(monkeypatch):
     """A wrapper's state (a tracer's counters) lives in the caller's
     process, so wrapped blocks never run in a forked one."""
-    from ncbv import sampling
-
     kinds, pids = _pool_kinds(monkeypatch)
     calls = []
 

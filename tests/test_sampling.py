@@ -261,30 +261,38 @@ def _slow_read(results, started, ahead, timeout=30.0):
     return sum(started[:])
 
 
+def _assert_blocks_in_flight_are_capped(monkeypatch, kind):
+    """A worker blocks on its full pipe: with results larger than a pipe
+    buffer, each worker runs one block past what the caller has read.  The
+    workers mark the blocks they start in a shared anonymous map."""
+    kinds, pids = _pool_kinds(monkeypatch, kind)
+    tasks = 40
+    started = mmap.mmap(-1, tasks)
+
+    def work(i):
+        started[i] = 1
+        return np.full(1 << 17, float(i))  # 1 MiB, past any default pipe buffer
+
+    with _deadline():
+        results = sampling._block_results(work, lambda: [(i,) for i in range(tasks)], 2)
+        assert _slow_read(results, started, 3) == 3  # one read, one ahead per worker
+        assert _slow_read(results, started, 4) == 4
+        rest = list(results)
+    assert [task for task, _ in rest] == [(i,) for i in range(2, tasks)]
+    assert all(values[0] == i for (i,), values in rest)
+    assert sum(started[:]) == tasks
+    assert kinds == [(kind, 2)]
+    _assert_reaped(kind, pids)
+
+
+@pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")
 def test_blocks_in_flight_are_capped(monkeypatch):
-    """A worker, forked or a thread, blocks on its full pipe: with results
-    larger than a pipe buffer, each worker runs one block past what the
-    caller has read.  The workers mark the blocks they start in a shared
-    anonymous map."""
-    for kind in KINDS:
-        kinds, pids = _pool_kinds(monkeypatch, kind)
-        tasks = 40
-        started = mmap.mmap(-1, tasks)
+    _assert_blocks_in_flight_are_capped(monkeypatch, "forked")
 
-        def work(i):
-            started[i] = 1
-            return np.full(1 << 17, float(i))  # 1 MiB, past any default pipe buffer
 
-        with _deadline():
-            results = sampling._block_results(work, lambda: [(i,) for i in range(tasks)], 2)
-            assert _slow_read(results, started, 3) == 3  # one read, one ahead per worker
-            assert _slow_read(results, started, 4) == 4
-            rest = list(results)
-        assert [task for task, _ in rest] == [(i,) for i in range(2, tasks)]
-        assert all(values[0] == i for (i,), values in rest)
-        assert sum(started[:]) == tasks
-        assert kinds == [(kind, 2)]
-        _assert_reaped(kind, pids)
+def test_thread_blocks_in_flight_are_capped(monkeypatch):
+    """Thread workers share the forked children's pipe bound."""
+    _assert_blocks_in_flight_are_capped(monkeypatch, "threaded")
 
 
 @pytest.mark.skipif(not FORKS, reason="workers are forked only where the platform has fork")

@@ -48,6 +48,13 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
+def _parse_positive(text: str) -> int:
+    """A matrix size: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_boundaries(text: str) -> tuple[int, ...]:
     """Arguments per marked boundary: one or more positive integers."""
     try:
@@ -92,11 +99,11 @@ def _refuse_unprintable(factors, message) -> None:
 
 
 def _moment_bound(total, size, power):
-    """Factors of (T-1)!! * max(1, |N|)^power, a bound on |p(N)| for a
+    """Factors of (T-1)!! * N^power, a bound on p(N) for N >= 1 and a
     moment polynomial of index sum T and degree at most ``power`` in N:
     its coefficients count matchings of the T letters, so they are
     nonnegative and sum to p(1) = (T-1)!!."""
-    return chain(range(3, total, 2), repeat(max(1, abs(size)), power))
+    return chain(range(3, total, 2), repeat(size, power))
 
 
 def _check_printable(idx, size=None) -> None:
@@ -244,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="reduce an observable to its moment polynomial")
     p.add_argument("--idx", type=_parse_index, required=True, metavar="i1,i2,...")
-    p.add_argument("--N", type=int, default=None, help="also evaluate p(N) exactly")
+    p.add_argument("--N", type=_parse_positive, default=None, help="also evaluate p(N) exactly")
     add_output(p, csv_ok=True)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("oracle", help="Wick pairing oracle for the same observable")
     p.add_argument("--idx", type=_parse_index, required=True, metavar="i1,i2,...")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_parse_count, default=DEFAULT_CAP)
     add_output(p, csv_ok=True)
     p.set_defaults(func=cmd_oracle)
 
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hz", help="Harer-Zagier closed form / recurrence report")
     p.add_argument("--k", type=int, default=None, help="half-degree for a single moment")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_parse_positive, default=None)
     p.add_argument("--kmax", type=int, default=15)
     add_output(p)
     p.set_defaults(func=cmd_hz)

@@ -73,25 +73,34 @@ class FrobeniusAlgebra:
 
     def _check(self) -> None:
         _check_unit({2: self.mult}, self.unit, self.dim)
-        # The associator (e_i e_j) e_k - e_i (e_j e_k) and the invariance
-        # defect <e_i e_j, e_k> - <e_i, e_j e_k> as sparse tensors over the
-        # nonzero products e_a e_b = sum c e_l, taken once as the left
-        # factor (a, b) = (i, j) and once as the right one (a, b) = (j, k);
-        # <e_i, e_l> = <e_l, e_i> by the symmetry checked on construction.
-        associator, defect = {}, {}
+        # The associator (e_i e_j) e_k - e_i (e_j e_k) for one middle factor
+        # e_j at a time, as {(i, k, out): c}: N^2 terms for Mat_N, not the
+        # whole associator's N^4.  The e_i with e_i e_j != 0 come from
+        # _by_right[j], the e_k with e_j e_k != 0 from _by_left[j].
+        for j in range(self.dim):
+            associator = {}
+            for i, cell in self._by_right.get(j, ()):
+                for l, c in cell:
+                    for k, product in self._by_left.get(l, ()):
+                        for out, d in product:
+                            add_to(associator, (i, k, out), c * d)
+            for k, cell in self._by_left.get(j, ()):
+                for l, c in cell:
+                    for i, product in self._by_right.get(l, ()):
+                        for out, d in product:
+                            add_to(associator, (i, k, out), -c * d)
+            if associator:
+                raise ValueError("multiplication is not associative")
+        # The invariance defect <e_i e_j, e_k> - <e_i, e_j e_k> over the
+        # nonzero products e_a e_b = sum c e_l, taken once as the left pair
+        # (i, j) and once as the right one (j, k); <e_i, e_l> = <e_l, e_i>
+        # by the symmetry checked on construction.
+        defect = {}
         for (a, b), cell in self.mult.items():
             for l, c in cell.items():
-                for k, product in self._by_left.get(l, ()):
-                    for out, d in product:
-                        add_to(associator, (a, b, k, out), c * d)
-                for i, product in self._by_right.get(l, ()):
-                    for out, d in product:
-                        add_to(associator, (i, a, b, out), -c * d)
                 for t, g in self.pairing[l].items():
                     add_to(defect, (a, b, t), c * g)
                     add_to(defect, (t, a, b), -c * g)
-        if associator:
-            raise ValueError("multiplication is not associative")
         if defect:
             raise ValueError("pairing is not invariant: <ab,c> != <a,bc>")
 

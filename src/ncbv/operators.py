@@ -45,11 +45,13 @@ periods.  All m splices of {x^{l-1} xi, x^m}, for instance, are one
 term m x^{l+m-2}, spliced once, since x^m has period 1.
 
 Each context memoizes the contraction of cyclic words: ``_splice_words``
-stores ``bracket_words(space, u, v)`` per pair (u, v), summed per
-spliced word, and the parities the kernels need are read from the
-space's word memo through ``words.word_parity``.  Both memos hold pure
-functions of their keys, so threads sharing a context at worst store an
-equal value twice.
+stores the terms of ``bracket_words(space, u, v)`` per pair (u, v) as
+they come.  No two share a splice: the splice of (i, j) starts with the
+rotation of u to u[i + 1] less its last letter, which fixes that
+rotation, so i within one period, and then j.  The parities the kernels
+need are read from the space's word memo through ``words.word_parity``.
+Both memos hold pure functions of their keys, so threads sharing a
+context at worst store an equal value twice.
 """
 
 from .element import COMMUTATIVE, CYCLIC, Element
@@ -130,7 +132,7 @@ class OperatorContext:
     over the space, without gamma or nu), which declares the internal
     differential d = -{q, -}; on polynomials d is -{sigma(q), -}.
     -q and -sigma(q) are built once, here.  ``_splices`` memoizes the
-    summed splices of each pair of cyclic words (``_splice_words``)."""
+    splices of each pair of cyclic words (``_splice_words``)."""
 
     def __init__(self, space, quadratic=None):
         self.space = space
@@ -155,14 +157,11 @@ class OperatorContext:
     # -- contractions: two factors -> [(coeff, words replacing the pair)] --
 
     def _splice_words(self, u, v):
-        """bracket_words(u, v) summed per spliced word, memoized per (u, v)."""
-        key = (u, v)
-        pairs = self._splices.get(key)
+        """bracket_words(u, v) as [(c, (splice,))], memoized per (u, v)."""
+        pairs = self._splices.get((u, v))
         if pairs is None:
-            summed = {}
-            for c, splice in bracket_words(self.space, u, v):
-                add_to(summed, splice, c)
-            pairs = self._splices[key] = [(c, (splice,)) for splice, c in summed.items()]
+            terms = bracket_words(self.space, u, v)
+            pairs = self._splices[u, v] = [(c, (splice,)) for c, splice in terms]
         return pairs
 
     def _pair_letters(self, u, v):

@@ -36,7 +36,7 @@ take), so either kind returns the same values.  Forking a process that
 runs threads is deprecated from Python 3.12, so ``mc`` forks before it
 starts any thread, and a threaded caller gets threads.  No worker
 outlives the call.  N is at most ``MAX_SIZE``, since a block holds at
-least two matrices.
+least two matrices, and a run draws at most ``MAX_NORMALS`` normals.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
 BLOCK = 4096  # matrices per block at N <= 8; see block_size
 MAX_SIZE = 2048  # N: a 2-matrix block holds 2 N^2 * 24 B = 192 MiB of matrices and normals
+# samples * N^2, the normals a run draws; a run of 2^28 took 27 s at N = 8 and 15 min at
+# N = 2048 on two workers of a 2-vCPU Xeon, where the per-entry fill dominates past N = 300
+MAX_NORMALS = 1 << 28
 
 
 def thread_count() -> int:
@@ -321,6 +324,9 @@ def monte_carlo_moment(idx, size: int, samples: int, seed: int,
         raise ValueError("matrix size must be at least 1")
     if size > MAX_SIZE:
         raise ValueError(f"--N {size} exceeds the largest matrix size, {MAX_SIZE}")
+    if samples * size * size > MAX_NORMALS:
+        raise ValueError(f"--samples {samples} at --N {size} draws {samples * size * size} "
+                         f"normals, past the largest draw, {MAX_NORMALS}")
     block = block_size(size)
     full, rest = divmod(samples, chunk)
     blocks = full * -(-chunk // block) + -(-rest // block)

@@ -8,9 +8,9 @@ tallies these cycle counts by enumeration.  It imports nothing from the
 cohomological reduction it cross-checks: both read the observable
 through ``multitrace.observable``.
 
-The enumeration has two stages.  A prefix walk in Python pairs the
-smallest unmatched point with each later free point until at most
-``BLOCK`` points are free; it visits every such prefix exactly once.
+The enumeration has two stages.  A prefix walk in Python, ``_walk``,
+pairs the smallest unmatched point with each later free point until at
+most ``BLOCK`` points are free; it visits every such prefix exactly once.
 Each prefix is then contracted: the cycles of sigma = gamma.pi that lie
 entirely among matched points are counted, and every other cycle is seen
 through the first-return map of sigma on the free points (from a free
@@ -24,15 +24,16 @@ map: for any permutation tau, #cycles(rho . tau sigma tau^-1) =
 the matchings.  So it is counted once per cycle type, on the
 representative ``block_permutation(cycle_type)``, and looked up at every
 other leaf.  That count runs in numpy: the representative is applied to
-a table of all partner arrays, built on the first oracle call, and the
-cycles of every row are counted at once by pointer doubling on the
-smallest label.  Nothing above the leaves is memoized, so every prefix
-is still enumerated.
+a table of all partner arrays of the f points, which the same walk run
+to the end builds once per f, and the cycles of every row are counted
+at once by pointer doubling on the smallest label.  Nothing above the
+leaves is memoized, so every prefix is still enumerated.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 
 from .multitrace import np, observable
 from .nupoly import NuPolynomial
@@ -60,37 +61,47 @@ def block_permutation(parts) -> list[int]:
     return gamma
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+def _walk(points: int, left: int, visit) -> None:
+    """Pair the smallest free point of range(``points``) with each later
+    free point, in turn, until at most ``left`` points are free, and call
+    ``visit(partner)`` at each stop, where partner[p] is the point matched
+    to p, or -1 while p is free.  Every such prefix is visited exactly
+    once; ``partner`` is one list, restored after each visit."""
+    partner = [-1] * points
+
+    def walk(first: int, free: int) -> None:
+        if free <= left:
+            visit(partner)
+            return
+        while partner[first] != -1:
+            first += 1
+        for other in range(first + 1, points):
+            if partner[other] == -1:
+                partner[first] = other
+                partner[other] = first
+                walk(first + 1, free - 2)
+                partner[first] = -1
+                partner[other] = -1
+
+    walk(0, points)
 
 
 @cache
-def _block_tables() -> dict[int, tuple]:
-    """Per even f <= BLOCK: the partner arrays of all (f-1)!! matchings of
-    range(f), one row each, as indices into the flattened table; the
-    flattened local labels; and the pointer-doubling rounds ceil(log2 f).
-    Immutable and built once, so concurrent oracles share them safely."""
-    partners = np.zeros((1, 0), dtype=np.intp)
-    tables = {}
-    for points in range(0, BLOCK + 1, 2):
-        if points:
-            blocks = []
-            for other in range(1, points):  # pair 0 with other, then the rest
-                rest = np.array([p for p in range(1, points) if p != other], dtype=np.intp)
-                block = np.empty((len(partners), points), dtype=np.intp)
-                block[:, 0] = other
-                block[:, other] = 0
-                block[:, rest] = rest[partners]
-                blocks.append(block)
-            partners = np.concatenate(blocks)
-        rows = len(partners)
-        tables[points] = (
-            _frozen(partners + (np.arange(rows, dtype=np.intp) * points)[:, None]),
-            _frozen(np.tile(np.arange(points, dtype=np.uint8), rows)),
-            max(points - 1, 0).bit_length(),
-        )
-    return tables
+def _leaf_table(points: int) -> tuple:
+    """For even ``points`` <= BLOCK: the partner arrays of all (points-1)!!
+    matchings of range(points), one row each, as indices into the
+    flattened table; the flattened local labels; and the pointer-doubling
+    rounds ceil(log2 points).  Read-only and built once per size, so
+    concurrent oracles share them safely."""
+    flat = []
+    _walk(points, 0, flat.extend)
+    rows = prod(range(1, points, 2))  # one row, and no column, for no points
+    partners = np.array(flat, dtype=np.intp).reshape(rows, points)
+    partners += (np.arange(rows, dtype=np.intp) * points)[:, None]
+    labels = np.tile(np.arange(points, dtype=np.uint8), rows)
+    partners.setflags(write=False)
+    labels.setflags(write=False)
+    return partners, labels, max(points - 1, 0).bit_length()
 
 
 def _contract(gamma: list[int], partner: list[int]) -> tuple[list[int], int]:
@@ -147,7 +158,7 @@ def _type_counts(cycle_type: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     its cycle, so the cycles are the points that keep their own.  A pure
     memo of immutable tuples, so concurrent oracles share it safely.
     """
-    partners, labels, rounds = _block_tables()[sum(cycle_type)]
+    partners, labels, rounds = _leaf_table(sum(cycle_type))
     step = partners[:, block_permutation(cycle_type)].ravel()
     label = labels
     for done in range(1, rounds + 1):
@@ -164,26 +175,14 @@ def cycle_counts_by_matching(parts) -> dict[int, int]:
     if total % 2:
         return {}
     gamma = block_permutation(parts)
-    partner = [-1] * total
     histogram = [0] * (total + 1)
 
-    def walk(first: int, free: int) -> None:
-        if free <= BLOCK:
-            first_return, closed = _contract(gamma, partner)
-            for cycles, count in _type_counts(_cycle_type(first_return)):
-                histogram[closed + cycles] += count
-            return
-        while partner[first] != -1:
-            first += 1
-        for other in range(first + 1, total):
-            if partner[other] == -1:
-                partner[first] = other
-                partner[other] = first
-                walk(first + 1, free - 2)
-                partner[first] = -1
-                partner[other] = -1
+    def leaf(partner: list[int]) -> None:
+        first_return, closed = _contract(gamma, partner)
+        for cycles, count in _type_counts(_cycle_type(first_return)):
+            histogram[closed + cycles] += count
 
-    walk(0, total)
+    _walk(total, BLOCK, leaf)
     return {cycles: count for cycles, count in enumerate(histogram) if count}
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncbv import cli
+from ncbv import cli, sampling
 from ncbv.cli import _check_printable, main
 from ncbv.harer_zagier import double_factorial
 from ncbv.nupoly import NuPolynomial
@@ -82,7 +82,7 @@ def test_printable_bound_is_the_double_factorial(monkeypatch, limit, ones, refus
     ("2", 10**2150 - 1, False),  # N^2 has exactly 4,300 digits
 ])
 def test_moments_refuses_an_unprintable_value_up_front(capsys, monkeypatch, idx, size, refused):
-    """|p(N)| <= (T-1)!! * max(1, |N|)^(T/2 + k): past the limit, --N is
+    """p(N) <= (T-1)!! * N^(T/2 + k) for N >= 1: past the limit, --N is
     refused with exit 2 before the reducer is touched."""
     if refused:
         def no_reduction():
@@ -106,7 +106,7 @@ def test_moments_refuses_an_unprintable_value_up_front(capsys, monkeypatch, idx,
     (1, 10**2150 - 1, False),  # N^2 has exactly 4,300 digits
 ])
 def test_hz_refuses_an_unprintable_moment_up_front(capsys, monkeypatch, k, size, refused):
-    """|I^N_2k| <= (2k-1)!! * max(1, |N|)^(k+1): past the limit, --k is
+    """I^N_2k <= (2k-1)!! * N^(k+1) for N >= 1: past the limit, --k is
     refused with exit 2 before the closed form is computed."""
     real = cli.harer_zagier_closed
 
@@ -367,6 +367,20 @@ def test_mc_refuses_a_matrix_size_past_the_bound(tmp_path):
     assert done.stderr == "ncbv: --N 10000 exceeds the largest matrix size, 2048\n"
 
 
+def test_mc_refuses_samples_past_the_normals_bound(capsys, monkeypatch):
+    """``mc --samples`` times N^2 above ``sampling.MAX_NORMALS`` exits 2
+    naming the flag, before any sampling."""
+    def no_sampling(*args):
+        raise AssertionError("a block ran before the refusal")
+
+    monkeypatch.setattr(sampling, "_block_values", no_sampling)
+    code = main(["mc", "--idx", "2", "--N", "2048", "--samples", "65", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("ncbv: --samples 65 at --N 2048 draws 272629760 normals, "
+                            "past the largest draw, 268435456\n")
+
+
 def test_mc_rejects_negative_seed(capsys):
     code = main(["mc", "--idx", "2", "--N", "2", "--samples", "10", "--seed", "-1"])
     assert code == 2
@@ -393,6 +407,22 @@ def test_usage_errors(capsys):
         assert code == 2
         assert captured.err == f"ncbv: {message}\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--idx", "2", "--N", "0"),
+    ("moments", "--idx", "2", "--N", "-3"),
+    ("hz", "--k", "2", "--N", "-1"),
+    ("hz", "--k", "2", "--N", "0"),
+    ("oracle", "--idx", "1", "--cap", "-1"),
+])
+def test_flags_outside_the_shipped_schemas_exit_2_at_parse_time(capsys, argv):
+    """Each value here would give JSON that its schema rejects (N >= 1,
+    cap >= 0), so it is refused while the flags are parsed, naming its flag."""
+    code = main([*argv, "--output", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"argument {argv[-2]}: expected a " in captured.err
 
 
 def test_oracle_cap_bound(capsys):

@@ -89,6 +89,15 @@ def test_monte_carlo_bounds_the_chunk():
     assert at_most == monte_carlo_moment((2,), 2, 100, seed=0, chunk=100, threads=1)
 
 
+def test_monte_carlo_bounds_the_normals_drawn(monkeypatch):
+    """samples * N^2 normals at most: a draw of exactly the bound runs, and
+    one more sample is refused, naming --samples."""
+    monkeypatch.setattr(sampling, "MAX_NORMALS", 400)
+    assert monte_carlo_moment((2,), 2, 100, seed=0, threads=1).std_error > 0
+    with pytest.raises(ValueError, match="--samples 101 at --N 2 draws 404 normals"):
+        monte_carlo_moment((2,), 2, 101, seed=0)
+
+
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(sampling, "usable_cpus", lambda: 4)
     assert sampling.pool_size(10**6, 3) == 3

@@ -1,5 +1,5 @@
 """The per-space memo of canonical cyclic words and the per-context memo
-of summed splices: equal to the uncached computations, never holding a
+of splices: equal to the uncached computations, never holding a
 word whose letters failed their check, never shared between spaces, and
 safe to fill from several threads at once."""
 
@@ -125,7 +125,10 @@ def test_spaces_with_other_degrees_keep_their_own_entries():
     assert even._words[(0, 0)] == (((0, 0), 1), 0, 1) and odd._words[(0, 0)] is None
 
 
-def test_summed_splices_equal_bracket_words_summed_by_hand(monkeypatch):
+def test_memoized_splices_are_bracket_words_terms_and_distinct(monkeypatch):
+    """The memo holds bracket_words' terms as they come, in order, one
+    spliced word each, and no two of them share a splice, so the raw map
+    of ``_pairs`` is the one place they are summed."""
     calls = []
     uncounted = operators.bracket_words
 
@@ -140,14 +143,11 @@ def test_summed_splices_equal_bracket_words_summed_by_hand(monkeypatch):
         words = [canon[0] for canon in words if canon is not None]
         for u in words:
             for v in words:
-                by_hand = {}
-                for c, splice in uncounted(space, u, v):
-                    by_hand[splice] = by_hand.get(splice, 0) + c
-                by_hand = {splice: c for splice, c in by_hand.items() if c}
+                terms = uncounted(space, u, v)
                 memoized = ctx._splice_words(u, v)
                 assert all(len(merged) == 1 and c for c, merged in memoized)
-                assert {merged[0]: c for c, merged in memoized} == by_hand
-                assert len(memoized) == len(by_hand)
+                assert [(c, merged[0]) for c, merged in memoized] == terms
+                assert len({merged for _, merged in memoized}) == len(memoized)
                 before = len(calls)
                 assert ctx._splice_words(u, v) is memoized
                 assert len(calls) == before

@@ -28,16 +28,41 @@ class _Numpy:
 np = _Numpy()
 
 
+_INT = frozenset((int,))
+_NEGATIVE = "multi-index entries are nonnegative"
+
+
+def _plain_ints(idx) -> bool:
+    """Whether ``idx`` is a tuple or list of entries of type exactly ``int``,
+    checked by builtins alone."""
+    return (type(idx) is tuple or type(idx) is list) and _INT.issuperset(map(type, idx))
+
+
 def index_entries(idx) -> tuple[int, ...]:
-    """The entries of a multi-index, checked nonnegative integers, in order."""
+    """The entries of a multi-index, checked nonnegative integers, in order.
+
+    A tuple or list whose entries are all of type ``int`` (not ``bool``) is
+    checked by builtins alone; any other input is read entry by entry
+    through ``as_int``, and only then checked for sign, so a non-integer
+    entry is refused before a negative one wherever it stands."""
+    if _plain_ints(idx):
+        if idx and min(idx) < 0:
+            raise ValueError(_NEGATIVE)
+        return tuple(idx)
     entries = tuple(as_int(i, "multi-index entry") for i in idx)
     if any(i < 0 for i in entries):
-        raise ValueError("multi-index entries are nonnegative")
+        raise ValueError(_NEGATIVE)
     return entries
 
 
 def canonical_index(idx) -> tuple[int, ...]:
-    """Sorted multi-index; the represented observable is order-free."""
+    """Sorted multi-index; the represented observable is order-free.  Plain
+    ints are sorted first and checked by their smallest entry."""
+    if _plain_ints(idx):
+        parts = sorted(idx)
+        if parts and parts[0] < 0:
+            raise ValueError(_NEGATIVE)
+        return tuple(parts)
     return tuple(sorted(index_entries(idx)))
 
 

@@ -76,7 +76,10 @@ class NuPolynomial:
         if power < 0:
             raise ValueError("nu exponents are nonnegative")
         out = NuPolynomial()
-        out.coeffs = {e + power: c for e, c in self.coeffs.items()}
+        if power:
+            out.coeffs = {e + power: c for e, c in self.coeffs.items()}
+        else:
+            out.coeffs = dict(self.coeffs)
         return out
 
     def __eq__(self, other) -> bool:

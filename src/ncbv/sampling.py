@@ -54,8 +54,8 @@ DEFAULT_CHUNK = 65536
 MAX_CHUNK = 1 << 22  # samples: 32 MiB of values, about three times that while summed
 BLOCK = 4096  # matrices per block at N <= 8; see block_size
 MAX_SIZE = 2048  # N: a 2-matrix block holds 2 N^2 * 24 B = 192 MiB of matrices and normals
-# samples * N^2, the normals a run draws; a run of 2^28 took 27 s at N = 8 and 15 min at
-# N = 2048 on two workers of a 2-vCPU Xeon, where the per-entry fill dominates past N = 300
+# samples * N^2, the normals a run draws; a run of 2^28 took 25 s at N = 8 and 13-29 min at
+# N = 2048 on two workers of a 2-vCPU Xeon (2.2 min on one), where eigvalsh dominates
 MAX_NORMALS = 1 << 28
 
 
@@ -138,18 +138,18 @@ def sample_gue_batch(size: int, count: int, rng: np.random.Generator,
     normals = standard_normals(rng, count * square, start * square, total * square)
     normals = normals.reshape(count, square)
     out = np.zeros((count, size, size), dtype=complex)
-    diag = normals[:, :size]
-    for a in range(size):
-        out[:, a, a] = diag[:, a]
-    pos = size
+    # Entry (a, b), a < b, takes the next two normals, row by row: the real
+    # part, then the imaginary part.  Row a is one vectorized step.
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    first = size
     for a in range(size):
-        for b in range(a + 1, size):
-            re = normals[:, pos] * inv_sqrt2
-            im = normals[:, pos + 1] * inv_sqrt2
-            pos += 2
-            out[:, a, b] = re + 1j * im
-            out[:, b, a] = re - 1j * im
+        out[:, a, a] = normals[:, a]
+        last = first + 2 * (size - 1 - a)
+        re = normals[:, first:last:2] * inv_sqrt2
+        im = normals[:, first + 1:last:2] * inv_sqrt2
+        first = last
+        out[:, a, a + 1:] = re + 1j * im
+        out[:, a + 1:, a] = re - 1j * im
     return out
 
 

@@ -152,17 +152,19 @@ def golden_table_check(reducer: GueReducer | None = None) -> CheckReport:
 
 
 def _partitions_up_to(total: int):
-    """Multisets of positive parts with sum between 1 and ``total``."""
-    out = set()
+    """Multisets of positive parts with sum between 1 and ``total``, as
+    ascending tuples in lexicographic order: each is made once, depth first,
+    and is followed by its own extensions, which it precedes."""
+    out = []
 
-    def grow(remaining, max_part, acc):
-        for part in range(1, min(remaining, max_part) + 1):
-            state = tuple(sorted(acc + (part,)))
-            out.add(state)
-            grow(remaining - part, part, acc + (part,))
+    def grow(prefix, smallest, remaining):
+        for part in range(smallest, remaining + 1):
+            state = prefix + (part,)
+            out.append(state)
+            grow(state, part, remaining - part)
 
-    grow(total, total, ())
-    return sorted(out)
+    grow((), 1, total)
+    return out
 
 
 def oracle_equivalence_check(degree_cap: int = 12,

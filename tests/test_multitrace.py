@@ -127,25 +127,40 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("raw", [(3, 1, 2), (0, 2, 0), ("2", "0", 1)])
+def _generator(*entries):
+    """A multi-index handed over as a generator, which reads only once."""
+    return lambda: (i for i in entries)
+
+
+@pytest.mark.parametrize("raw", [(3, 1, 2), (0, 2, 0), ("2", "0", 1), [3, 0, 2],
+                                 pytest.param(_generator(3, 0, 1), id="generator"),
+                                 (np.int64(3), 1, np.int64(0)),
+                                 (2.0, 1, 3)])
 @pytest.mark.parametrize("name", READERS)
 def test_readers_read_an_index_alike(name, raw):
-    """Unsorted, zero-padded and string entries read as the sorted ints;
-    Monte Carlo keeps the caller's order, which fixes its float product."""
-    entries = tuple(int(i) for i in raw)
+    """Unsorted, zero-padded, string, numpy and integral float entries, in a
+    tuple, a list or a generator, read as the sorted ints; Monte Carlo keeps
+    the caller's order, which fixes its float product."""
+    read = raw if callable(raw) else lambda: raw
+    entries = tuple(int(i) for i in read())
     same = entries if name == "monte_carlo" else tuple(sorted(entries))
-    assert READERS[name](raw) == READERS[name](same)
+    assert READERS[name](read()) == READERS[name](same)
 
 
 @pytest.mark.parametrize("entry, message", [
     (-1, "multi-index entries are nonnegative"),
     (1.5, "multi-index entry must be an integer, got 1.5"),
     (True, "multi-index entry must be an integer, got True"),
+    (np.int64(-1), "multi-index entries are nonnegative"),
 ])
 @pytest.mark.parametrize("name", READERS)
 def test_readers_reject_bad_entries_alike(name, entry, message):
-    with pytest.raises(ValueError, match=message):
-        READERS[name]((2, entry))
+    """A tuple, a list or a generator with a bad entry is refused by that
+    entry's message although a negative entry follows it: every entry is
+    read before any sign is checked."""
+    for shape in (tuple, list, lambda entries: _generator(*entries)()):
+        with pytest.raises(ValueError, match=message):
+            READERS[name](shape((2, entry, -1)))
 
 
 @pytest.mark.parametrize("element, match", [

@@ -133,6 +133,18 @@ def test_equal_factors_share_one_table_read(monkeypatch):
     assert successors == {(1, (1,) * 4): 5}
 
 
+def test_partitions_are_every_multiset_once_in_sorted_order():
+    """The index sweep equals the sorted set of every composition of each
+    total, each sorted into a multiset, for totals 0 to 14."""
+    for total in range(15):
+        found = set()
+        for size in range(1, total + 1):
+            for mask in range(2 ** (size - 1)):  # bit i - 1 set: a cut after i units
+                cuts = [0] + [i for i in range(1, size) if mask >> (i - 1) & 1] + [size]
+                found.add(tuple(sorted(b - a for a, b in zip(cuts, cuts[1:]))))
+        assert _partitions_up_to(total) == sorted(found)
+
+
 def test_state_counts_do_not_depend_on_query_order(monkeypatch):
     """``_reduce_state`` is called once per state lookup, and each new state
     misses the cache once, whatever order the queries come in."""
@@ -241,6 +253,20 @@ def test_cache_is_shared_per_reducer():
     cached_states = len(reducer._cache)
     reducer.reduce((8,))
     assert len(reducer._cache) == cached_states
+
+
+@pytest.mark.parametrize("idx", [(2, 4), (0, 2, 4, 0)])
+def test_results_do_not_alias_the_memo(idx):
+    """Each result is a fresh polynomial: mutating one, from a memo miss or
+    a memo hit, with or without zero entries, changes no later result."""
+    expected = dict(GueReducer().reduce(idx).coeffs)
+    reducer = GueReducer()
+    for _ in range(3):  # a miss, then two hits
+        result = reducer.reduce(idx)
+        assert result.coeffs == expected
+        result.coeffs[0] = 7
+        result.coeffs.pop(max(expected))
+        result.coeffs[100] = 1
 
 
 def test_a_reducer_holds_only_its_strategy_and_states():

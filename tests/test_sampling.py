@@ -36,6 +36,35 @@ def test_fixed_seed_is_bit_identical():
     assert not np.array_equal(a, c)
 
 
+def _filled_entry_by_entry(size, count, rng, start, total):
+    """The GUE fill written as a loop over the upper triangle, pair by pair:
+    the reference the row-by-row fill must equal bit for bit."""
+    square = size * size
+    normals = standard_normals(rng, count * square, start * square, total * square)
+    normals = normals.reshape(count, square)
+    out = np.zeros((count, size, size), dtype=complex)
+    for a in range(size):
+        out[:, a, a] = normals[:, a]
+    pos = size
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for a in range(size):
+        for b in range(a + 1, size):
+            re = normals[:, pos] * inv_sqrt2
+            im = normals[:, pos + 1] * inv_sqrt2
+            pos += 2
+            out[:, a, b] = re + 1j * im
+            out[:, b, a] = re - 1j * im
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 17])
+def test_fill_matches_the_entry_by_entry_fill(size):
+    for count, start, total in ((1, 0, 1), (4, 2, 7)):
+        got = sample_gue_batch(size, count, gue_rng(11, 3), start, total)
+        want = _filled_entry_by_entry(size, count, gue_rng(11, 3), start, total)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_chunk_streams_are_disjoint():
     a = sample_gue_batch(2, 4, gue_rng(7, chunk=0))
     b = sample_gue_batch(2, 4, gue_rng(7, chunk=1))
